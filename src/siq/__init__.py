@@ -22,7 +22,7 @@ from .siq_model import (DiseaseSpec, ModelParams, ValidationReport,
                         siq_field_kappa_inf, validate_history)
 from .spectral import (AsymptoticSpectrum, Box, CharEq, HopfData,
                        SpectralReport, StabilityMap, asymptotic_spectrum_tau0,
-                       char_eval, count_unstable, default_box,
+                       axis_crossings, char_eval, count_unstable, default_box,
                        disease_free_chareq, e0_hopf_bound, endemic_chareq,
                        hopf_crossings, hopf_kappa0, hopf_sequence,
                        seiq_disease_free_chareq, stability_map,

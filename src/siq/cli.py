@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -336,13 +336,14 @@ def cmd_stability_map(args) -> int:
     q_hi = args.q_max if args.q_max is not None else qc * 0.98
     qs = np.linspace(args.q_min, q_hi, args.q_steps)
     ks = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
-    result = stability_map(args.r, args.p, args.tau, qs, ks,
-                           threads=args.threads)
+    result = stability_map(args.r, args.p, args.tau, qs, ks)
     rows = [(q, k, int(result.counts[i, j]))
             for i, q in enumerate(result.q_grid)
             for j, k in enumerate(result.kappa_grid)]
     meta = {"tool": "siq", "version": __version__, "r": args.r, "p": args.p,
-            "tau": args.tau, "q_c": qc, "unknown_cells": len(result.errors)}
+            "tau": args.tau, "q_c": qc,
+            "unknown_cells": int(np.sum(result.counts < 0))}
+    meta.update((f"error_{i}", " ".join(e.split())) for i, e in result.errors)
     write_csv(args.out, ["q", "kappa", "unstable_count"], rows, meta)
     return 0
 
@@ -356,7 +357,7 @@ def cmd_hopf(args) -> int:
             "found": data is not None}
     rows = []
     if data is not None:
-        meta.update(kappa_0=data.kappa_0, omega=data.omega)
+        meta.update(asdict(data))      # kappa_0, omega, direction, residual
         rows = [(m, hopf_sequence(data, m)) for m in range(args.m_max + 1)]
     write_csv(args.out, ["m", "kappa_m"], rows, meta)
     return 0
@@ -488,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa-min", type=float, default=0.0)
     sp.add_argument("--kappa-max", type=float, default=25.0)
     sp.add_argument("--kappa-steps", type=int, default=26)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="default: SIQ_THREADS or all cores")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_stability_map)
 

@@ -55,10 +55,15 @@ class Network:
         return 2.0 * self.edges.shape[0] / self.n if self.n else 0.0
 
     def adjacency(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            nbrs[a].append(int(b))
-            nbrs[b].append(int(a))
+        """Neighbour lists, built once per graph and shared by every run
+        (callers must not modify them)."""
+        nbrs = self.__dict__.get("_adjacency")
+        if nbrs is None:
+            nbrs = [[] for _ in range(self.n)]
+            for a, b in self.edges:
+                nbrs[a].append(int(b))
+                nbrs[b].append(int(a))
+            object.__setattr__(self, "_adjacency", nbrs)
         return nbrs
 
 

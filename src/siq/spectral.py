@@ -1,22 +1,22 @@
 """Characteristic quasi-polynomials of the equilibrium families, winding
-number root counts, Hopf-point detection in the isolation time, and the
-closed-form large-delay spectra at tau = 0.
+number root counts, Hopf points in the isolation time by D-subdivision,
+and the closed-form large-delay spectra at tau = 0.
 
 The characteristic function of a linearization with components (w_S, w_I)
 is entire in lambda, with a trivial zero root along each equilibrium
 family (order 1, or 2 for the latent-model disease-free family).  Right
 half-plane roots are counted by the argument principle on rectangular
 contours with adaptive sampling, and located by contour subdivision plus
-Newton polishing.
+Newton polishing.  Imaginary-axis crossings in kappa solve |A| = |B| on
+the axis, where chi = A + B e^{-kappa lam}.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -118,14 +118,9 @@ class Box(NamedTuple):
 
 
 def default_box(chareq: CharEq) -> Box:
-    """Right-half-plane rectangle excluding the trivial zero root.
-
-    Re in [1e-8, max(10, r)]; |Im| bounded via the crossing-frequency
-    scales (omega_max-style bounds and the 2*pi/kappa comb spacing).
-    """
-    im = max(4.0 * math.pi / max(chareq.kappa, chareq.tau, 1.0),
-             TWO_PI * 10.0)
-    return Box(1e-8, max(10.0, chareq.r), -im, im)
+    """Right-half-plane rectangle excluding the trivial zero root:
+    Re in [1e-8, max(10, r)], |Im| <= 20*pi (a heuristic extent)."""
+    return Box(1e-8, max(10.0, chareq.r), -20.0 * math.pi, 20.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -406,15 +401,19 @@ def e0_hopf_bound(r: float, p: float, tau: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Hopf detection in kappa
+# Hopf detection in kappa: D-subdivision
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HopfData:
-    """First destabilizing isolation time and crossing frequency."""
+    """Root pair +-i*omega on the imaginary axis at kappa = kappa_0, with
+    direction = sign Re dlambda/dkappa there (+1: the pair enters Re > 0)
+    and residual = |chi(i omega)|."""
 
     kappa_0: float
     omega: float
+    direction: int = 1
+    residual: float = math.nan
 
     def kappa_m(self, m: int) -> float:
         return self.kappa_0 + TWO_PI * m / self.omega
@@ -429,145 +428,160 @@ def hopf_sequence(hopf: HopfData, m: int) -> float:
 
 def _endemic_chareq_at(r, p, tau, q, kappa, track_leaf):
     params = ModelParams(r=r, p=p, tau=tau, kappa=kappa)
+    chi = endemic_chareq(params, q)
     if track_leaf:
-        v = endemic_point(params, q)
-        qc = q_critical(r, p, tau)
-        return CharEq(r=r, eps=params.eps, tau=tau, kappa=kappa,
-                      w_s=1.0 - qc, w_i=v.v_I)
-    return endemic_chareq(params, q)
+        return replace(chi, w_i=endemic_point(params, q).v_I)
+    return chi
 
 
-def _refine_crossing(chi_at, kappa_seed, omega_seed,
-                     tol: float = 1e-13) -> tuple[float, float]:
-    """Newton iteration on (kappa, omega) solving chi_kappa(i*omega) = 0.
-
-    Works on the deflated function chi(i w)/(i w): same zeros for w != 0,
-    but the structural root at w = 0 (where the kappa-derivative also
-    degenerates) no longer attracts the iteration.
+def _axis_frequencies(b: float, c: float, beta: float, c1: float,
+                      tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots omega > 0 of F = |A(i omega)|^2 - |B(i omega)|^2 and sign F',
+    where chi = A + B e^{-kappa lam}, A = lam^2 + lam (c + beta e) + b e,
+    B = -b e (lam + 1), e = e^{-tau lam}.  As |A| >= omega^2 - c1 omega - |b|
+    and |B| <= |b| (1 + omega), F > 0 past the positive root of
+    omega^2 - (c1 + |b|) omega - 2|b|.  The roots of F/omega^2 (free of the
+    structural root at 0) are bracketed on >= 64 points per 2 pi/tau and
+    bisected to adjacent floats.
     """
-    def g_at(k, w):
-        return complex(chi_at(k)(1j * w)) / (1j * w)
+    if b == 0.0:                   # chi does not depend on kappa
+        return np.empty(0), np.empty(0, dtype=int)
 
-    k, w = float(kappa_seed), float(omega_seed)
-    for _ in range(80):
-        g = g_at(k, w)
-        if abs(g) < tol:
-            break
-        dk = 1e-6 * (1.0 + abs(k))
-        dw = 1e-6 * (1.0 + abs(w))
-        gk = (g_at(k + dk, w) - g_at(k - dk, w)) / (2 * dk)
-        gw = (g_at(k, w + dw) - g_at(k, w - dw)) / (2 * dw)
-        det = gk.real * gw.imag - gw.real * gk.imag
-        if det == 0.0:
-            break
-        step_k = (g.real * gw.imag - gw.real * g.imag) / det
-        step_w = (gk.real * g.imag - g.real * gk.imag) / det
-        step_k = max(-1.0, min(1.0, step_k))
-        step_w = max(-0.5, min(0.5, step_w))
-        k -= step_k
-        w -= step_w
-        w = abs(w)                 # conjugate symmetry: keep the w > 0 branch
-        if w < 1e-9:
-            w = 1e-3
-        if abs(step_k) + abs(step_w) < 1e-14:
-            break
-    return k, w
+    def g(w):
+        return (w * w + beta * beta + c * c - b * b
+                + 2.0 * (beta * c - b) * np.cos(tau * w)
+                - 2.0 * (b * c + beta * w * w) * tau
+                * np.sinc(tau * w / math.pi))
+
+    s = c1 + abs(b)
+    w_hi = 0.5 * (s + math.sqrt(s * s + 8.0 * abs(b)))
+    grid = np.linspace(0.0, w_hi,
+                       max(2048, math.ceil(64.0 * tau * w_hi / TWO_PI)))
+    pos = g(grid) > 0.0
+    k = np.nonzero(pos[:-1] != pos[1:])[0]
+    lo, hi, lo_pos = grid[k], grid[k + 1], pos[k]
+    for _ in range(60):            # 2^-60 of a cell: adjacent floats
+        mid = 0.5 * (lo + hi)
+        left = (g(mid) > 0.0) == lo_pos
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    keep = lo > 0.0
+    return lo[keep], np.where(lo_pos, -1, 1)[keep]
+
+
+class _Sample(NamedTuple):
+    """The axis frequencies at one kappa, with alpha = arg(-A/B) at each."""
+
+    kappa: float
+    chi: CharEq
+    omega: np.ndarray
+    direction: np.ndarray
+    alpha: np.ndarray
+
+    def psi(self, j: int, alpha_ref: float) -> float:
+        """kappa omega + arg(-A/B) on branch j, the arg unwrapped next to
+        alpha_ref; chi(i omega) = 0 where it is in 2 pi Z."""
+        jump = (self.alpha[j] - alpha_ref + math.pi) % TWO_PI - math.pi
+        return self.kappa * self.omega[j] + alpha_ref + jump
+
+
+def _interval_crossings(sample, s0: _Sample, s1: _Sample) -> list[HopfData]:
+    """Crossings with s0.kappa < kappa <= s1.kappa: the kappas where a
+    branch's psi passes 2 pi m, by Illinois iteration (exact in one step
+    when psi is linear in kappa, as at a fixed equilibrium)."""
+    if not np.array_equal(s0.direction, s1.direction):
+        # a branch pair is born or dies inside: split down to its birth
+        if s1.kappa - s0.kappa <= 1e-12 * (1.0 + s1.kappa):
+            return []
+        mid = sample(0.5 * (s0.kappa + s1.kappa))
+        return (_interval_crossings(sample, s0, mid)
+                + _interval_crossings(sample, mid, s1))
+    found = []
+    for j, alpha_ref in enumerate(s0.alpha):
+        psi0, psi1 = s0.psi(j, alpha_ref), s1.psi(j, alpha_ref)
+        up = psi1 > psi0           # targets in (psi0, psi1] or [psi1, psi0)
+        ms = (range(math.floor(psi0 / TWO_PI) + 1,
+                    math.floor(psi1 / TWO_PI) + 1) if up else
+              range(math.ceil(psi1 / TWO_PI), math.ceil(psi0 / TWO_PI)))
+        for target in (TWO_PI * m for m in ms):
+            a, fa, b, fb = s0.kappa, psi0 - target, s1.kappa, psi1 - target
+            for _ in range(100):
+                s = sample(b - fb * (b - a) / (fb - fa))
+                if not np.array_equal(s.direction, s0.direction):
+                    raise NumericalError(
+                        f"crossing branches change near kappa={s.kappa!r}")
+                fk = s.psi(j, alpha_ref) - target
+                if (abs(fk) <= 1e-14 * (1.0 + abs(target))
+                        or abs(b - a) <= 1e-14 * (1.0 + s.kappa)):
+                    break
+                a, fa = (b, fb) if (fk > 0.0) != (fb > 0.0) else (a, 0.5 * fa)
+                b, fb = s.kappa, fk
+            omega = float(s.omega[j])
+            resid = abs(complex(s.chi(1j * omega)))
+            if not resid <= 1e-10:
+                raise NumericalError(f"|chi(i omega)| = {resid!r} at {s.chi}, "
+                                     f"omega={omega!r}")
+            found.append(HopfData(s.kappa, omega, int(s.direction[j])
+                                  * (1 if up else -1), resid))
+    return found
+
+
+def axis_crossings(r: float, p: float, tau: float, q: float,
+                   kappa_max: float, *,
+                   track_leaf: bool = False) -> list[HopfData]:
+    """Every imaginary-axis crossing of the endemic spectrum with
+    0 < kappa <= kappa_max, sorted by kappa (D-subdivision).
+
+    chi = A + B e^{-kappa lam} vanishes at i omega exactly when F(omega) = 0
+    and kappa omega + arg(-A/B) is in 2 pi Z.  At a fixed equilibrium that
+    gives kappa_m = ((-arg(-A/B)) mod 2 pi + 2 pi m)/omega, crossing in
+    direction sign F'(omega) (Cooke & van den Driessche 1986).  With
+    ``track_leaf`` the point is re-read from the leaf q at each kappa, and
+    the zeros of S_m(kappa) = kappa omega(kappa) - theta(kappa) - 2 pi m
+    are solved on branches sampled every 0.25, in direction
+    sign F' * sign S_m' (Beretta & Kuang 2002).  Raises NumericalError
+    when |chi(i omega)| > 1e-10 at a crossing.
+    """
+    solve = functools.lru_cache(maxsize=None)(_axis_frequencies)
+
+    def sample(kappa: float) -> _Sample:
+        chi = _endemic_chareq_at(r, p, tau, q, float(kappa), track_leaf)
+        w_s, w_i, eps = chi.w_s, chi.w_i, chi.eps
+        b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
+        omega, direction = solve(b, c, beta, 1.0 + r * (abs(w_s) * (1.0 + eps)
+                                                        + abs(w_i)), tau)
+        lam = 1j * omega
+        e = np.exp(-tau * lam)
+        alpha = np.angle((lam * lam + lam * (c + beta * e) + b * e)
+                         / (b * e * (lam + 1.0)))
+        return _Sample(float(kappa), chi, omega, direction, alpha)
+
+    steps = max(1, math.ceil(kappa_max / 0.25)) if track_leaf else 1
+    samples = [sample(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
+    return sorted((c for s0, s1 in zip(samples, samples[1:])
+                   for c in _interval_crossings(sample, s0, s1)),
+                  key=lambda c: c.kappa_0)
 
 
 def hopf_crossings(r: float, p: float, tau: float, q: float,
                    kappa_max: float, *, max_crossings: int = 1,
-                   scan_step: float = 0.05,
                    track_leaf: bool = False) -> list[HopfData]:
-    """Detect successive +2 jumps of the unstable count as kappa grows.
-
-    Scans kappa on [0, kappa_max] with ``scan_step`` resolution, bisects
-    each count change to 1e-4, then refines (kappa, Omega) jointly on the
-    imaginary axis so |chi(i Omega)| reaches solver precision.
-
-    By default the equilibrium is the fixed point with Q-component q while
-    kappa varies; with ``track_leaf`` the point is re-read from the leaf
-    labelled q at each kappa (the outbreak-scenario destabilization).
-    """
+    """The first ``max_crossings`` destabilizing crossings (+2 jumps of the
+    unstable count) with kappa <= kappa_max, at the fixed equilibrium of
+    leaf q or, with ``track_leaf``, at the point re-read from leaf q at
+    each kappa (the outbreak-scenario destabilization)."""
     qc = q_critical(r, p, tau)
     if not q < qc:
         raise ValueError(f"q = {q!r} must be below q_c = {qc!r}")
-
-    def chi_at(kappa):
-        return _endemic_chareq_at(r, p, tau, q, max(kappa, 0.0), track_leaf)
-
-    def count_at(kappa):
-        # None flags a root hugging the contour, i.e. a crossing right here
-        try:
-            return count_unstable(chi_at(kappa), locate=False).unstable_count
-        except ContourThroughZero:
-            return None
-
-    def omega_seed(kappa):
-        chi = chi_at(kappa)
-        w_hi = default_box(chi).im_max
-        grid = np.linspace(1e-3, w_hi, 8192)
-        vals = np.abs(chi(1j * grid) / (1j * grid))   # deflate the 0 root
-        return float(grid[int(np.argmin(vals))])
-
-    def refine(lo, hi, c_lo):
-        k_seed = 0.5 * (lo + hi)
-        k0, w0 = _refine_crossing(chi_at, k_seed, omega_seed(k_seed))
-        resid = abs(complex(chi_at(k0)(1j * w0)))
-        if w0 <= 1e-6 or resid > 1e-10 or abs(k0 - k_seed) > 1.0:
-            raise NumericalError(
-                f"crossing refinement failed near kappa ~ {k_seed:.4f}: "
-                f"kappa={k0!r}, omega={w0!r}, residual={resid!r}")
-        # semantic validation: the unstable count steps by 2 across k0
-        cap = max(0.3, min(2.0, 0.3 * TWO_PI / w0))
-        margin = 0.25
-        while margin <= cap:
-            c_left = count_at(max(k0 - margin, 0.0))
-            c_right = count_at(k0 + margin)
-            if c_left is not None and c_right is not None:
-                if c_left == c_lo and c_right == c_lo + 2:
-                    return HopfData(kappa_0=k0, omega=w0)
-                break
-            margin *= 2
-        raise NumericalError(
-            f"no +2 count jump across refined crossing kappa={k0!r}")
-
-    found: list[HopfData] = []
-    kappas = np.arange(0.0, kappa_max + scan_step / 2, scan_step)
-    prev_k = float(kappas[0])
-    prev_c = count_at(prev_k)
-    if prev_c is None:
-        raise NumericalError("unstable count undecidable at the scan start")
-    for k in kappas[1:]:
-        k = float(k)
-        c = count_at(k)
-        if c is None:
-            continue               # crossing in progress: next valid count jumps
-        if c > prev_c:
-            lo, hi, c_lo = prev_k, k, prev_c
-            while hi - lo > 1e-4:
-                mid = 0.5 * (lo + hi)
-                c_mid = count_at(mid)
-                if c_mid is None:  # the pair hugs the axis: seed Newton here
-                    lo = hi = mid
-                    break
-                if c_mid > c_lo:
-                    hi = mid
-                else:
-                    lo = mid
-            found.append(refine(lo, hi, c_lo))
-            if len(found) >= max_crossings:
-                return found
-        prev_k, prev_c = k, c
-    return found
+    return [c for c in axis_crossings(r, p, tau, q, kappa_max,
+                                      track_leaf=track_leaf)
+            if c.direction > 0][:max_crossings]
 
 
 def hopf_kappa0(r: float, p: float, tau: float, q: float, kappa_max: float,
-                *, scan_step: float = 0.05,
-                track_leaf: bool = False) -> HopfData | None:
+                *, track_leaf: bool = False) -> HopfData | None:
     """First Hopf point kappa_0(q) with its frequency Omega(q), or None if
     the equilibrium stays stable for kappa up to kappa_max."""
-    found = hopf_crossings(r, p, tau, q, kappa_max, max_crossings=1,
-                           scan_step=scan_step, track_leaf=track_leaf)
+    found = hopf_crossings(r, p, tau, q, kappa_max, track_leaf=track_leaf)
     return found[0] if found else None
 
 
@@ -579,57 +593,41 @@ def hopf_kappa0(r: float, p: float, tau: float, q: float, kappa_max: float,
 class StabilityMap:
     """Unstable-root counts of the endemic family on a (q, kappa) grid.
 
-    counts[i, j] belongs to (q_grid[i], kappa_grid[j]); -1 marks cells
-    whose count failed (the error is recorded in ``errors``).
+    counts[i, j] belongs to (q_grid[i], kappa_grid[j]); a q-row whose
+    count failed is all -1, with (i, error) in ``errors``.
     """
 
     q_grid: tuple[float, ...]
     kappa_grid: tuple[float, ...]
     counts: np.ndarray
-    errors: tuple[tuple[int, int, str], ...]
+    errors: tuple[tuple[int, str], ...]
 
 
 def stability_map(r: float, p: float, tau: float,
-                  q_grid: Sequence[float], kappa_grid: Sequence[float],
-                  threads: int | None = None) -> StabilityMap:
-    """Per-cell unstable counts for the endemic equilibria w(q).
-
-    Cells are independent pure computations; SIQ_THREADS (or ``threads``)
-    caps the worker pool.  Results are merged by cell index, so the output
-    is deterministic regardless of scheduling.
-    """
+                  q_grid: Sequence[float],
+                  kappa_grid: Sequence[float]) -> StabilityMap:
+    """Unstable counts of the endemic equilibria w(q): per q-row, the
+    winding count at kappa = 0 plus twice the signed number of axis
+    crossings below kappa (roots of this retarded equation enter the right
+    half-plane only across the imaginary axis as kappa grows)."""
     qs = [float(v) for v in q_grid]
     ks = [float(v) for v in kappa_grid]
-    if threads is None:
-        threads = int(os.environ.get("SIQ_THREADS", os.cpu_count() or 1))
-    threads = max(1, min(threads, len(qs) * len(ks)))
-
+    if not all(k >= 0.0 for k in ks):
+        raise ValueError("kappa grid values must be >= 0")
     counts = np.full((len(qs), len(ks)), -1, dtype=int)
-    errors: list[tuple[int, int, str]] = []
-
-    def cell(idx):
-        i, j = idx
-        chi = _endemic_chareq_at(r, p, tau, qs[i], ks[j], track_leaf=False)
-        return i, j, count_unstable(chi, locate=False).unstable_count
-
-    indices = [(i, j) for i in range(len(qs)) for j in range(len(ks))]
-    if threads == 1:
-        for idx in indices:
-            try:
-                i, j, c = cell(idx)
-                counts[i, j] = c
-            except Exception as exc:       # per-cell failure -> unknown cell
-                errors.append((idx[0], idx[1], f"{type(exc).__name__}: {exc}"))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(cell, idx): idx for idx in indices}
-            for fut, idx in futures.items():
-                try:
-                    i, j, c = fut.result()
-                    counts[i, j] = c
-                except Exception as exc:   # per-cell failure -> unknown cell
-                    errors.append((idx[0], idx[1], f"{type(exc).__name__}: {exc}"))
-
+    errors: list[tuple[int, str]] = []
+    for i, q in enumerate(qs):
+        try:
+            base = count_unstable(_endemic_chareq_at(r, p, tau, q, 0.0, False),
+                                  locate=False).unstable_count
+            cross = axis_crossings(r, p, tau, q, max(ks, default=0.0))
+            row = [base + 2 * sum(c.direction for c in cross if c.kappa_0 < k)
+                   for k in ks]
+            if min(row, default=0) < 0:
+                raise NumericalError(f"negative counts {row} at q={q!r}")
+            counts[i] = row
+        except (NumericalError, ValueError) as exc:
+            errors.append((i, f"{type(exc).__name__}: {exc}"))
     return StabilityMap(q_grid=tuple(qs), kappa_grid=tuple(ks),
                         counts=counts, errors=tuple(errors))
 
@@ -639,6 +637,6 @@ __all__ = [
     "seiq_disease_free_chareq", "Box", "default_box", "SpectralReport",
     "count_unstable", "strong_spectrum_tau0", "AsymptoticSpectrum",
     "asymptotic_spectrum_tau0", "e0_hopf_bound", "HopfData",
-    "hopf_sequence", "hopf_crossings", "hopf_kappa0", "StabilityMap",
-    "stability_map",
+    "hopf_sequence", "axis_crossings", "hopf_crossings", "hopf_kappa0",
+    "StabilityMap", "stability_map",
 ]

@@ -172,7 +172,7 @@ def test_cli_stability_map_small(tmp_path):
     code = main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "0",
                  "--q-steps", "2", "--q-max", "0.1", "--kappa-min", "0.5",
                  "--kappa-max", "12.5", "--kappa-steps", "3",
-                 "--threads", "2", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     meta, cols, rows = read_csv(str(out))
     assert cols == ["q", "kappa", "unstable_count"]
@@ -180,6 +180,30 @@ def test_cli_stability_map_small(tmp_path):
     grid = {(float(r[0]), float(r[1])): int(r[2]) for r in rows}
     assert grid[(0.0, 0.5)] == 0
     assert grid[(0.0, 12.5)] == 2
+    assert meta["unknown_cells"] == "0"
+    assert not [k for k in meta if k.startswith("error_")]
+
+
+def test_cli_stability_map_reports_failed_rows(tmp_path, monkeypatch):
+    import siq.spectral as spectral
+    from siq.errors import NumericalError
+    real = spectral.axis_crossings
+
+    def failing(r, p, tau, q, kappa_max, **kw):
+        if q > 0.0:
+            raise NumericalError("forced\nfailure")
+        return real(r, p, tau, q, kappa_max, **kw)
+
+    monkeypatch.setattr(spectral, "axis_crossings", failing)
+    out = tmp_path / "map.csv"
+    assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--q-steps",
+                 "2", "--q-max", "0.1", "--kappa-steps", "3",
+                 "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert meta["unknown_cells"] == "3"
+    assert meta["error_1"] == "NumericalError: forced failure"
+    assert "error_0" not in meta
+    assert [int(r[2]) for r in rows[3:]] == [-1, -1, -1]
 
 
 def test_cli_hopf(tmp_path):
@@ -193,6 +217,8 @@ def test_cli_hopf(tmp_path):
     k0 = float(meta["kappa_0"])
     omega = float(meta["omega"])
     assert k0 == pytest.approx(8.948101, abs=1e-3)
+    assert float(meta["residual"]) <= 1e-10
+    assert meta["direction"] == "1"
     assert len(rows) == 3
     assert float(rows[1][1]) - float(rows[0][1]) == pytest.approx(
         2 * math.pi / omega, rel=1e-7)    # 9-significant-digit round trip
@@ -232,6 +258,16 @@ def test_cli_ipeak(tmp_path):
 # ---------------------------------------------------------------------------
 # network artifact
 # ---------------------------------------------------------------------------
+
+def test_cli_network_repeatable(tmp_path):
+    argv = ["network", "--n", "300", "--mean-degree", "6", "--beta", "0.3",
+            "--gamma", "1", "--p", "0.5", "--tau-days", "0.5",
+            "--kappa-days", "2", "--t-end-days", "5", "--seeds", "2",
+            "--i0-frac", "0.02", "--out"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(argv + [str(a)]) == 0 and main(argv + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
 
 def test_cli_network_small(tmp_path):
     out = tmp_path / "net.csv"

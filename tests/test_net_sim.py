@@ -23,6 +23,21 @@ def test_complete_network_edge_count():
     assert net.mean_degree == 4.0
 
 
+def test_adjacency_built_once_and_runs_unchanged():
+    # the neighbour lists are memoized on the graph; runs that share them
+    # equal runs on a fresh copy of the graph, so no run modifies them
+    net = erdos_renyi_network(300, 6.0, seed=3)
+    assert net.adjacency() is net.adjacency()
+    cfgs = [SimConfig(beta=0.3, gamma=1.0, p=0.5, tau_days=0.5,
+                      kappa_days=2.0, t_end_days=5.0, seed=s,
+                      initial_infected=(0, 1, 2)) for s in (7, 8)]
+    shared = [simulate_network(net, c) for c in cfgs]
+    for cfg, run in zip(cfgs, shared):
+        fresh = simulate_network(Network(n=net.n, edges=net.edges.copy()), cfg)
+        for key in ("s_frac", "i_frac", "q_frac"):
+            assert np.array_equal(getattr(run, key), getattr(fresh, key))
+
+
 def test_erdos_renyi_degree_concentration():
     net = erdos_renyi_network(10_000, 10.0, seed=99)
     assert 9.5 <= net.mean_degree <= 10.5

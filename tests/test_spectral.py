@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from siq.equilibria import endemic_point, q_critical
-from siq.errors import EpsNotBelowOne
+from siq.errors import EpsNotBelowOne, NumericalError
 from siq.siq_model import ModelParams, siq_field
-from siq.spectral import (Box, CharEq, asymptotic_spectrum_tau0, count_unstable,
-                          default_box, disease_free_chareq, e0_hopf_bound,
-                          endemic_chareq, hopf_kappa0, hopf_sequence,
-                          HopfData, seiq_disease_free_chareq, stability_map,
-                          strong_spectrum_tau0)
+from siq.spectral import (Box, CharEq, asymptotic_spectrum_tau0, axis_crossings,
+                          count_unstable, default_box, disease_free_chareq,
+                          e0_hopf_bound, endemic_chareq, hopf_kappa0,
+                          hopf_sequence, HopfData, seiq_disease_free_chareq,
+                          stability_map, strong_spectrum_tau0)
 
 PS = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
 QC = q_critical(2.5, 0.5, 0.5)
@@ -172,6 +172,20 @@ def test_char_eval_and_custom_box():
     assert default_box(chi).re_min == pytest.approx(1e-8, abs=0)
 
 
+def test_default_box_extent():
+    # the former Im extent max(4 pi/max(kappa, tau, 1), 20 pi) is 20 pi on
+    # every input, since its first term never exceeds 4 pi
+    for r in (1.5, 2.5, 12.0):
+        for kappa in (0.0, 0.3, 1.0, 25.0):
+            for tau in (0.0, 0.5, 2.0):
+                ps = ModelParams(r=r, p=0.5, tau=tau, kappa=kappa)
+                im = max(4.0 * math.pi / max(kappa, tau, 1.0), 20.0 * math.pi)
+                for chi in (endemic_chareq(ps, 0.0),
+                            disease_free_chareq(ps, 0.1)):
+                    assert default_box(chi) == Box(1e-8, max(10.0, r),
+                                                   -im, im)
+
+
 def test_endemic_stable_at_kappa0_tau0():
     ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=0.0)
     rep = count_unstable(endemic_chareq(ps, 0.0), locate=False)
@@ -245,6 +259,77 @@ def test_e0_hopf_bound():
 # Hopf detection
 # ---------------------------------------------------------------------------
 
+def test_hopf_kappa0_closed_form_values():
+    # D-subdivision values at tau = 0 (ROADMAP's crossing-solve figures)
+    h = hopf_kappa0(2.5, 0.5, 0.0, 0.0, 25.0)
+    assert h.kappa_0 == pytest.approx(8.948101278054, abs=1e-9)
+    assert h.omega == pytest.approx(0.5590169944, abs=1e-9)
+    assert h.direction == 1 and h.residual <= 1e-10
+    h = hopf_kappa0(2.5, 0.5, 0.0, 0.1, 25.0)
+    assert h.kappa_0 == pytest.approx(10.0501776, abs=1e-7)
+
+
+#: (r, p, tau, q) with two crossings in kappa <= 30 each
+CROSSING_POINTS = [(5.0, 0.85, 0.2, 0.0), (6.0, 0.85, 0.1, 0.0),
+                   (4.5, 0.85, 0.25, 0.02), (2.5, 0.5, 0.0, 0.0),
+                   (2.5, 0.5, 0.0, 0.1), (3.0, 0.6, 0.3, 0.05)]
+
+
+def _count_steps(r, p, tau, q, unstable):
+    """(count at kappa_m + 0.25) - (count at kappa_m - 0.25) and 2 *
+    direction, for the first two crossings."""
+    out = []
+    for c in axis_crossings(r, p, tau, q, 30.0)[:2]:
+        below, above = (unstable(ModelParams(r=r, p=p, tau=tau,
+                                             kappa=c.kappa_0 + d))
+                        for d in (-0.25, 0.25))
+        out.append((above - below, 2 * c.direction))
+    assert len(out) == 2
+    return out
+
+
+@pytest.mark.parametrize("r, p, tau, q", CROSSING_POINTS[:5])
+def test_crossing_direction_steps_the_winding_count(r, p, tau, q):
+    def unstable(ps):
+        return count_unstable(endemic_chareq(ps, q),
+                              locate=False).unstable_count
+
+    for step, want in _count_steps(r, p, tau, q, unstable):
+        assert step == want
+
+
+def test_crossing_direction_steps_the_collocation_count():
+    # at (3, 0.6, 0.3, 0.05) the crossing pair moves slowly: Re = -1.4e-4
+    # at kappa_0 - 0.25 and +1.2e-4 at kappa_0 + 0.25, nearer the contour
+    # than count_unstable resolves (it raises ContourThroughZero there), so
+    # the collocation of the field decides the count on both sides
+    r, p, tau, q = CROSSING_POINTS[5]
+    qc = q_critical(r, p, tau)
+    state = np.array([1.0 - qc, qc - q, q])
+    for n in (80, 120):
+        for step, want in _count_steps(
+                r, p, tau, q, lambda ps: _pseudospectral_unstable(ps, state, n)):
+            assert step == want
+
+
+def test_axis_crossings_residuals_and_cascade():
+    # at a fixed equilibrium the crossings of one frequency are spaced
+    # 2 pi/omega, and every one is a root of chi on the axis
+    cs = axis_crossings(5.0, 0.85, 0.2, 0.0, 20.0)
+    assert len(cs) == 5
+    for a, b in zip(cs, cs[1:]):
+        assert b.omega == a.omega
+        assert b.kappa_0 - a.kappa_0 == pytest.approx(2 * math.pi / a.omega,
+                                                      abs=1e-12)
+    for c in cs:
+        chi = endemic_chareq(ModelParams(r=5.0, p=0.85, tau=0.2,
+                                         kappa=c.kappa_0), 0.0)
+        assert abs(complex(chi(1j * c.omega))) == c.residual <= 1e-10
+    assert axis_crossings(5.0, 0.85, 0.2, 0.0, 3.0) == []
+    with pytest.raises(ValueError):
+        axis_crossings(5.0, 0.85, 0.2, 0.0, -1.0)
+
+
 def test_hopf_cascade_tau0():
     # regression numbers computed by this machinery and cross-validated by
     # direct perturbation integration of the flow
@@ -289,7 +374,7 @@ def test_hopf_rejects_leaf_beyond_qc():
 # ---------------------------------------------------------------------------
 
 def test_stability_map_known_cells():
-    res = stability_map(2.5, 0.5, 0.0, [0.0], [0.1, 9.448101, 20.688], threads=1)
+    res = stability_map(2.5, 0.5, 0.0, [0.0], [0.1, 9.448101, 20.688])
     assert res.counts.shape == (1, 3)
     assert res.counts[0, 0] == 0        # small kappa: stable
     assert res.counts[0, 1] == 2        # past kappa_0
@@ -306,11 +391,49 @@ def test_stability_map_monotone_between_crossings():
 
 
 def test_stability_map_thread_determinism():
+    # repeated calls agree exactly
     qs = [0.0, 0.1]
     ks = [0.5, 5.0, 12.0]
-    a = stability_map(2.5, 0.5, 0.0, qs, ks, threads=1)
-    b = stability_map(2.5, 0.5, 0.0, qs, ks, threads=4)
+    a = stability_map(2.5, 0.5, 0.0, qs, ks)
+    b = stability_map(2.5, 0.5, 0.0, qs, ks)
     assert np.array_equal(a.counts, b.counts)
+
+
+def test_stability_map_matches_cell_counts():
+    qs = [0.0, 0.05, 0.1]
+    ks = np.linspace(0.0, 25.0, 6)
+    res = stability_map(4.0, 0.8, 0.2, qs, ks)
+    assert res.errors == ()
+    checked = 0
+    for i, q in enumerate(qs):
+        cross = [c.kappa_0 for c in axis_crossings(4.0, 0.8, 0.2, q, 26.0)]
+        for j, k in enumerate(ks):
+            if any(abs(k - c) < 0.25 for c in cross):
+                continue
+            chi = endemic_chareq(ModelParams(r=4.0, p=0.8, tau=0.2,
+                                             kappa=float(k)), q)
+            assert res.counts[i, j] == count_unstable(
+                chi, locate=False).unstable_count
+            checked += 1
+    assert checked >= 16
+    assert res.counts.max() >= 8
+
+
+def test_stability_map_reports_failed_rows(monkeypatch):
+    import siq.spectral as spectral
+    real = spectral.axis_crossings
+
+    def failing(r, p, tau, q, kappa_max, **kw):
+        if q == 0.1:
+            raise NumericalError("forced")
+        return real(r, p, tau, q, kappa_max, **kw)
+
+    monkeypatch.setattr(spectral, "axis_crossings", failing)
+    res = stability_map(2.5, 0.5, 0.0, [0.0, 0.1], [1.0, 12.0])
+    assert res.counts.tolist() == [[0, 2], [-1, -1]]
+    assert res.errors == ((1, "NumericalError: forced"),)
+    with pytest.raises(ValueError):
+        stability_map(2.5, 0.5, 0.0, [0.0], [-1.0, 1.0])
 
 
 def test_hopf_tracked_leaf_regression():
@@ -322,13 +445,29 @@ def test_hopf_tracked_leaf_regression():
     assert h.kappa_0 == pytest.approx(13.538, abs=2e-2)
 
 
+def test_hopf_tracked_leaf_crossing_solve():
+    # zeros of S_m(kappa) = kappa omega(kappa) - theta(kappa) - 2 pi m on
+    # the leaf-0 branch; the collocation test below brackets it in (13, 14)
+    h = hopf_kappa0(2.5, 0.5, 0.5, 0.0, 16.0, track_leaf=True)
+    assert h.kappa_0 == pytest.approx(13.538045, abs=1e-6)
+    assert h.direction == 1 and h.residual <= 1e-10
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=h.kappa_0)
+    v = endemic_point(ps, 0.0)
+    chi = CharEq(r=ps.r, eps=ps.eps, tau=ps.tau, kappa=ps.kappa,
+                 w_s=v.v_S, w_i=v.v_I)
+    assert abs(complex(chi(1j * h.omega))) <= 1e-10
+    # the fixed equilibrium (1 - q_c, q_c, 0) does not cross up to 40
+    assert axis_crossings(2.5, 0.5, 0.5, 0.0, 40.0) == []
+
+
 # ---------------------------------------------------------------------------
 # pseudospectral oracle
 # ---------------------------------------------------------------------------
 
-def _pseudospectral_unstable(params: ModelParams, q: float, n: int) -> int:
-    """Unstable eigenvalues of the SIQ field linearized at the endemic point
-    of leaf q, by a Chebyshev collocation of the infinitesimal generator
+def _pseudospectral_unstable(params: ModelParams, x: np.ndarray,
+                             n: int) -> int:
+    """Unstable eigenvalues of the SIQ field linearized at the equilibrium
+    x = (S, I, Q), by a Chebyshev collocation of the infinitesimal generator
     (Breda, Maset & Vermiglio 2005, SIAM J. Sci. Comput. 27:482-495).
 
     The Jacobians come from central differences of ``siq_field`` (exact
@@ -336,8 +475,6 @@ def _pseudospectral_unstable(params: ModelParams, q: float, n: int) -> int:
     enters no right-hand side, so the (S, I) block carries the spectrum.
     """
     field = siq_field(params)
-    v = endemic_point(params, q)
-    x = np.array([v.v_S, v.v_I, v.v_Q])
 
     def jac(slot):
         cols = []
@@ -389,4 +526,4 @@ def test_pseudospectral_oracle_matches_tracked_leaf_counts(kappa, unstable):
                  w_s=v.v_S, w_i=v.v_I)
     assert count_unstable(chi, locate=False).unstable_count == unstable
     for n in (80, 120):
-        assert _pseudospectral_unstable(ps, 0.0, n) == unstable
+        assert _pseudospectral_unstable(ps, v.state(), n) == unstable
