@@ -4,8 +4,8 @@ spectral stability analysis, and a stochastic network oracle."""
 
 __version__ = "0.1.0"
 
-from .dde_core import (DEFAULT_STEP, DelaySpec, History, Trajectory,
-                       constant_history, integrate, sample)
+from .dde_core import (DEFAULT_STEP, History, Trajectory, constant_history,
+                       integrate)
 from .equilibria import (EndemicPoint, Thresholds, critical_identification_time,
                          critical_probability, critical_time_days,
                          effective_R, endemic_point,
@@ -17,9 +17,9 @@ from .net_sim import (MeanFieldMap, Network, NetworkSeries, SimConfig,
                       mean_field_params, network_from_edge_list,
                       simulate_network)
 from .siq_model import (DiseaseSpec, ModelParams, ValidationReport,
-                        conserved_H, conserved_H_star, load_disease_table,
-                        outbreak_history, seiq_field, simulate, siq_field,
-                        siq_field_kappa_inf, validate_history)
+                        conserved_H, conserved_H_star, conserved_q,
+                        load_disease_table, outbreak_history, simulate,
+                        validate_history)
 from .spectral import (AsymptoticSpectrum, Box, CharEq, HopfData,
                        SpectralReport, StabilityMap, asymptotic_spectrum_tau0,
                        axis_crossings, char_eval, count_unstable, default_box,

@@ -32,7 +32,7 @@ from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
 from .siq_model import (ModelParams, conserved_H, conserved_H_star,
                         load_disease_table, outbreak_history, simulate)
 from .spectral import (Box, count_unstable, disease_free_chareq,
-                       endemic_chareq, hopf_kappa0, hopf_sequence,
+                       endemic_chareq, hopf_crossings, hopf_sequence,
                        seiq_disease_free_chareq, stability_map)
 
 #: Reference critical times (p_c, T_c in days) tabulated at p = 0.8 for the
@@ -193,10 +193,9 @@ def i_peak(traj: Trajectory, i_index: int = 1, settle: float = 50.0,
     taken over grid nodes and Hermite cell midpoints.
     """
     vals = traj.states[:, i_index]
-    ders = traj.derivs[:, i_index]
-    mids = 0.5 * (vals[:-1] + vals[1:]) + traj.step * 0.125 * (ders[:-1] - ders[1:])
-    peak_nodes = float(vals.max())
-    peak = max(peak_nodes, float(mids.max()) if mids.size else peak_nodes)
+    mids, _ = traj.evaluate((np.arange(traj.n_nodes - 1) + 0.5) * traj.step,
+                            columns=[i_index])
+    peak = max(float(vals.max()), float(mids.max()))
     running = np.maximum.accumulate(vals)
     moved = np.diff(running) > rel_tol * running[1:]
     last_move = int(np.nonzero(moved)[0][-1]) + 1 if moved.any() else 0
@@ -349,8 +348,12 @@ def cmd_stability_map(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    data = hopf_kappa0(args.r, args.p, args.tau, args.q, args.kappa_max,
-                       track_leaf=args.track_leaf)
+    # With the leaf tracked, omega moves with kappa: the cascade rows are
+    # the solved crossings up to kappa_max, not kappa_0 + 2 pi m / Omega.
+    found = hopf_crossings(args.r, args.p, args.tau, args.q, args.kappa_max,
+                           max_crossings=args.m_max + 1,
+                           track_leaf=args.track_leaf)
+    data = found[0] if found else None
     meta = {"tool": "siq", "version": __version__, "r": args.r, "p": args.p,
             "tau": args.tau, "q": args.q, "kappa_max": args.kappa_max,
             "track_leaf": args.track_leaf,
@@ -358,7 +361,9 @@ def cmd_hopf(args) -> int:
     rows = []
     if data is not None:
         meta.update(asdict(data))      # kappa_0, omega, direction, residual
-        rows = [(m, hopf_sequence(data, m)) for m in range(args.m_max + 1)]
+        kappas = ([c.kappa_0 for c in found] if args.track_leaf else
+                  [hopf_sequence(data, m) for m in range(args.m_max + 1)])
+        rows = list(enumerate(kappas))
     write_csv(args.out, ["m", "kappa_m"], rows, meta)
     return 0
 

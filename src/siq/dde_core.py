@@ -1,65 +1,54 @@
-"""Fixed-step method-of-steps integrator for systems with discrete delays.
+"""Fixed-step method-of-steps RK4 kernel for the SIQ/SEIQ flux family.
 
-Classical 4-stage Runge-Kutta between grid nodes with a cubic Hermite dense
-output per step.  Delays are snapped to integer multiples of the step so
-that every method-of-steps breakpoint (integer combinations of the delays,
-plus history jump points propagated forward) lands on a grid node.  A
-consequence worth exploiting: delayed reads from the RK4 stages only ever
-hit stored nodes or exact cell midpoints, so the dense output is evaluated
-at full order and never across a derivative discontinuity.
+Every delayed term of the SIQ and SEIQ models is the infection flux
+Phi = r*S*I at a lag:
 
-States are handled as plain tuples of floats in the inner loop (markedly
-faster than small ndarrays in CPython) and stored in numpy arrays on the
-resulting Trajectory.
+    S' = -Phi + I + eps*Phi(t - sigma - tau - kappa)
+    E' =  Phi - Phi(t - sigma)
+    I' =  Phi(t - sigma) - I - eps*Phi(t - sigma - tau)
+    Q' =  eps*Phi(t - sigma - tau) - eps*Phi(t - sigma - tau - kappa)
+
+so the kernel keeps the state in float locals and buffers only Phi, on the
+half-step grid: node values and cell midpoints, the history part sampled
+once in front of the solution part.  SIQ is the same loop at sigma = 0,
+where the zero lag reads the stage flux and E' is exactly 0; kappa = inf
+drops the return term.
+
+Each lag is rounded to a multiple of the step, so every method-of-steps
+breakpoint lands on a grid node and the RK4 stages read the buffer only at
+nodes and exact cell midpoints.  A history jump at theta makes the solution
+derivative jump at the kink nodes theta + lag (Bellen & Zennaro 2003,
+sections 3-4).  There the k4 stage of the cell ending at the kink reads the
+left limit Phi(theta-), and so does the dense output over that cell, while
+the node derivative (the next cell's k1 and the stored ``derivs``) keeps
+the right limit.  With these one-sided values the method keeps fourth
+order on outbreak data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DelayTooSmall, NonFiniteState, OutOfRange
+from .errors import DelayTooSmall, JumpOffGrid, NonFiniteState, OutOfRange
 
 Vector = tuple[float, ...]
-FieldFn = Callable[[float, Vector, tuple[Vector, ...]], Vector]
 
 #: Default integration step, in model time units.  CLI-overridable.
 DEFAULT_STEP = 1e-3
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    """Discrete delays of a vector field, sorted ascending (duplicates allowed)."""
-
-    delays: tuple[float, ...]
-    dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        ds = tuple(float(d) for d in self.delays)
-        if any(d < 0 for d in ds):
-            raise ValueError("delays must be nonnegative")
-        if list(ds) != sorted(ds):
-            ds = tuple(sorted(ds))
-        object.__setattr__(self, "delays", ds)
-
-    @property
-    def max_delay(self) -> float:
-        return self.delays[-1] if self.delays else 0.0
-
-
-@dataclass(frozen=True)
 class History:
     """Initial data on [-span, 0].
 
-    ``fn`` maps theta in [-span, 0] to a state tuple; it must return the
-    right limit at theta = 0 (the state the integration starts from).
-    ``jumps`` lists the theta values where ``fn`` may be discontinuous;
-    elsewhere it is assumed piecewise smooth.  ``deriv``, when provided,
+    ``fn`` maps theta in [-span, 0] to a state tuple; at each of its
+    ``jumps`` (and at theta = 0) it must return the right limit.
+    Elsewhere it is assumed piecewise smooth.  ``deriv``, when provided,
     returns d(fn)/d(theta) between jumps and enables fourth-order
     quadrature of conserved-quantity integrals over the history segment.
     """
@@ -78,6 +67,20 @@ class History:
             raise OutOfRange(f"history evaluated at theta={theta!r}, span={self.span!r}")
         return tuple(self.fn(min(0.0, max(theta, -self.span))))
 
+    @property
+    def breaks(self) -> tuple[float, ...]:
+        """Times where the data may jump: window quadratures split there."""
+        return self.jumps
+
+    def evaluate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Values and (when ``deriv`` is given) derivatives at times ``ts``."""
+        vals = np.array([self.value(t) for t in ts], dtype=float)
+        if self.deriv is None:
+            return vals, None
+        ders = np.array([self.deriv(min(0.0, max(t, -self.span))) for t in ts],
+                        dtype=float)
+        return vals, ders
+
 
 def constant_history(value: Sequence[float], span: float) -> History:
     """History identically equal to ``value`` on [-span, 0]."""
@@ -92,15 +95,19 @@ class Trajectory:
 
     Piecewise cubic Hermite segments over a uniform grid, with the initial
     history prepended so delayed arguments and window functionals can be
-    evaluated anywhere in [-span, t_end].  Immutable after construction and
-    safe to read concurrently.
+    evaluated anywhere in [-span, t_end].  ``derivs`` holds the right
+    derivative at every node; ``kink_nodes`` lists the nodes where the
+    derivative jumps and ``kink_derivs`` their left derivatives, which the
+    cell ending there uses.  Immutable after construction and safe to read
+    concurrently.
     """
 
     __slots__ = ("t0", "t_end", "step", "states", "derivs", "history",
-                 "snapped_delays", "requested_delays", "jumps", "dimension")
+                 "snapped_delays", "requested_delays", "dimension",
+                 "kink_nodes", "kink_derivs")
 
     def __init__(self, step, states, derivs, history, snapped_delays,
-                 requested_delays):
+                 requested_delays, kinks=None):
         self.t0 = 0.0
         self.step = float(step)
         self.states = states          # (n+1, dim), read-only
@@ -112,215 +119,291 @@ class Trajectory:
         self.requested_delays = tuple(requested_delays)
         self.t_end = (states.shape[0] - 1) * self.step
         self.dimension = states.shape[1]
-        # Value discontinuities, in absolute time (all <= 0: the history's
-        # own jumps; a jump at 0 covers outbreak-style initial data).
-        self.jumps = tuple(sorted(set(history.jumps)))
+        kinks = kinks or {}
+        self.kink_nodes = np.array(sorted(kinks), dtype=np.int64)
+        self.kink_derivs = np.array([kinks[k] for k in sorted(kinks)],
+                                    dtype=float).reshape(-1, self.dimension)
 
     @property
     def n_nodes(self) -> int:
         return self.states.shape[0]
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_nodes) * self.step
+    def breaks(self) -> tuple[float, ...]:
+        """Times where the dense solution is not smooth: the history's
+        jumps, the history/solution junction at 0 and the kink nodes."""
+        return tuple(sorted(set(self.history.jumps) | {0.0}
+                            | set((self.kink_nodes * self.step).tolist())))
 
-    def node_index(self, t: float) -> int | None:
-        """Index of the grid node at time ``t``, or None if off-grid."""
-        u = t / self.step
-        i = int(round(u))
-        if 0 <= i < self.n_nodes and abs(u - i) <= 1e-9:
-            return i
-        return None
+    def evaluate(self, ts, columns=slice(None)
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """States and time derivatives at times ``ts``, shape (len(ts), dim)
+        or restricted to the state ``columns`` (a list or slice).
+
+        Exact at grid nodes, where the derivative is the right one; inside
+        a cell the cubic Hermite interpolant and its derivative, built from
+        the left derivative at a right end that is a kink.  Times before 0
+        read the history, whose derivatives may be missing (then the
+        derivatives returned are None).
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if ts.size and ts.max() > self.t_end + 1e-9 * self.step:
+            raise OutOfRange(f"t={ts.max()!r} beyond trajectory end {self.t_end!r}")
+        neg = ts < self.t0
+        if not neg.any():
+            return self._hermite(ts, columns)
+        hv, hd = self.history.evaluate(ts[neg])
+        vals = np.empty((ts.size, self.dimension))[:, columns]
+        ders = np.empty_like(vals)
+        vals[neg] = hv[:, columns]
+        if hd is not None:
+            ders[neg] = hd[:, columns]
+        pos = ~neg
+        if pos.any():
+            vals[pos], ders[pos] = self._hermite(ts[pos], columns)
+        return vals, (None if hd is None else ders)
+
+    def _hermite(self, ts: np.ndarray,
+                 columns) -> tuple[np.ndarray, np.ndarray]:
+        h = self.step
+        u = ts / h
+        node = np.rint(u).astype(np.int64)
+        on_node = np.abs(u - node) <= 1e-9
+        i = np.clip(u.astype(np.int64), 0, self.n_nodes - 2)
+        th = u - i
+        states, derivs = self.states[:, columns], self.derivs[:, columns]
+        y0 = np.take(states, i, axis=0)
+        dy = np.take(states, i + 1, axis=0) - y0
+        f0 = np.take(derivs, i, axis=0)
+        f1 = np.take(derivs, i + 1, axis=0)
+        if self.kink_nodes.size:
+            k = np.searchsorted(self.kink_nodes, i + 1)
+            hit = self.kink_nodes[np.minimum(k, self.kink_nodes.size - 1)] == i + 1
+            f1[hit] = self.kink_derivs[:, columns][k[hit]]
+        t2 = th * th
+        t3 = t2 * th
+
+        def col(w):
+            return w.reshape(-1, 1)
+
+        vals = (y0 + col(3 * t2 - 2 * t3) * dy + col((t3 - 2 * t2 + th) * h) * f0
+                + col((t3 - t2) * h) * f1)
+        ders = (col((6 * th - 6 * t2) / h) * dy + col(3 * t2 - 4 * th + 1) * f0
+                + col(3 * t2 - 2 * th) * f1)
+        if on_node.any():
+            at = node[on_node]
+            vals[on_node] = states[at]
+            ders[on_node] = derivs[at]
+        return vals, ders
 
     def sample(self, t: float) -> np.ndarray:
         """State at time ``t``; exact at grid nodes."""
-        return np.asarray(self.sample_tuple(t), dtype=float)
-
-    def sample_tuple(self, t: float) -> Vector:
-        if t < self.t0:
-            return self.history.value(t)
-        if t > self.t_end + 1e-9 * self.step:
-            raise OutOfRange(f"t={t!r} beyond trajectory end {self.t_end!r}")
-        i = self.node_index(t)
-        if i is not None:
-            return tuple(self.states[i])
-        u = t / self.step
-        i = min(int(u), self.n_nodes - 2)
-        th = u - i
-        h = self.step
-        y0 = self.states[i]
-        y1 = self.states[i + 1]
-        f0 = self.derivs[i]
-        f1 = self.derivs[i + 1]
-        t2 = th * th
-        t3 = t2 * th
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + th
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        out = h00 * y0 + h01 * y1 + (h10 * f0 + h11 * f1) * h
-        return tuple(out)
-
-    def deriv_sample(self, t: float) -> np.ndarray:
-        """Time derivative of the dense interpolant at ``t`` (t >= 0)."""
-        if t < self.t0 or t > self.t_end + 1e-9 * self.step:
-            raise OutOfRange(f"derivative requested at t={t!r}")
-        i = self.node_index(t)
-        if i is not None:
-            return np.asarray(self.derivs[i], dtype=float)
-        u = t / self.step
-        i = min(int(u), self.n_nodes - 2)
-        th = u - i
-        h = self.step
-        y0 = self.states[i]
-        y1 = self.states[i + 1]
-        f0 = self.derivs[i]
-        f1 = self.derivs[i + 1]
-        d00 = (6 * th * th - 6 * th) / h
-        d10 = 3 * th * th - 4 * th + 1
-        d01 = -d00
-        d11 = 3 * th * th - 2 * th
-        return d00 * y0 + d01 * y1 + d10 * f0 + d11 * f1
-
-    def component(self, idx: int) -> np.ndarray:
-        """Stored node values of one state component."""
-        return self.states[:, idx]
+        return self.evaluate([t])[0][0]
 
 
-def sample(traj: Trajectory, t: float) -> np.ndarray:
-    """Functional form of Trajectory.sample."""
-    return traj.sample(t)
+def _snap(delay: float, step: float) -> int:
+    """Integer lag (multiple of step) of one delay; validates its size."""
+    if delay == 0.0:
+        return 0
+    if delay < step * (1 - 1e-9):
+        raise DelayTooSmall(f"delay {delay!r} is smaller than step {step!r}")
+    return max(1, int(round(delay / step)))
 
 
-def _snap_delays(delays: DelaySpec, step: float) -> list[int]:
-    """Integer lags (multiples of step) for each delay; validates sizes."""
-    lags = []
-    for d in delays.delays:
-        if d == 0.0:
-            lags.append(0)
-            continue
-        if d < step * (1 - 1e-9):
-            raise DelayTooSmall(f"delay {d!r} is smaller than step {step!r}")
-        lags.append(max(1, int(round(d / step))))
-    return lags
+def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
+              r: float, eps: float, sigma: float = 0.0, tau: float = 0.0,
+              kappa: float = math.inf) -> Trajectory:
+    """Integrate the SIQ (3-state history: S, I, Q) or SEIQ (4-state: S, E,
+    I, Q) system from ``history`` on [0, t_end]; kappa = inf is permanent
+    isolation.
 
+    The lags sigma, sigma+tau and sigma+tau+kappa are each rounded to the
+    nearest multiple of ``step`` (error <= step/2, recorded on the result
+    as ``snapped_delays``); a zero lag reads the current stage flux.
 
-def integrate(field: FieldFn, delays: DelaySpec, history: History,
-              t_end: float, step: float = DEFAULT_STEP) -> Trajectory:
-    """Integrate x'(t) = field(t, x(t), (x(t-d_1), ..., x(t-d_k))) on [0, t_end].
-
-    ``field`` receives the current state and one delayed state per entry of
-    ``delays`` (in order).  Zero delays read the current stage value, so
-    degenerate parameter choices need no special casing by the caller.
-    Each nonzero delay is rounded to the nearest multiple of ``step``
-    (error <= step/2, recorded on the result as ``snapped_delays``).
-
-    Raises DelayTooSmall for delays in (0, step) and NonFiniteState if any
-    component stops being finite.
+    Raises DelayTooSmall for lags in (0, step), JumpOffGrid for a history
+    jump off the step grid, OutOfRange for a history shorter than the
+    longest lag, and NonFiniteState if the state stops being finite.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     h = float(step)
-    lags = _snap_delays(delays, h)
+    y0 = history.value(0.0)
+    dim = len(y0)
+    if dim not in (3, 4):
+        raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
+    if dim == 3 and sigma != 0.0:
+        raise ValueError("the three-state model requires sigma = 0")
+    permanent = math.isinf(kappa)
+    requested = (sigma, sigma + tau) + (() if permanent else
+                                        (sigma + tau + kappa,))
+    lags = [_snap(d, h) for d in requested]
     snapped = tuple(L * h for L in lags)
-    if snapped and snapped[-1] > history.span + h:
+    if max(snapped) > history.span + h:
         raise OutOfRange(
-            f"max snapped delay {snapped[-1]!r} exceeds history span {history.span!r}")
+            f"max snapped delay {max(snapped)!r} exceeds history span {history.span!r}")
+    n = max(1, int(math.ceil(t_end / h - 1e-9)))
+    ii = dim - 2                      # index of I in the state tuple
+    e = float(eps)
+    ek = 0.0 if permanent else e      # weight of the return flow
+    ls, lt = lags[0], lags[1]
+    lk = lt if permanent else lags[2]
+    m = max(lags)
 
-    n = int(math.ceil(t_end / h - 1e-9))
-    n = max(n, 1)
-    dim = delays.dimension
+    def flux(theta):
+        y = history.value(max(theta, -history.span))
+        return r * y[0] * y[ii]
 
-    states = np.empty((n + 1, dim))
-    derivs = np.empty((n + 1, dim))
-    node_vals: list[Vector] = []   # python-level mirrors for cheap tuple reads
-    node_ders: list[Vector] = []
+    # Phi on the half-step grid: node i at 2*(i + m), the midpoint of cell
+    # [i, i+1] at 2*(i + m) + 1; the history part is sampled exactly.
+    phi = array("d")
+    for i in range(-m, 0):
+        phi.append(flux(i * h))
+        phi.append(flux((i + 0.5) * h))
+    s, i_, q = y0[0], y0[ii], y0[-1]
+    e_ = y0[1] if dim == 4 else 0.0
+    f = r * s * i_
+    phi.append(f)
 
-    def hist_value(theta, _value=history.value, _lo=-history.span):
-        # snapping may push a delay at most step/2 past the span: clamp
-        return _value(theta if theta >= _lo else _lo)
-    y = hist_value(0.0)
-    if len(y) != dim:
-        raise ValueError("history dimension does not match the delay spec")
+    # kink node -> jump of the k4 read (left minus right limit), summed
+    # over the lags, as its effect (dS, dE, dI, dQ) on the derivative
+    kink_jumps: dict[int, list[float]] = {}
+    for theta in history.jumps:
+        if not -history.span < theta <= 0.0:
+            continue
+        j = int(round(theta / h))
+        if abs(theta / h - j) > 1e-9:
+            raise JumpOffGrid(f"history jump at theta={theta!r} is not a "
+                              f"multiple of the step {h!r}")
+        if j < -m:
+            continue
+        left = history.fn(math.nextafter(theta, -math.inf))
+        delta = r * left[0] * left[ii] - phi[2 * (j + m)]
+        for lag, weights in ((ls, (0.0, -1.0, 1.0, 0.0)),
+                             (lt, (0.0, 0.0, -e, e)),
+                             (lk, (ek, 0.0, 0.0, -ek))):
+            if lag and 0 < j + lag <= n:
+                acc = kink_jumps.setdefault(j + lag, [0.0, 0.0, 0.0, 0.0])
+                for c in range(4):
+                    acc[c] += weights[c] * delta
+    kink_at = sorted(kink_jumps, reverse=True)
+    next_kink = 2 * kink_at.pop() if kink_at else -1
+    kinks: dict[int, tuple[float, ...]] = {}
 
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    h8 = 0.125 * h
-    rng_dim = range(dim)
-    n_lags = len(lags)
+    # buffer offsets: node j - lag sits at 2*j - o, its cell midpoint before
+    # it at 2*j - o - 1; a zero lag reads (unused) lag-1 slots
+    zs, zt, zk = ls == 0, lt == 0, lk == 0
+    os_, ot, ok = (2 * (max(L, 1) - m) for L in (ls, lt, lk))
+    gs = f if zs else phi[-os_]
+    gt = f if zt else phi[-ot]
+    gk = f if zk else phi[-ok]
+    ds = -f + i_ + ek * gk
+    di = gs - i_ - e * gt
+    de = f - gs
+    dq = e * gt - ek * gk
+    df = r * (ds * i_ + s * di)
 
-    def delayed_at_node(j: int, current: Vector) -> tuple[Vector, ...]:
-        out = []
-        for idx in range(n_lags):
-            L = lags[idx]
-            if L == 0:
-                out.append(current)
-                continue
-            jj = j - L
-            out.append(node_vals[jj] if jj >= 0 else hist_value(jj * h))
-        return tuple(out)
+    states = array("d")
+    derivs = array("d")
+    put_y, put_d, put_phi = states.append, derivs.append, phi.append
+    seiq = dim == 4
+    h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
+    inf = math.inf
 
-    def delayed_at_mid(j: int) -> list[Vector | None]:
-        # Value at t = (j + 1/2- L)*h per lag; None marks zero lags (the
-        # caller substitutes the live stage value).
-        out: list[Vector | None] = []
-        for idx in range(n_lags):
-            L = lags[idx]
-            if L == 0:
-                out.append(None)
-                continue
-            jj = j - L
-            if jj >= 0:
-                a = node_vals[jj]
-                b = node_vals[jj + 1]
-                fa = node_ders[jj]
-                fb = node_ders[jj + 1]
-                out.append(tuple(0.5 * (a[c] + b[c]) + h8 * (fa[c] - fb[c])
-                                 for c in rng_dim))
-            else:
-                out.append(hist_value(jj * h + h2))
-        return out
+    put_y(s)
+    if seiq:
+        put_y(e_)
+    put_y(i_)
+    put_y(q)
+    put_d(ds)
+    if seiq:
+        put_d(de)
+    put_d(di)
+    put_d(dq)
 
-    z0 = delayed_at_node(0, y)
-    f0 = tuple(field(0.0, y, z0))
-    states[0] = y
-    derivs[0] = f0
-    node_vals.append(y)
-    node_ders.append(f0)
+    for j2 in range(2, 2 * n + 1, 2):
+        ms, mt, mk = phi[j2 - os_ - 1], phi[j2 - ot - 1], phi[j2 - ok - 1]
+        # k2
+        s2 = s + h2 * ds
+        i2 = i_ + h2 * di
+        f2 = r * s2 * i2
+        gs = f2 if zs else ms
+        gt = f2 if zt else mt
+        gk = f2 if zk else mk
+        ds2 = -f2 + i2 + ek * gk
+        di2 = gs - i2 - e * gt
+        de2 = f2 - gs
+        dq2 = e * gt - ek * gk
+        # k3
+        s3 = s + h2 * ds2
+        i3 = i_ + h2 * di2
+        f3 = r * s3 * i3
+        gs = f3 if zs else ms
+        gt = f3 if zt else mt
+        gk = f3 if zk else mk
+        ds3 = -f3 + i3 + ek * gk
+        di3 = gs - i3 - e * gt
+        de3 = f3 - gs
+        dq3 = e * gt - ek * gk
+        # k4, reading the node values (right limits)
+        ns, nt, nk = phi[j2 - os_], phi[j2 - ot], phi[j2 - ok]
+        s4 = s + h * ds3
+        i4 = i_ + h * di3
+        f4 = r * s4 * i4
+        gs = f4 if zs else ns
+        gt = f4 if zt else nt
+        gk = f4 if zk else nk
+        ds4 = -f4 + i4 + ek * gk
+        di4 = gs - i4 - e * gt
+        de4 = f4 - gs
+        dq4 = e * gt - ek * gk
+        if j2 == next_kink:           # k4 ends at the kink: left limits
+            jump = kink_jumps[j2 >> 1]
+            ds4 += jump[0]
+            de4 += jump[1]
+            di4 += jump[2]
+            dq4 += jump[3]
+        s += h6 * (ds + 2.0 * (ds2 + ds3) + ds4)
+        i_ += h6 * (di + 2.0 * (di2 + di3) + di4)
+        e_ += h6 * (de + 2.0 * (de2 + de3) + de4)
+        q += h6 * (dq + 2.0 * (dq2 + dq3) + dq4)
+        if not -inf < s + i_ + e_ + q < inf:
+            raise NonFiniteState(f"non-finite state at t={(j2 >> 1) * h!r}: "
+                                 f"S={s!r}, E={e_!r}, I={i_!r}, Q={q!r}")
+        # node derivative, right limits
+        f_prev, df_prev = f, df
+        f = r * s * i_
+        gs = f if zs else ns
+        gt = f if zt else nt
+        gk = f if zk else nk
+        ds = -f + i_ + ek * gk
+        di = gs - i_ - e * gt
+        de = f - gs
+        dq = e * gt - ek * gk
+        df = r * (ds * i_ + s * di)
+        mid = 0.5 * (f_prev + f) + h8 * (df_prev - df)
+        if j2 == next_kink:           # the cell's Hermite: left derivative
+            kinks[j2 >> 1] = (ds + jump[0], de + jump[1], di + jump[2],
+                              dq + jump[3])
+            mid -= h8 * r * (jump[0] * i_ + s * jump[2])
+            next_kink = 2 * kink_at.pop() if kink_at else -1
+        put_phi(mid)
+        put_phi(f)
+        put_y(s)
+        if seiq:
+            put_y(e_)
+        put_y(i_)
+        put_y(q)
+        put_d(ds)
+        if seiq:
+            put_d(de)
+        put_d(di)
+        put_d(dq)
 
-    k1 = f0
-    for j in range(n):
-        t = j * h
-        yj = node_vals[j]
-
-        zmid = delayed_at_mid(j)
-        y2 = tuple(yj[c] + h2 * k1[c] for c in rng_dim)
-        z2 = tuple(y2 if zm is None else zm for zm in zmid)
-        k2 = field(t + h2, y2, z2)
-
-        y3 = tuple(yj[c] + h2 * k2[c] for c in rng_dim)
-        z3 = tuple(y3 if zm is None else zm for zm in zmid)
-        k3 = field(t + h2, y3, z3)
-
-        y4 = tuple(yj[c] + h * k3[c] for c in rng_dim)
-        z4 = delayed_at_node(j + 1, y4)
-        k4 = field(t + h, y4, z4)
-
-        ynew = tuple(yj[c] + h6 * (k1[c] + 2.0 * (k2[c] + k3[c]) + k4[c])
-                     for c in rng_dim)
-        if not math.isfinite(sum(ynew)):
-            raise NonFiniteState(f"non-finite state at t={t + h!r}: {ynew!r}")
-
-        znew = delayed_at_node(j + 1, ynew)
-        fnew = tuple(field(t + h, ynew, znew))
-
-        i = j + 1
-        states[i] = ynew
-        derivs[i] = fnew
-        node_vals.append(ynew)
-        node_ders.append(fnew)
-        k1 = fnew
-
-    return Trajectory(h, states, derivs, history, snapped, delays.delays)
+    if not seiq:
+        kinks = {k: (v[0], v[2], v[3]) for k, v in kinks.items()}
+    return Trajectory(h, np.frombuffer(states).reshape(-1, dim),
+                      np.frombuffer(derivs).reshape(-1, dim), history,
+                      snapped, requested, kinks)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dde_core import History, Trajectory
 from .errors import AlwaysStable, EpsNotBelowOne, SubcriticalP
-from .siq_model import (DiseaseSpec, ModelParams, conserved_H,
-                        conserved_H_star)
+from .siq_model import (DiseaseSpec, ModelParams, conserved_H_star,
+                        conserved_q)
 
 
 @dataclass(frozen=True)
@@ -168,16 +168,16 @@ def predict_endemic_from_history(params: ModelParams,
                                  t: float | None = None) -> EndemicPoint:
     """Endemic point a trajectory from ``phi`` can tend to.
 
-    Reads the leaf label from the conserved quantity: q' = H(phi) for SIQ,
-    (q', eta') = (H1*, H2*) for SEIQ; then evaluates the endemic formulas
-    on that leaf.  A label at or beyond q_c yields v_I <= 0, i.e. an
+    Reads the leaf label from the flow invariants: q = conserved_q(phi)
+    and, for SEIQ, eta = H2*(phi); then evaluates the endemic formulas on
+    that leaf.  A label at or beyond q_c yields v_I <= 0, i.e. an
     unreachable leaf (check ``.reachable``).
     """
     dim = len(phi.value(0.0)) if isinstance(phi, History) else phi.dimension
+    q_label = conserved_q(params, phi, t)
     if dim == 4:
-        q_label, eta_label = conserved_H_star(params, phi, t)
+        _, eta_label = conserved_H_star(params, phi, t)
         return seiq_endemic_point(params, eta_label, q_label)
-    q_label = conserved_H(params, phi, t)
     return endemic_point(params, q_label)
 
 

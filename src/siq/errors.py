@@ -28,6 +28,10 @@ class NonFiniteState(NumericalError):
     """A state component became NaN or infinite during integration."""
 
 
+class JumpOffGrid(ConfigError):
+    """A history jump does not lie on the integration step grid."""
+
+
 class OutOfRange(ConfigError):
     """A sample time lies outside the trajectory/history domain."""
 

@@ -13,12 +13,11 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dde_core import (DEFAULT_STEP, DelaySpec, History, Trajectory,
-                       constant_history, integrate)
+from .dde_core import (DEFAULT_STEP, History, Trajectory, constant_history,
+                       integrate)
 from .errors import (FileParse, InvalidFractions, NotInSimplex, SpanTooShort)
 
 SIMPLEX_TOL = 1e-12
@@ -62,77 +61,6 @@ class ModelParams:
         return self.sigma + self.tau + self.kappa
 
 
-class VectorField(NamedTuple):
-    """A delayed vector field bundled with its delay specification."""
-
-    fn: Callable
-    delays: DelaySpec
-
-
-def siq_field(params: ModelParams) -> VectorField:
-    """Right-hand side of the SIQ system, delays {tau, tau+kappa}.
-
-    S' = -r S I + I + r*eps*S(t-tau-kappa) I(t-tau-kappa)
-    I' =  r S I - I - r*eps*S(t-tau) I(t-tau)
-    Q' =  r*eps*[S(t-tau) I(t-tau) - S(t-tau-kappa) I(t-tau-kappa)]
-    """
-    if params.sigma != 0.0:
-        raise ValueError("siq_field requires sigma = 0; use seiq_field")
-    r = params.r
-    re = r * params.eps
-
-    def fn(t, y, z):
-        s, i, _ = y
-        s1, i1, _ = z[0]
-        s2, i2, _ = z[1]
-        new = r * s * i
-        iso = re * s1 * i1
-        ret = re * s2 * i2
-        return (-new + i + ret, new - i - iso, iso - ret)
-
-    return VectorField(fn, DelaySpec((params.tau, params.tau + params.kappa), 3))
-
-
-def siq_field_kappa_inf(params: ModelParams) -> VectorField:
-    """SIQ variant with permanent isolation (kappa = infinity): the return
-    flow into S is dropped, so Q only accumulates."""
-    if params.sigma != 0.0:
-        raise ValueError("siq_field_kappa_inf requires sigma = 0")
-    r = params.r
-    re = r * params.eps
-
-    def fn(t, y, z):
-        s, i, _ = y
-        s1, i1, _ = z[0]
-        new = r * s * i
-        iso = re * s1 * i1
-        return (-new + i, new - i - iso, iso)
-
-    return VectorField(fn, DelaySpec((params.tau,), 3))
-
-
-def seiq_field(params: ModelParams) -> VectorField:
-    """Right-hand side of the SEIQ system, delays {sigma, sigma+tau,
-    sigma+tau+kappa}; states ordered (S, E, I, Q)."""
-    r = params.r
-    re = r * params.eps
-
-    def fn(t, y, z):
-        s, _, i, _ = y
-        ss, _, is_, _ = z[0]          # t - sigma
-        st, _, it, _ = z[1]           # t - sigma - tau
-        sk, _, ik, _ = z[2]           # t - sigma - tau - kappa
-        new = r * s * i
-        mat = r * ss * is_            # E -> I maturation flow
-        iso = re * st * it
-        ret = re * sk * ik
-        return (-new + i + ret, new - mat, mat - i - iso, iso - ret)
-
-    d = (params.sigma, params.sigma + params.tau,
-         params.sigma + params.tau + params.kappa)
-    return VectorField(fn, DelaySpec(d, 4))
-
-
 def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
                      e0: float = 0.0, *, seiq: bool | None = None) -> History:
     """History for a sudden outbreak at t = 0.
@@ -171,84 +99,24 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
 
 def simulate(params: ModelParams, history: History, t_end: float,
              step: float = DEFAULT_STEP, *, kappa_inf: bool = False) -> Trajectory:
-    """Integrate the model matching the history's dimension (3: SIQ, 4: SEIQ)."""
-    dim = len(history.value(0.0))
-    if kappa_inf:
-        field = siq_field_kappa_inf(params)
-    elif dim == 3:
-        field = siq_field(params)
-    elif dim == 4:
-        field = seiq_field(params)
-    else:
-        raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
-    return integrate(field.fn, field.delays, history, t_end, step)
+    """Integrate the model matching the history's dimension (3: SIQ, 4: SEIQ);
+    ``kappa_inf`` makes isolation permanent (no return flow)."""
+    return integrate(history, t_end, step, r=params.r, eps=params.eps,
+                     sigma=params.sigma, tau=params.tau,
+                     kappa=math.inf if kappa_inf else params.kappa)
 
 
 # ---------------------------------------------------------------------------
 # window quadrature for the conserved quantities
 # ---------------------------------------------------------------------------
 
-def _eval_history_nodes(hist: History, ts: np.ndarray):
-    vals = np.array([hist.value(t) for t in ts], dtype=float)
-    if hist.deriv is None:
-        return vals, None
-    ders = np.array([hist.deriv(min(0.0, max(t, -hist.span))) for t in ts],
-                    dtype=float)
-    return vals, ders
-
-
-def _eval_nodes(phi: History | Trajectory, ts: np.ndarray):
-    """State values and (when available) time derivatives at absolute times."""
-    if isinstance(phi, History):
-        return _eval_history_nodes(phi, ts)
-    vals = np.empty((ts.size, phi.dimension))
-    ders = np.empty_like(vals)
-    have = True
-    neg = ts < 0.0
-    if neg.any():
-        hv, hd = _eval_history_nodes(phi.history, ts[neg])
-        vals[neg] = hv
-        if hd is None:
-            have = False
-        else:
-            ders[neg] = hd
-    pos = ~neg
-    if pos.any():
-        tp = ts[pos]
-        u = tp / phi.step
-        i = np.clip(u.astype(int), 0, phi.n_nodes - 2)
-        th = u - i
-        y0 = phi.states[i]
-        y1 = phi.states[i + 1]
-        f0 = phi.derivs[i]
-        f1 = phi.derivs[i + 1]
-        t2 = th * th
-        t3 = t2 * th
-        h00 = (2 * t3 - 3 * t2 + 1)[:, None]
-        h10 = (t3 - 2 * t2 + th)[:, None]
-        h01 = (-2 * t3 + 3 * t2)[:, None]
-        h11 = (t3 - t2)[:, None]
-        h = phi.step
-        vals[pos] = h00 * y0 + h01 * y1 + (h10 * f0 + h11 * f1) * h
-        d00 = ((6 * t2 - 6 * th) / h)[:, None]
-        d10 = (3 * t2 - 4 * th + 1)[:, None]
-        d11 = (3 * t2 - 2 * th)[:, None]
-        ders[pos] = d00 * (y0 - y1) + d10 * f0 + d11 * f1
-    return vals, (ders if have else None)
-
-
-def _split_points(phi: History | Trajectory, lo: float,
-                  hi: float) -> tuple[list[float], set[float]]:
-    if isinstance(phi, History):
-        jumps = set(phi.jumps)
-    else:
-        # the history/solution junction at t = 0 is a derivative kink even
-        # for continuous data, so always split there
-        jumps = set(phi.jumps) | {0.0}
-    pts = sorted(j for j in jumps if lo < j < hi)
-    # endpoints coinciding with a jump are evaluated just inside the
-    # window: left limits at the right edge, right limits at the left edge
-    edge = {j for j in jumps if j == lo or j == hi}
+def _split_points(phi: History | Trajectory, lo: float, hi: float,
+                  h: float) -> tuple[list[float], set[float]]:
+    tol, breaks = 1e-9 * h, phi.breaks
+    pts = [b for b in breaks if lo + tol < b < hi - tol]
+    # endpoints at a break are evaluated just inside the window: left
+    # limits at the right edge, right limits at the left edge
+    edge = {x for x in (lo, hi) for b in breaks if abs(b - x) <= tol}
     return [lo] + pts + [hi], set(pts) | edge
 
 
@@ -258,13 +126,13 @@ def _window_integral(phi, lo: float, hi: float, h: float, u_fn,
 
     Composite trapezoid with the Euler-Maclaurin endpoint correction
     (h^2/12)*(u'(lo) - u'(hi)) applied per smooth segment; segments are cut
-    at recorded jump points, where one-sided values are taken just inside
-    each side.  Falls back to the plain trapezoid where derivatives are
-    unavailable.
+    at the recorded breaks (jumps and derivative kinks), where one-sided
+    values are taken just inside each side.  Falls back to the plain
+    trapezoid where derivatives are unavailable.
     """
     if hi <= lo:
         return 0.0
-    bounds, jumpset = _split_points(phi, lo, hi)
+    bounds, jumpset = _split_points(phi, lo, hi, h)
     total = 0.0
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         width = s1 - s0
@@ -279,7 +147,7 @@ def _window_integral(phi, lo: float, hi: float, h: float, u_fn,
             ts[0] = s0 + shift
         if s1 in jumpset:
             ts[-1] = s1 - shift
-        vals, ders = _eval_nodes(phi, ts)
+        vals, ders = phi.evaluate(ts)
         u = u_fn(ts, vals)
         seg = hseg * (u.sum() - 0.5 * (u[0] + u[-1]))
         if ders is not None:
@@ -289,10 +157,8 @@ def _window_integral(phi, lo: float, hi: float, h: float, u_fn,
     return total
 
 
-def _point(phi: History | Trajectory, t: float) -> tuple[float, ...]:
-    if isinstance(phi, History):
-        return phi.value(t)
-    return phi.sample_tuple(t)
+def _points(phi: History | Trajectory, *ts: float) -> np.ndarray:
+    return phi.evaluate(np.array(ts))[0]
 
 
 def _anchor_and_span(phi, t):
@@ -324,8 +190,7 @@ def conserved_H(params: ModelParams, phi: History | Trajectory,
         raise SpanTooShort(f"window must span [-kappa, 0]; kappa={k!r}, "
                            f"available {avail!r}")
     h = step or (phi.step if isinstance(phi, Trajectory) else DEFAULT_STEP)
-    s_now = _point(phi, anchor)
-    s_back = _point(phi, anchor - k)
+    s_now, s_back = _points(phi, anchor, anchor - k)
 
     def u_fn(ts, v):
         return (1.0 - r * v[:, 0]) * v[:, 1]
@@ -355,8 +220,7 @@ def conserved_H_star(params: ModelParams, phi: History | Trajectory,
         raise SpanTooShort(f"window must span [-(sigma+kappa), 0]; need "
                            f"{sg + k!r}, available {avail!r}")
     h = step or (phi.step if isinstance(phi, Trajectory) else DEFAULT_STEP)
-    s_now = _point(phi, anchor)
-    s_back = _point(phi, anchor - k)
+    s_now, s_back = _points(phi, anchor, anchor - k)
 
     def i_fn(ts, v):
         return v[:, 2].copy()
@@ -377,6 +241,40 @@ def conserved_H_star(params: ModelParams, phi: History | Trajectory,
     h1 = 1.0 - s_now[0] - s_now[1] - s_back[2] + int_i - r * int_si_back
     h2 = s_now[1] - r * int_si_now
     return h1, h2
+
+
+def conserved_q(params: ModelParams, phi: History | Trajectory,
+                t: float | None = None, step: float | None = None) -> float:
+    """Leaf label q of the flow through ``phi``, SIQ or SEIQ.
+
+    q = 1 - phi_S(0) - phi_E(0) - phi_I(0)
+        - r*eps * int_{-sigma-tau-kappa}^{-sigma-tau} phi_S phi_I ds:
+
+    the isolated fraction less the isolations still due to return.  Unlike
+    H and H1*, which become invariant only once their window has left the
+    initial data, q is invariant from t = 0 on: Q' is exactly the
+    difference of the integrand at the two window ends, and the flow
+    conserves S + E + I + Q.  On outbreak data it is q0, the jump i0
+    leaves it alone.
+    """
+    r, eps, lag, k = params.r, params.eps, params.sigma + params.tau, params.kappa
+    anchor, avail = _anchor_and_span(phi, t)
+    if avail + 1e-12 < lag + k:
+        raise SpanTooShort(f"window must span [-(sigma+tau+kappa), 0]; need "
+                           f"{lag + k!r}, available {avail!r}")
+    h = step or (phi.step if isinstance(phi, Trajectory) else DEFAULT_STEP)
+    now = _points(phi, anchor)[0]
+    ii = now.size - 2
+
+    def si_fn(ts, v):
+        return v[:, 0] * v[:, ii]
+
+    def dsi_fn(ts, v, d):
+        return d[:, 0] * v[:, ii] + v[:, 0] * d[:, ii]
+
+    committed = _window_integral(phi, anchor - lag - k, anchor - lag, h,
+                                 si_fn, dsi_fn)
+    return 1.0 - float(now[:-1].sum()) - r * eps * committed
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +323,7 @@ def validate_history(params: ModelParams, psi: History,
 
     n = max(2, int(math.ceil(psi.span / h)) + 1)
     grid = np.linspace(-psi.span, 0.0, n)
-    vals, _ = _eval_history_nodes(psi, grid)
+    vals, _ = psi.evaluate(grid)
     if vals.min() < -SIMPLEX_TOL or np.abs(vals.sum(axis=1) - 1.0).max() > 1e-9:
         bad = grid[int(np.argmin(vals.min(axis=1)))]
         raise NotInSimplex(f"history leaves the simplex near theta={bad!r}")
@@ -516,9 +414,8 @@ def load_disease_table(path: str | None = None) -> list[DiseaseSpec]:
 
 
 __all__ = [
-    "ModelParams", "VectorField", "siq_field", "seiq_field",
-    "siq_field_kappa_inf", "outbreak_history", "simulate",
-    "conserved_H", "conserved_H_star", "validate_history",
+    "ModelParams", "outbreak_history", "simulate",
+    "conserved_H", "conserved_H_star", "conserved_q", "validate_history",
     "ValidationReport", "DiseaseSpec", "load_disease_table",
     "constant_history",
 ]

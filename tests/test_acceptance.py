@@ -274,11 +274,9 @@ def test_criterion_06_destabilization_scenario():
         amp15 = amplitude(outbreak_i(15.0, 400.0).states[:, 1], 300.0, 400.0)
         converged_ok = amp5 < 1e-4
         sustained_ok = amp15 > 1e-3
-        # the leaf the kappa=5 run reaches is q = 0: H is i0 until t =
-        # kappa and drops by exactly i0 when the outbreak jump leaves the
-        # window, so predict_endemic_from_history (which reads the literal
-        # window of the initial data and returns q = i0) is not the label
-        # the flow settles on, and the scan tracks q = 0 instead
+        # the leaf the kappa=5 run reaches is q = 0, the flow-invariant
+        # label of the outbreak data (the jump i0 is never isolated); the
+        # scan tracks that leaf
         reached = endemic_point(ModelParams(2.5, 0.5, 0.5, 5.0), 0.0)
         leaf_dist = float(np.max(np.abs(traj5.states[-1] - reached.state())))
         leaf_ok = leaf_dist <= 1e-6

@@ -139,8 +139,9 @@ def test_cli_simulate_metadata_predicts_endemic(tmp_path):
           "--kappa", "0.5", "--i0", "0.001", "--t-end", "5",
           "--out", str(out)])
     meta, _, _ = read_csv(str(out))
-    assert float(meta["leaf_q"]) == pytest.approx(0.001, abs=1e-12)
-    assert float(meta["predicted_v_I"]) == pytest.approx(0.348950, abs=1e-5)
+    # the outbreak jump i0 never isolates: the flow stays on the leaf q0 = 0
+    assert float(meta["leaf_q"]) == pytest.approx(0.0, abs=1e-12)
+    assert float(meta["predicted_v_I"]) == pytest.approx(0.349771, abs=1e-5)
     assert meta["reachable"] == "True"
     for key in ("r", "p", "tau", "kappa", "sigma", "eps", "step", "version"):
         assert key in meta
@@ -204,6 +205,19 @@ def test_cli_stability_map_reports_failed_rows(tmp_path, monkeypatch):
     assert meta["error_1"] == "NumericalError: forced failure"
     assert "error_0" not in meta
     assert [int(r[2]) for r in rows[3:]] == [-1, -1, -1]
+
+
+def test_cli_hopf_track_leaf_rows_are_solved_crossings(tmp_path):
+    # with the leaf tracked omega moves with kappa: below kappa = 25 the
+    # only crossing is 13.538, not a cascade kappa_0 + 2 pi m / Omega
+    out = tmp_path / "hopf.csv"
+    assert main(["hopf", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 "--q", "0", "--track-leaf", "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert meta["track_leaf"] == "True"
+    assert [r[0] for r in rows] == ["0"]
+    assert float(rows[0][1]) == pytest.approx(13.538045, abs=1e-6)
+    assert float(rows[0][1]) == float(meta["kappa_0"])
 
 
 def test_cli_hopf(tmp_path):

@@ -13,7 +13,8 @@ from siq.equilibria import (critical_identification_time,
                             reachable, seiq_endemic_point, tau_critical_at_q,
                             thresholds)
 from siq.errors import AlwaysStable, EpsNotBelowOne, SubcriticalP
-from siq.siq_model import DiseaseSpec, ModelParams, outbreak_history
+from siq.siq_model import (DiseaseSpec, ModelParams, outbreak_history,
+                           simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +211,21 @@ def test_predict_endemic_from_outbreak():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     hist = outbreak_history(ps, 0.01)
     v = predict_endemic_from_history(ps, hist)
-    assert v.q == pytest.approx(0.01, abs=1e-14)
+    # the jump i0 is never isolated: the flow stays on the leaf q = q0 = 0
+    assert v.q == 0.0
     qc = q_critical(2.5, 0.5, 0.5)
     eps = ps.eps
     assert v.v_I == pytest.approx(
-        (1 - eps) * (qc - 0.01) / (1 - eps + eps * 0.5), rel=1e-12)
-    assert v.v_I == pytest.approx(0.341564, abs=1e-5)
+        (1 - eps) * qc / (1 - eps + eps * 0.5), rel=1e-12)
+    assert v.v_I == pytest.approx(0.349771, abs=1e-5)
+
+
+def test_predict_outbreak_matches_reached_state():
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
+    hist = outbreak_history(ps, 0.001)
+    v = predict_endemic_from_history(ps, hist)
+    final = simulate(ps, hist, 200.0, 1e-3).sample(200.0)
+    assert np.abs(final - v.state()).max() <= 1e-9
 
 
 def test_predict_fixed_point_property():
@@ -240,8 +250,8 @@ def test_predict_seiq_from_history():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=1.0)
     hist = outbreak_history(ps, 0.01, q0=0.02, e0=0.03)
     v = predict_endemic_from_history(ps, hist)
-    # the literal window functionals on jump data: H1* carries the i0
-    # jump alongside q0 (it exits the window at t = kappa), H2* reads e0
-    assert v.q == pytest.approx(0.01 + 0.02, abs=1e-13)
+    # the flow invariants on jump data: q reads q0 (the jump i0 is never
+    # isolated), H2* reads e0
+    assert v.q == pytest.approx(0.02, abs=1e-13)
     assert v.eta == pytest.approx(0.03, abs=1e-13)
     assert v.v_S + v.v_E + v.v_I + v.v_Q == pytest.approx(1.0, abs=1e-13)

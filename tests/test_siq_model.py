@@ -8,11 +8,12 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import smooth_simplex_history
+from dde_reference import seiq_field, siq_field
 from siq.dde_core import History, constant_history
 from siq.errors import InvalidFractions, NotInSimplex, SpanTooShort
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
-                           load_disease_table, outbreak_history, seiq_field,
-                           simulate, siq_field, validate_history)
+                           conserved_q, load_disease_table, outbreak_history,
+                           simulate, validate_history)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +37,7 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# vector fields
+# vector fields of the reference integrator (tests/dde_reference.py)
 # ---------------------------------------------------------------------------
 
 def test_siq_field_disease_free_is_stationary():
@@ -265,6 +266,27 @@ def test_H_jump_law_for_outbreak_data():
         assert conserved_H(ps, traj, t) == pytest.approx(h0, abs=1e-10)
     for t in (2.0, 5.0, 20.0):
         assert conserved_H(ps, traj, t) == pytest.approx(h0 - i0, abs=1e-10)
+
+
+def test_conserved_q_invariant_from_t_zero():
+    # unlike H, the label q needs no flushed window: it is constant from
+    # t = 0 on, and equals H once H's window has left the initial data
+    ps = ModelParams(r=2.5, p=0.5, tau=0.25, kappa=2.0)
+    hist = smooth_simplex_history(ps.span, seed=42)
+    traj = simulate(ps, hist, 40.0, 1e-3)
+    q0 = conserved_q(ps, hist)
+    for t in (0.0, 0.3, 1.0, 2.0, 13.0, 40.0):
+        assert abs(conserved_q(ps, traj, t) - q0) <= 1e-10
+    assert abs(conserved_H(ps, traj, 2.0) - q0) <= 1e-10
+
+
+def test_conserved_q_of_outbreak_data_is_q0():
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.5, sigma=0.5)
+    hist = outbreak_history(ps, 0.01, q0=0.02, e0=0.03)
+    assert conserved_q(ps, hist) == pytest.approx(0.02, abs=1e-15)
+    traj = simulate(ps, hist, 20.0, 1e-3)
+    for t in (0.25, 1.0, 2.5, 20.0):
+        assert conserved_q(ps, traj, t) == pytest.approx(0.02, abs=1e-10)
 
 
 def test_mass_conservation_and_positivity():

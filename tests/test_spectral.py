@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from dde_reference import siq_field
 from siq.equilibria import endemic_point, q_critical
 from siq.errors import EpsNotBelowOne, NumericalError
-from siq.siq_model import ModelParams, siq_field
+from siq.siq_model import ModelParams
 from siq.spectral import (Box, CharEq, asymptotic_spectrum_tau0, axis_crossings,
                           count_unstable, default_box, disease_free_chareq,
                           e0_hopf_bound, endemic_chareq, hopf_kappa0,
