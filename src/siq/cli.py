@@ -31,9 +31,9 @@ from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
                       simulate_network)
 from .siq_model import (ModelParams, conserved_H, conserved_H_star,
                         load_disease_table, outbreak_history, simulate)
-from .spectral import (Box, count_unstable, disease_free_chareq,
-                       endemic_chareq, hopf_crossings, hopf_sequence,
-                       seiq_disease_free_chareq, stability_map)
+from .spectral import (count_unstable, disease_free_chareq, endemic_chareq,
+                       hopf_crossings, hopf_sequence, seiq_disease_free_chareq,
+                       stability_map)
 
 #: Reference critical times (p_c, T_c in days) tabulated at p = 0.8 for the
 #: bundled disease list; rows whose formula value disagrees are flagged.
@@ -300,15 +300,6 @@ def cmd_endemic(args) -> int:
     return 0
 
 
-def _box_from_args(args) -> Box | None:
-    vals = (args.re_min, args.re_max, args.im_max)
-    if all(v is None for v in vals):
-        return None
-    if any(v is None for v in vals):
-        raise ConfigError("give all of --re-min --re-max --im-max or none")
-    return Box(args.re_min, args.re_max, -args.im_max, args.im_max)
-
-
 def cmd_spectrum(args) -> int:
     sc = build_scenario(args)
     params = sc.params
@@ -318,13 +309,11 @@ def cmd_spectrum(args) -> int:
                if params.sigma > 0 else disease_free_chareq(params, q))
     else:
         chi = endemic_chareq(params, q)
-    rep = count_unstable(chi, box=_box_from_args(args), locate=not args.no_locate)
+    rep = count_unstable(chi, locate=not args.no_locate)
     meta = params_meta(params, equilibrium=args.equilibrium, q=q,
-                       eta=args.eta or 0.0,
-                       unstable_count=rep.unstable_count,
-                       classification=rep.classification,
-                       box_re_min=rep.box.re_min, box_re_max=rep.box.re_max,
-                       box_im_max=rep.box.im_max)
+                       eta=args.eta or 0.0, **{k: getattr(rep, k) for k in (
+                           "unstable_count", "classification", "base",
+                           "crossings", "collocation_n", "max_residual")})
     rows = [(z.real, z.imag, res) for z, res in zip(rep.roots, rep.residuals)]
     write_csv(args.out, ["root_re", "root_im", "residual"], rows, meta)
     return 0
@@ -477,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="disease-free")
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--re-min", type=float, default=None)
-    sp.add_argument("--re-max", type=float, default=None)
-    sp.add_argument("--im-max", type=float, default=None)
     sp.add_argument("--no-locate", action="store_true")
     sp.set_defaults(func=cmd_spectrum)
 

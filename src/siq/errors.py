@@ -64,12 +64,6 @@ class EpsNotBelowOne(ConfigError):
     """Identification effectiveness must be < 1 for this formula."""
 
 
-# -- spectra -----------------------------------------------------------------
-
-class ContourThroughZero(NumericalError):
-    """The counting contour passes through (or too close to) a root."""
-
-
 # -- network simulation ------------------------------------------------------
 
 class BadDegree(ConfigError):

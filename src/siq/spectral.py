@@ -1,14 +1,16 @@
-"""Characteristic quasi-polynomials of the equilibrium families, winding
-number root counts, Hopf points in the isolation time by D-subdivision,
-and the closed-form large-delay spectra at tau = 0.
+"""Characteristic quasi-polynomials of the equilibrium families, unstable
+root counts by continuation, root location by collocation, Hopf points in
+the isolation time by D-subdivision, and the large-delay closed forms at
+tau = 0.
 
-The characteristic function of a linearization with components (w_S, w_I)
-is entire in lambda, with a trivial zero root along each equilibrium
-family (order 1, or 2 for the latent-model disease-free family).  Right
-half-plane roots are counted by the argument principle on rectangular
-contours with adaptive sampling, and located by contour subdivision plus
-Newton polishing.  Imaginary-axis crossings in kappa solve |A| = |B| on
-the axis, where chi = A + B e^{-kappa lam}.
+chi has a structural zero root (order 1, or 2 for the latent disease-free
+family).  Divided by it, chi at kappa = 0 (sigma = 0) is
+lam + a + b e^{-tau lam}, whose unstable count is closed form (Hayes 1950).
+The equations are retarded, so roots then move into or out of Re > 0 only
+across the imaginary axis, where chi = A + B e^{-kappa lam} has |A| = |B|;
+each crossing moves the count by 2 sign F'(omega), F = |A|^2 - |B|^2.
+Roots are located by a Chebyshev collocation of the linearized system,
+Newton-polished on chi, refined until they number exactly the count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContourThroughZero, EpsNotBelowOne, NumericalError
+from .errors import EpsNotBelowOne, InvalidFractions, NumericalError
 from .equilibria import endemic_point, q_critical
 from .siq_model import ModelParams
 
@@ -76,13 +78,18 @@ class CharEq:
             self.kappa * lam)
 
 
-def char_eval(chareq: CharEq, lam: complex) -> complex:
-    """Evaluate chi at one point (functional form of CharEq.__call__)."""
-    return complex(chareq(lam))
+def _check_fractions(**labels: float) -> None:
+    """Leaf labels are compartment fractions: each >= 0, their sum <= 1."""
+    if not (all(v >= 0.0 for v in labels.values())
+            and sum(labels.values()) <= 1.0):
+        raise InvalidFractions(
+            "leaf labels must be >= 0 with sum <= 1, got "
+            + ", ".join(f"{k} = {v!r}" for k, v in labels.items()))
 
 
 def disease_free_chareq(params: ModelParams, q: float) -> CharEq:
     """Linearization at the disease-free point (1-q, 0, q)."""
+    _check_fractions(q=q)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
                   kappa=params.kappa, w_s=1.0 - q, w_i=0.0)
 
@@ -90,6 +97,7 @@ def disease_free_chareq(params: ModelParams, q: float) -> CharEq:
 def endemic_chareq(params: ModelParams, q: float) -> CharEq:
     """Linearization at the endemic point with Q-component q:
     (1 - q_c, q_c - q, q)."""
+    _check_fractions(q=q)
     qc = q_critical(params.r, params.p, params.tau)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
                   kappa=params.kappa, w_s=1.0 - qc, w_i=qc - q)
@@ -99,218 +107,210 @@ def seiq_disease_free_chareq(params: ModelParams, eta: float,
                              q: float) -> CharEq:
     """Linearization at the latent-model disease-free point
     (1-eta-q, eta, 0, q); the zero root has multiplicity 2."""
+    _check_fractions(eta=eta, q=q)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
                   kappa=params.kappa, w_s=1.0 - eta - q, w_i=0.0,
                   sigma=params.sigma, latent=True, trivial_order=2)
 
 
-class Box(NamedTuple):
-    """Axis-aligned search rectangle in the complex plane."""
-
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-
-    def contains(self, lam: complex, slack: float = 0.0) -> bool:
-        return (self.re_min - slack <= lam.real <= self.re_max + slack and
-                self.im_min - slack <= lam.imag <= self.im_max + slack)
-
-
-def default_box(chareq: CharEq) -> Box:
-    """Right-half-plane rectangle excluding the trivial zero root:
-    Re in [1e-8, max(10, r)], |Im| <= 20*pi (a heuristic extent)."""
-    return Box(1e-8, max(10.0, chareq.r), -20.0 * math.pi, 20.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class SpectralReport:
-    """Root count and located roots inside a search box."""
+    """unstable_count = base + 2 * crossings: the closed-form count at
+    kappa = 0 (sigma = 0 for the latent family) and the signed axis
+    crossings below kappa (sigma).  ``roots`` (Re > 0) come from collocation
+    size ``collocation_n`` (0: none located); ``max_residual`` = max |chi|."""
 
     unstable_count: int
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
     classification: str
-    box: Box
+    base: int
+    crossings: int
+    collocation_n: int
+    max_residual: float
 
 
-class _NearZero(Exception):
-    """Internal: |chi| below threshold on the contour."""
+def _base_count(chareq: CharEq) -> int:
+    """Unstable roots of chi/lam^d = lam + a + b e^{-tau lam} at kappa = 0
+    (sigma = 0), c = r(w_S - w_I), a = 1 - c, b = c eps (Hayes 1950): the
+    root -(a + b) of tau = 0 if negative, plus a pair crossing rightward at
+    each (theta + 2 pi k)/omega < tau when |b| > |a|, with
+    omega = sqrt(b^2 - a^2), theta in (0, 2 pi], cos theta = -a/b and
+    sin theta = omega/b."""
+    c = chareq.r * (chareq.w_s - (0.0 if chareq.latent else chareq.w_i))
+    a, b, tau = 1.0 - c, c * chareq.eps, chareq.tau
+    count = int(a + b < 0.0)
+    if abs(b) > abs(a):
+        omega = math.sqrt(b * b - a * a)
+        theta = math.atan2(omega / b, -a / b) % TWO_PI or TWO_PI
+        count += 2 * max(0, math.ceil((tau * omega - theta) / TWO_PI))
+    return count
 
 
-def _pow2_at_least(n: float) -> int:
-    return 1 << max(0, math.ceil(math.log2(max(n, 1.0))))
+def _signed_crossings(omega: np.ndarray, direction: np.ndarray,
+                      alpha: np.ndarray, top: float) -> int:
+    """Signed crossings below ``top`` at a fixed equilibrium: branch j
+    crosses at (theta_j + 2 pi m)/omega_j, m >= 0, where theta_j in
+    (0, 2 pi] is -alpha_j mod 2 pi."""
+    theta = TWO_PI - np.mod(alpha, TWO_PI)
+    return int(np.dot(direction, np.maximum(
+        0.0, np.ceil((top * omega - theta) / TWO_PI))))
 
 
-def _scaled_samples(box: Box, chareq: CharEq, floor: int) -> int:
-    """Samples per side: resolve the 2*pi/kappa eigenvalue comb spacing."""
-    extent = max(box.re_max - box.re_min, box.im_max - box.im_min)
-    scale = max(chareq.kappa, chareq.tau + chareq.sigma, 1.0)
-    return max(floor, min(16384, _pow2_at_least(1.3 * extent * scale)))
+def _latent_branches(chareq: CharEq):
+    """Axis frequencies in sigma of chi/lam^2 = A + B e^{-sigma lam},
+    A = lam + 1, B = -r w_S (1 - eps e^{-tau lam}), from
+    F = 1 + omega^2 - (r w_S)^2 (1 - 2 eps cos(tau omega) + eps^2) > 0
+    past |r w_S| (1 + eps); directions and alpha = arg(-A/B)."""
+    rw, eps, tau = chareq.r * chareq.w_s, chareq.eps, chareq.tau
+    omega, direction = _axis_roots(
+        lambda w: 1.0 + w * w - rw * rw * (1.0 - 2.0 * eps * np.cos(tau * w)
+                                           + eps * eps),
+        abs(rw) * (1.0 + eps), tau)
+    lam = 1j * omega
+    alpha = np.angle((lam + 1.0) / (rw * (1.0 - eps * np.exp(-tau * lam))))
+    return omega, direction, alpha
 
 
-def _contour(box: Box, n: int) -> np.ndarray:
-    re0, re1, im0, im1 = box
-    bottom = re0 + (re1 - re0) * np.arange(n) / n + 1j * im0
-    right = re1 + 1j * (im0 + (im1 - im0) * np.arange(n) / n)
-    top = re1 - (re1 - re0) * np.arange(n) / n + 1j * im1
-    left = re0 + 1j * (im1 - (im1 - im0) * np.arange(n) / n)
-    pts = np.concatenate([bottom, right, top, left])
-    return np.append(pts, pts[0])
+def _continuation(chareq: CharEq) -> tuple[int, int]:
+    """(base, signed crossings): continued in kappa from kappa = 0, or in
+    sigma from sigma = 0 for the latent family."""
+    if chareq.latent:
+        return _base_count(chareq), _signed_crossings(
+            *_latent_branches(chareq), chareq.sigma)
+    # chi'(0) moves with kappa, and a real root crossing at lam = 0 is
+    # invisible to the axis frequencies omega > 0
+    r, eps, w_i = chareq.r, chareq.eps, chareq.w_i
+    g0 = 1.0 - r * (chareq.w_s - w_i) * (1.0 - eps)
+    if (g0 > 0.0) != (g0 + r * w_i * eps * chareq.kappa > 0.0):
+        raise NumericalError(f"a real root crosses 0 at {_point(chareq)}")
+    return _base_count(chareq), _signed_crossings(*_kappa_branches(chareq),
+                                                  chareq.kappa)
 
 
-def _winding_once(f, box: Box, n: int) -> int | None:
-    vals = f(_contour(box, n))
-    if np.min(np.abs(vals)) < 1e-12:
-        raise _NearZero
-    ang = np.angle(vals[1:] / vals[:-1])
-    if np.max(np.abs(ang)) > 2.8:
-        return None            # undersampled: a phase step neared pi
-    total = ang.sum() / TWO_PI
-    w = round(total)
-    if abs(total - w) > 0.05:
-        return None
-    return int(w)
+def _point(chareq: CharEq) -> str:
+    return ", ".join(f"{k}={getattr(chareq, k)!r}" for k in (
+        "r", "eps", "tau", "kappa", "w_s", "w_i", "sigma"))
 
 
-def _winding(f, box: Box, n0: int = 512, max_doublings: int = 8) -> int:
-    """Winding number of f around box, doubling samples until the rounded
-    count is stable twice (three consecutive agreements)."""
-    counts: list[int] = []
-    n = n0
-    for _ in range(max_doublings):
-        w = _winding_once(f, box, n)
-        if w is not None:
-            counts.append(w)
-            if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-                return counts[-1]
-        n *= 2
-    # persistent disagreement almost always means a root hugs the contour
-    raise _NearZero
+# ---------------------------------------------------------------------------
+# root location: Chebyshev collocation of the linearized system
+# ---------------------------------------------------------------------------
+
+#: Largest collocation size before location gives up.
+MAX_COLLOCATION_N = 512
 
 
-def _newton_polish(f, lam: complex, tol: float = 5e-14,
-                   max_iter: int = 60) -> complex:
-    for _ in range(max_iter):
-        val = complex(f(lam))
-        if abs(val) < tol:
-            break
-        h = 1e-7 * (1.0 + abs(lam))
-        der = (complex(f(lam + h)) - complex(f(lam - h))) / (2.0 * h)
-        if der == 0:
-            break
-        step = val / der
-        lam = lam - step
-        if abs(step) < 1e-15 * (1.0 + abs(lam)):
-            break
-    return lam
+def _delay_terms(chareq: CharEq) -> list[tuple[float, np.ndarray]]:
+    """(delay, A_k) of x' = sum_k A_k x(t - d_k), the system linearized at
+    the equilibrium, with d Phi = r (w_I dS + w_S dI).
 
-
-_CUT_FRACTIONS = (0.53, 0.47, 0.5, 0.57, 0.43, 0.61)
-
-
-def _locate_roots(f, box: Box, count: int, chareq: CharEq) -> list[complex]:
-    """Subdivide until cells are small, then Newton-polish cell centers."""
-    roots: list[complex] = []
-
-    def add(lam):
-        for r0 in roots:
-            if abs(lam - r0) < 1e-7 * (1.0 + abs(lam)):
-                return
-        roots.append(lam)
-
-    stack: list[tuple[Box, int]] = [(box, count)]
-    while stack and len(roots) < count:
-        b, c = stack.pop()
-        size = max(b.re_max - b.re_min, b.im_max - b.im_min)
-        if size < 2e-3:
-            lam = _newton_polish(f, complex(0.5 * (b.re_min + b.re_max),
-                                            0.5 * (b.im_min + b.im_max)))
-            if box.contains(lam, slack=1e-6):
-                add(lam)
-            continue
-        for fx in _CUT_FRACTIONS:
-            cut_re = b.re_min + fx * (b.re_max - b.re_min)
-            cut_im = b.im_min + fx * (b.im_max - b.im_min)
-            quads = [Box(b.re_min, cut_re, b.im_min, cut_im),
-                     Box(cut_re, b.re_max, b.im_min, cut_im),
-                     Box(b.re_min, cut_re, cut_im, b.im_max),
-                     Box(cut_re, b.re_max, cut_im, b.im_max)]
-            try:
-                sub = [(qb, _winding(f, qb,
-                                     n0=_scaled_samples(qb, chareq, 128),
-                                     max_doublings=7))
-                       for qb in quads]
-            except _NearZero:
-                continue       # a root sits on the cut: shift the cut
-            for qb, wc in sub:
-                if wc > 0:
-                    stack.append((qb, wc))
-            break
-        else:
-            raise ContourThroughZero(
-                f"could not subdivide {b} without hitting a root")
-    return roots
-
-
-def count_unstable(chareq: CharEq, box: Box | None = None, *,
-                   deflation: int | None = None, locate: bool = True,
-                   samples: int = 512) -> SpectralReport:
-    """Count (and optionally locate) roots of chi inside a rectangle.
-
-    With box.re_min <= 0 the trivial zero root would sit inside, so chi is
-    deflated by lambda^d; d defaults to the equilibrium family's trivial
-    root order.  The contour is inflated and retried up to 3 times if a
-    root (near-)touches it; ContourThroughZero is raised when that fails.
+    Without infected (w_I = 0, and always in the latent family) S and E
+    decouple and carry the trivial roots, so the I equation alone,
+    I' = -I + r w_S I(t - sigma) - eps r w_S I(t - sigma - tau), has
+    characteristic function chi/lam^d.  Otherwise (S, I) obeys
+    S' = -dPhi + I + eps dPhi(t-tau-kappa), I' = dPhi - I - eps dPhi(t-tau).
     """
-    b = box or default_box(chareq)
-    if deflation is not None:
-        d = deflation
-    elif b.re_min <= 1e-4:
-        # also deflate when the edge merely hugs the axis: the trivial root
-        # at 0 otherwise puts a near-pi phase step on straddling samples
-        d = chareq.trivial_order
-    else:
-        d = 0
+    r, eps, tau = chareq.r, chareq.eps, chareq.tau
+    if chareq.latent or chareq.w_i == 0.0:
+        rw, sigma = r * chareq.w_s, chareq.sigma if chareq.latent else 0.0
+        return [(0.0, np.array([[-1.0]])), (sigma, np.array([[rw]])),
+                (sigma + tau, np.array([[-eps * rw]]))]
+    f = r * np.array([chareq.w_i, chareq.w_s])
+    flux = np.array([[-1.0], [1.0]]) * f
+    return [(0.0, flux + np.array([[0.0, 1.0], [0.0, -1.0]])),
+            (tau, -eps * np.array([[0.0, 0.0], f])),
+            (tau + chareq.kappa, eps * np.array([f, [0.0, 0.0]]))]
 
-    if d:
-        def f(lam):
-            lam = np.asarray(lam, dtype=complex)
-            return chareq(lam) / lam ** d
-    else:
-        f = chareq
 
-    count = None
-    n0 = _scaled_samples(b, chareq, samples)
-    for attempt in range(4):
-        try:
-            count = _winding(f, b, n0=n0)
-            break
-        except _NearZero:
-            pad = 1e-6 * (attempt + 1)
-            re_min = b.re_min * 0.5 if b.re_min > 0 else b.re_min - pad
-            b = Box(re_min, b.re_max + pad, b.im_min - pad, b.im_max + pad)
-    if count is None:
-        raise ContourThroughZero(f"contour repeatedly hit roots on {b}")
+def _collocation_eigvals(terms, n: int) -> np.ndarray:
+    """Eigenvalues of the infinitesimal generator collocated on n + 1
+    Chebyshev points of [-T, 0], T the largest delay (Breda, Maset &
+    Vermiglio 2005, SIAM J. Sci. Comput. 27:482-495)."""
+    span = max(d for d, _ in terms)
+    if span == 0.0:
+        return np.linalg.eigvals(sum(a for _, a in terms))
+    dim = terms[0][1].shape[0]
+    x = np.cos(np.pi * np.arange(n + 1) / n)               # 1 .. -1
+    w = (-1.0) ** np.arange(n + 1)                         # barycentric
+    w[[0, -1]] *= 0.5
+    d = np.outer(1.0 / w, w) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    gen = np.kron(d * (2.0 / span), np.eye(dim))
+    gen[:dim, :] = 0.0
+    theta = span * (x - 1.0) / 2.0                         # 0 .. -T
+    for delay, a in terms:
+        gap = -delay - theta
+        row = (gap == 0.0).astype(float) if (gap == 0.0).any() else w / gap
+        gen[:dim, :] += np.kron(row[None, :] / row.sum(), a)
+    return np.linalg.eigvals(gen)
 
-    roots: tuple[complex, ...] = ()
-    residuals: tuple[float, ...] = ()
-    if locate and count > 0:
-        try:
-            found = _locate_roots(f, b, count, chareq)
-        except _NearZero:
-            found = []
-        roots = tuple(sorted(found, key=lambda z: (z.real, z.imag)))
-        residuals = tuple(abs(complex(chareq(z))) for z in roots)
 
+def _polish(h, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on h from every start at once (central-difference slope),
+    with |h| at the results; starts that run off to overflow stop where
+    they are."""
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            step = 1e-7 * (1.0 + np.abs(lam))
+            delta = h(lam) * (2.0 * step) / (h(lam + step) - h(lam - step))
+            delta[~np.isfinite(delta)] = 0.0
+            lam = lam - delta
+            if np.all(np.abs(delta) <= 1e-15 * (1.0 + np.abs(lam))):
+                break
+        return lam, np.abs(h(lam))
+
+
+def _locate(chareq: CharEq, count: int) -> tuple[list[complex], int]:
+    """The ``count`` roots with Re > 0 and the collocation N that found
+    them.  N starts from the bound |lam + 1| <= rho - 1 on unstable roots,
+    rho - 1 = r (w_S + w_I)(1 + eps) + r w_I eps min(kappa, 2/|lam|), and
+    doubles until the polished roots with Re > 0 number exactly ``count``."""
+    w_i = 0.0 if chareq.latent else abs(chareq.w_i)
+    rho = 1.0 + chareq.r * ((abs(chareq.w_s) + w_i) * (1.0 + chareq.eps)
+                            + w_i * chareq.eps * min(chareq.kappa, 2.0))
+    terms = _delay_terms(chareq)
+    span = max(delay for delay, _ in terms)
+    n = min(max(8, math.ceil(rho * span / 6.0)), MAX_COLLOCATION_N)
+    while True:
+        ev = _collocation_eigvals(terms, n)
+        lam, resid = _polish(lambda z: chareq(z) / z ** chareq.trivial_order,
+                             ev[(ev.real > -1.0) & (np.abs(ev) <= 2.0 * rho)])
+        roots: list[complex] = []
+        for z in map(complex, lam[(lam.real > 0.0) & (
+                resid <= 1e-10 * (1.0 + np.abs(lam) + rho))]):
+            if all(abs(z - y) > 1e-7 * (1.0 + abs(z)) for y in roots):
+                roots.append(z)
+        if len(roots) == count:
+            roots.sort(key=lambda z: (z.real, z.imag))
+            return roots, n if span else 0
+        if span == 0.0 or n >= MAX_COLLOCATION_N:
+            raise NumericalError(
+                f"collocation at N = {n} locates {len(roots)} roots with "
+                f"Re > 0, continuation counts {count}, at {_point(chareq)}")
+        n = min(2 * n, MAX_COLLOCATION_N)
+
+
+def count_unstable(chareq: CharEq, *, locate: bool = True) -> SpectralReport:
+    """Roots of chi with Re > 0, the structural zero root excluded: the
+    closed-form base continued through the signed axis crossings below
+    the chareq's own kappa (sigma).  With ``locate`` the roots are found
+    by collocation and must number the count, else NumericalError names
+    the point."""
+    base, crossings = _continuation(chareq)
+    count = base + 2 * crossings
+    if count < 0:
+        raise NumericalError(f"negative count {count} at {_point(chareq)}")
+    roots, n = _locate(chareq, count) if locate and count else ([], 0)
+    residuals = tuple(float(abs(chareq(z))) for z in roots)
     if count == 0:
         cls = "stable"
     elif any(abs(z.real) < 1e-6 for z in roots):
         cls = "marginal"
     else:
         cls = f"unstable({count})"
-    return SpectralReport(unstable_count=count, roots=roots,
-                          residuals=residuals, classification=cls, box=b)
+    return SpectralReport(count, tuple(roots), residuals, cls, base,
+                          crossings, n, max(residuals, default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +434,9 @@ def _endemic_chareq_at(r, p, tau, q, kappa, track_leaf):
     return chi
 
 
-def _axis_frequencies(b: float, c: float, beta: float, c1: float,
-                      tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots omega > 0 of F = |A(i omega)|^2 - |B(i omega)|^2 and sign F',
-    where chi = A + B e^{-kappa lam}, A = lam^2 + lam (c + beta e) + b e,
-    B = -b e (lam + 1), e = e^{-tau lam}.  As |A| >= omega^2 - c1 omega - |b|
-    and |B| <= |b| (1 + omega), F > 0 past the positive root of
-    omega^2 - (c1 + |b|) omega - 2|b|.  The roots of F/omega^2 (free of the
-    structural root at 0) are bracketed on >= 64 points per 2 pi/tau and
-    bisected to adjacent floats.
-    """
-    if b == 0.0:                   # chi does not depend on kappa
-        return np.empty(0), np.empty(0, dtype=int)
-
-    def g(w):
-        return (w * w + beta * beta + c * c - b * b
-                + 2.0 * (beta * c - b) * np.cos(tau * w)
-                - 2.0 * (b * c + beta * w * w) * tau
-                * np.sinc(tau * w / math.pi))
-
-    s = c1 + abs(b)
-    w_hi = 0.5 * (s + math.sqrt(s * s + 8.0 * abs(b)))
+def _axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots omega in (0, w_hi) of g and the sign of g' there: sign changes
+    on >= 64 points per 2 pi/tau, bisected to adjacent floats."""
     grid = np.linspace(0.0, w_hi,
                        max(2048, math.ceil(64.0 * tau * w_hi / TWO_PI)))
     pos = g(grid) > 0.0
@@ -466,6 +448,42 @@ def _axis_frequencies(b: float, c: float, beta: float, c1: float,
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     keep = lo > 0.0
     return lo[keep], np.where(lo_pos, -1, 1)[keep]
+
+
+def _axis_frequencies(b: float, c: float, beta: float, c1: float,
+                      tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots omega > 0 of F = |A(i omega)|^2 - |B(i omega)|^2 and sign F',
+    where chi = A + B e^{-kappa lam}, A = lam^2 + lam (c + beta e) + b e,
+    B = -b e (lam + 1), e = e^{-tau lam}.  As |A| >= omega^2 - c1 omega - |b|
+    and |B| <= |b| (1 + omega), F > 0 past the positive root of
+    omega^2 - (c1 + |b|) omega - 2|b|.  The roots are those of F/omega^2,
+    free of the structural root at 0.
+    """
+    if b == 0.0:                   # chi does not depend on kappa
+        return np.empty(0), np.empty(0, dtype=int)
+
+    def g(w):
+        return (w * w + beta * beta + c * c - b * b
+                + 2.0 * (beta * c - b) * np.cos(tau * w)
+                - 2.0 * (b * c + beta * w * w) * tau
+                * np.sinc(tau * w / math.pi))
+
+    s = c1 + abs(b)
+    return _axis_roots(g, 0.5 * (s + math.sqrt(s * s + 8.0 * abs(b))), tau)
+
+
+def _kappa_branches(chi: CharEq, solve=_axis_frequencies):
+    """Axis frequencies of chi in kappa, their directions sign F' and
+    alpha = arg(-A/B) at each."""
+    r, tau, w_s, w_i, eps = chi.r, chi.tau, chi.w_s, chi.w_i, chi.eps
+    b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
+    omega, direction = solve(b, c, beta, 1.0 + r * (abs(w_s) * (1.0 + eps)
+                                                    + abs(w_i)), tau)
+    lam = 1j * omega
+    e = np.exp(-tau * lam)
+    alpha = np.angle((lam * lam + lam * (c + beta * e) + b * e)
+                     / (b * e * (lam + 1.0)))
+    return omega, direction, alpha
 
 
 class _Sample(NamedTuple):
@@ -545,15 +563,7 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
 
     def sample(kappa: float) -> _Sample:
         chi = _endemic_chareq_at(r, p, tau, q, float(kappa), track_leaf)
-        w_s, w_i, eps = chi.w_s, chi.w_i, chi.eps
-        b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
-        omega, direction = solve(b, c, beta, 1.0 + r * (abs(w_s) * (1.0 + eps)
-                                                        + abs(w_i)), tau)
-        lam = 1j * omega
-        e = np.exp(-tau * lam)
-        alpha = np.angle((lam * lam + lam * (c + beta * e) + b * e)
-                         / (b * e * (lam + 1.0)))
-        return _Sample(float(kappa), chi, omega, direction, alpha)
+        return _Sample(float(kappa), chi, *_kappa_branches(chi, solve))
 
     steps = max(1, math.ceil(kappa_max / 0.25)) if track_leaf else 1
     samples = [sample(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
@@ -569,6 +579,7 @@ def hopf_crossings(r: float, p: float, tau: float, q: float,
     unstable count) with kappa <= kappa_max, at the fixed equilibrium of
     leaf q or, with ``track_leaf``, at the point re-read from leaf q at
     each kappa (the outbreak-scenario destabilization)."""
+    _check_fractions(q=q)
     qc = q_critical(r, p, tau)
     if not q < qc:
         raise ValueError(f"q = {q!r} must be below q_c = {qc!r}")
@@ -607,19 +618,20 @@ def stability_map(r: float, p: float, tau: float,
                   q_grid: Sequence[float],
                   kappa_grid: Sequence[float]) -> StabilityMap:
     """Unstable counts of the endemic equilibria w(q): per q-row, the
-    winding count at kappa = 0 plus twice the signed number of axis
+    closed-form count at kappa = 0 plus twice the signed number of axis
     crossings below kappa (roots of this retarded equation enter the right
     half-plane only across the imaginary axis as kappa grows)."""
     qs = [float(v) for v in q_grid]
     ks = [float(v) for v in kappa_grid]
     if not all(k >= 0.0 for k in ks):
         raise ValueError("kappa grid values must be >= 0")
+    for q in qs:
+        _check_fractions(q=q)
     counts = np.full((len(qs), len(ks)), -1, dtype=int)
     errors: list[tuple[int, str]] = []
     for i, q in enumerate(qs):
         try:
-            base = count_unstable(_endemic_chareq_at(r, p, tau, q, 0.0, False),
-                                  locate=False).unstable_count
+            base = _base_count(_endemic_chareq_at(r, p, tau, q, 0.0, False))
             cross = axis_crossings(r, p, tau, q, max(ks, default=0.0))
             row = [base + 2 * sum(c.direction for c in cross if c.kappa_0 < k)
                    for k in ks]
@@ -633,8 +645,8 @@ def stability_map(r: float, p: float, tau: float,
 
 
 __all__ = [
-    "CharEq", "char_eval", "disease_free_chareq", "endemic_chareq",
-    "seiq_disease_free_chareq", "Box", "default_box", "SpectralReport",
+    "CharEq", "disease_free_chareq", "endemic_chareq",
+    "seiq_disease_free_chareq", "SpectralReport",
     "count_unstable", "strong_spectrum_tau0", "AsymptoticSpectrum",
     "asymptotic_spectrum_tau0", "e0_hopf_bound", "HopfData",
     "hopf_sequence", "axis_crossings", "hopf_crossings", "hopf_kappa0",

@@ -168,6 +168,44 @@ def test_cli_spectrum_controllable_case(tmp_path):
     assert rows == []
 
 
+def test_cli_spectrum_reports_counters(tmp_path):
+    # the count's pieces and the collocation diagnostics are header data
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 "--kappa", "5", "--q", "0.1", "--out", str(out)]) == 0
+    meta, cols, rows = read_csv(str(out))
+    assert cols == ["root_re", "root_im", "residual"]
+    assert meta["unstable_count"] == meta["base"] == "1"
+    assert meta["crossings"] == "0"
+    assert int(meta["collocation_n"]) >= 8
+    assert float(meta["max_residual"]) == float(rows[0][2]) <= 1e-10
+    assert not [k for k in meta if k.startswith("box_")]
+    # the search-box flags are gone with the contour
+    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--re-min", "0",
+                 "--re-max", "1", "--im-max", "1"]) == 1
+
+
+@pytest.mark.parametrize("kappa", ["11.81", "25.29", "25.79"])
+def test_cli_spectrum_endemic_at_slow_crossings(tmp_path, kappa):
+    # crossing pairs at |Re| ~ 1e-4, where the contour count used to fail
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--r", "3", "--p", "0.6", "--tau", "0.3",
+                 "--kappa", kappa, "--q", "0.05", "--equilibrium", "endemic",
+                 "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert len(rows) == int(meta["unstable_count"])
+
+
+def test_cli_rejects_negative_leaf(tmp_path, capsys):
+    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--equilibrium",
+                 "disease-free", "--q", "-0.3"]) == 1
+    assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--q-min",
+                 "-0.5", "--q-steps", "2", "--kappa-steps", "2",
+                 "--out", str(tmp_path / "map.csv")]) == 1
+    assert main(["hopf", "--r", "2.5", "--p", "0.5", "--q", "-0.1"]) == 1
+    assert not (tmp_path / "map.csv").exists()
+
+
 def test_cli_stability_map_small(tmp_path):
     out = tmp_path / "map.csv"
     code = main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "0",

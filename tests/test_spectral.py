@@ -1,22 +1,26 @@
-"""Spectral tests: characteristic function identities, winding counts
-against closed-form/bisection oracles, Hopf detection, and the tau = 0
-large-delay formulas."""
+"""Spectral tests: characteristic function identities, continuation
+counts against the winding-number reference, the collocation oracle and
+bisection, Hopf detection, and the tau = 0 large-delay formulas."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dde_reference import siq_field
 from siq.equilibria import endemic_point, q_critical
-from siq.errors import EpsNotBelowOne, NumericalError
+from siq.errors import EpsNotBelowOne, InvalidFractions, NumericalError
 from siq.siq_model import ModelParams
-from siq.spectral import (Box, CharEq, asymptotic_spectrum_tau0, axis_crossings,
-                          count_unstable, default_box, disease_free_chareq,
-                          e0_hopf_bound, endemic_chareq, hopf_kappa0,
-                          hopf_sequence, HopfData, seiq_disease_free_chareq,
-                          stability_map, strong_spectrum_tau0)
+from siq.spectral import (CharEq, asymptotic_spectrum_tau0, axis_crossings,
+                          count_unstable, disease_free_chareq,
+                          e0_hopf_bound, endemic_chareq, hopf_crossings,
+                          hopf_kappa0, hopf_sequence, HopfData,
+                          seiq_disease_free_chareq, stability_map,
+                          strong_spectrum_tau0)
+from spectral_reference import (Box, ContourThroughZero, default_box,
+                                winding_count)
 
 PS = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
 QC = q_critical(2.5, 0.5, 0.5)
@@ -160,22 +164,22 @@ def test_no_complex_unstable_roots_on_disease_free_family():
 
 
 def test_char_eval_and_custom_box():
+    # chi evaluates the same at one point as on an array
     chi = disease_free_chareq(PS, QC - 0.05)
-    from siq.spectral import char_eval
-    lam = 0.3 + 0.2j
-    assert char_eval(chi, lam) == complex(chi(lam))
-    # a hand-sized rectangle around the known real root still counts it
+    lams = np.array([0.3 + 0.2j, -1.0 + 4.0j, 2.0])
+    assert np.array_equal(chi(lams), [complex(chi(z)) for z in lams])
+    # the reference winding count on a hand-sized rectangle around the
+    # known real root counts it, undeflated since the box avoids 0
     oracle = bisect_real_root(2.5, 0.5, 0.5, QC - 0.05)
     box = Box(0.01, max(1.0, 2 * oracle), -5.0, 5.0)
     assert box.re_min < oracle < box.re_max
-    rep = count_unstable(chi, box=box, locate=False)
-    assert rep.unstable_count == 1
+    assert winding_count(chi, box) == 1
     assert default_box(chi).re_min == pytest.approx(1e-8, abs=0)
 
 
 def test_default_box_extent():
-    # the former Im extent max(4 pi/max(kappa, tau, 1), 20 pi) is 20 pi on
-    # every input, since its first term never exceeds 4 pi
+    # the reference's Im extent: the former max(4 pi/max(kappa, tau, 1),
+    # 20 pi) is 20 pi on every input, since its first term never exceeds 4 pi
     for r in (1.5, 2.5, 12.0):
         for kappa in (0.0, 0.3, 1.0, 25.0):
             for tau in (0.0, 0.5, 2.0):
@@ -191,6 +195,142 @@ def test_endemic_stable_at_kappa0_tau0():
     ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=0.0)
     rep = count_unstable(endemic_chareq(ps, 0.0), locate=False)
     assert rep.unstable_count == 0
+
+
+def _random_chareq(rng, family):
+    """A physical point of one equilibrium family: r in [1.3, 16],
+    tau in [0, 2], kappa in [0, 30], leaf labels in the simplex."""
+    while True:
+        r, p = rng.uniform(1.3, 16.0), rng.uniform(0.05, 0.95)
+        tau, kappa = rng.uniform(0.0, 2.0), rng.uniform(0.0, 30.0)
+        qc = q_critical(r, p, tau)
+        if family == "endemic" and qc > 0.0:
+            return endemic_chareq(ModelParams(r, p, tau, kappa),
+                                  rng.uniform(0.0, qc))
+        if family == "disease-free":
+            return disease_free_chareq(ModelParams(r, p, tau, kappa),
+                                       rng.uniform(0.0, 1.0))
+        if family == "latent":
+            s = rng.uniform(0.0, 1.0)
+            eta = rng.uniform(0.0, s)
+            return seiq_disease_free_chareq(
+                ModelParams(r, p, tau, kappa, sigma=rng.uniform(0.0, 2.0)),
+                eta, s - eta)
+
+
+def test_continuation_matches_reference_on_random_points():
+    # continuation (closed-form base plus signed crossings) against the
+    # argument principle wherever the contour answers; the located roots
+    # number the count at every point
+    rng = np.random.default_rng(707)
+    compared = 0
+    for k in range(102):
+        chi = _random_chareq(rng, ("endemic", "disease-free", "latent")[k % 3])
+        rep = count_unstable(chi)
+        assert len(rep.roots) == rep.unstable_count
+        assert all(z.real > 0.0 for z in rep.roots)
+        try:
+            ref = winding_count(chi)
+        except ContourThroughZero:
+            continue
+        assert rep.unstable_count == ref, chi
+        compared += 1
+    assert compared >= 95
+
+
+def test_report_counters():
+    # endemic at (5, 0.85, 0.2, 0) with kappa past two crossings: base 0,
+    # two rightward pairs; the collocation finds both with tiny residuals
+    cs = axis_crossings(5.0, 0.85, 0.2, 0.0, 20.0)
+    kappa = 0.5 * (cs[1].kappa_0 + cs[2].kappa_0)
+    rep = count_unstable(endemic_chareq(
+        ModelParams(r=5.0, p=0.85, tau=0.2, kappa=kappa), 0.0))
+    assert (rep.base, rep.crossings, rep.unstable_count) == (0, 2, 4)
+    assert rep.collocation_n >= 8 and len(rep.roots) == 4
+    assert rep.max_residual == max(rep.residuals) <= 1e-10
+    # unlocated: nothing collocated
+    rep = count_unstable(disease_free_chareq(PS, QC - 0.05), locate=False)
+    assert (rep.base, rep.crossings, rep.collocation_n) == (1, 0, 0)
+    assert rep.roots == () and rep.max_residual == 0.0
+    # latent family: the count moves by signed crossings in sigma
+    chi = seiq_disease_free_chareq(
+        ModelParams(r=12.0, p=0.9, tau=0.2, kappa=1.0, sigma=1.5), 0.0, 0.0)
+    rep = count_unstable(chi)
+    assert rep.base == 1 and rep.crossings > 0
+    assert rep.unstable_count == winding_count(chi) == len(rep.roots)
+
+
+def test_hayes_base_closed_form():
+    # lam + a + b e^{-tau lam} with a = 0, b = 1: lam = -e^{-tau lam} gains
+    # its first unstable pair at tau = pi/2 and the next at 5 pi/2
+    # (c = r w_S = 1, eps = 1 gives a = 0 and b = 1)
+    for tau, want in ((1.5, 0), (1.6, 2), (7.8, 2), (7.9, 4)):
+        chi = CharEq(r=1.0, eps=1.0, tau=tau, kappa=0.0, w_s=1.0, w_i=0.0)
+        assert count_unstable(chi, locate=False).unstable_count == want
+        assert winding_count(chi) == want
+
+
+def test_collocation_cap_raises_named_error(monkeypatch):
+    import siq.spectral as spectral
+    monkeypatch.setattr(spectral, "MAX_COLLOCATION_N", 8)
+    chi = endemic_chareq(ModelParams(7.9105, 0.90093, 0.32737, 14.170),
+                         0.076817)
+    with pytest.raises(NumericalError, match=r"r=7\.9105.*kappa=14\.17"):
+        count_unstable(chi)
+    assert count_unstable(chi, locate=False).unstable_count == 10
+
+
+def test_collocation_system_is_the_linearization():
+    # det(lam - sum_k A_k e^{-d_k lam}) of the collocated delay system is
+    # chi (the (S, I) system) or chi/lam^d (the I equation alone); and the
+    # raw collocation eigenvalues already sit on the roots before Newton
+    from siq.spectral import _collocation_eigvals, _delay_terms
+    rng = np.random.default_rng(11)
+    latent = ModelParams(r=4.0, p=0.7, tau=0.4, kappa=3.0, sigma=0.6)
+    located = 0
+    for chi, d in ((endemic_chareq(ModelParams(3.0, 0.6, 0.3, 20.0), 0.05), 0),
+                   (disease_free_chareq(PS, 0.1), 1),
+                   (seiq_disease_free_chareq(latent, 0.1, 0.1), 2)):
+        terms = _delay_terms(chi)
+        for _ in range(5):
+            lam = complex(rng.normal(), 3.0 * rng.normal())
+            m = lam * np.eye(len(terms[0][1])) - sum(
+                a * np.exp(-delay * lam) for delay, a in terms)
+            want = complex(chi(lam)) / lam ** d
+            assert abs(np.linalg.det(m) - want) <= 1e-12 * (1.0 + abs(want))
+        rep = count_unstable(chi)
+        ev = _collocation_eigvals(terms, 64)
+        for z in rep.roots:
+            assert np.min(np.abs(ev - z)) <= 1e-8 * (1.0 + abs(z))
+        located += len(rep.roots)
+    assert located >= 4
+
+
+def test_real_root_through_zero_raises():
+    # off the endemic family chi'(0) = 1 - r(w_S - w_I)(1 - eps)
+    # + r w_I eps kappa changes sign at kappa = 9: a real root crosses at
+    # lam = 0, which the axis frequencies omega > 0 do not see
+    chi = CharEq(r=2.0, eps=0.5, tau=0.1, kappa=10.0, w_s=2.0, w_i=0.1)
+    with pytest.raises(NumericalError, match="crosses 0"):
+        count_unstable(chi)
+    assert count_unstable(replace(chi, kappa=8.0)).unstable_count >= 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: disease_free_chareq(PS, -0.3),
+    lambda: disease_free_chareq(PS, 1.2),
+    lambda: endemic_chareq(PS, -0.01),
+    lambda: seiq_disease_free_chareq(PS, -0.1, 0.2),
+    lambda: seiq_disease_free_chareq(PS, 0.1, -0.2),
+    lambda: seiq_disease_free_chareq(PS, 0.7, 0.4),
+    lambda: stability_map(2.5, 0.5, 0.0, [-0.5, 0.0], [1.0]),
+    lambda: hopf_crossings(2.5, 0.5, 0.0, -0.1, 10.0),
+], ids=["disease-free q<0", "disease-free q>1", "endemic q<0",
+        "seiq eta<0", "seiq q<0", "seiq eta+q>1", "stability-map q<0",
+        "hopf q<0"])
+def test_leaf_labels_outside_simplex_rejected(call):
+    with pytest.raises(InvalidFractions):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +431,9 @@ def _count_steps(r, p, tau, q, unstable):
 
 @pytest.mark.parametrize("r, p, tau, q", CROSSING_POINTS[:5])
 def test_crossing_direction_steps_the_winding_count(r, p, tau, q):
+    # the reference winding count, independent of the crossing solve
     def unstable(ps):
-        return count_unstable(endemic_chareq(ps, q),
-                              locate=False).unstable_count
+        return winding_count(endemic_chareq(ps, q))
 
     for step, want in _count_steps(r, p, tau, q, unstable):
         assert step == want
@@ -302,8 +442,9 @@ def test_crossing_direction_steps_the_winding_count(r, p, tau, q):
 def test_crossing_direction_steps_the_collocation_count():
     # at (3, 0.6, 0.3, 0.05) the crossing pair moves slowly: Re = -1.4e-4
     # at kappa_0 - 0.25 and +1.2e-4 at kappa_0 + 0.25, nearer the contour
-    # than count_unstable resolves (it raises ContourThroughZero there), so
-    # the collocation of the field decides the count on both sides
+    # than the reference winding count resolves (it raises
+    # ContourThroughZero there), so the collocation of the field decides
+    # the count on both sides
     r, p, tau, q = CROSSING_POINTS[5]
     qc = q_critical(r, p, tau)
     state = np.array([1.0 - qc, qc - q, q])
@@ -413,8 +554,7 @@ def test_stability_map_matches_cell_counts():
                 continue
             chi = endemic_chareq(ModelParams(r=4.0, p=0.8, tau=0.2,
                                              kappa=float(k)), q)
-            assert res.counts[i, j] == count_unstable(
-                chi, locate=False).unstable_count
+            assert res.counts[i, j] == winding_count(chi)
             checked += 1
     assert checked >= 16
     assert res.counts.max() >= 8
@@ -520,7 +660,8 @@ def _pseudospectral_unstable(params: ModelParams, x: np.ndarray,
 def test_pseudospectral_oracle_matches_tracked_leaf_counts(kappa, unstable):
     # the outbreak scenario's leaf q = 0 (criterion 6) loses stability
     # between kappa = 13 and 14; the collocation of the field and the
-    # winding count of the characteristic function must agree on both sides
+    # continuation count of the characteristic function must agree on
+    # both sides
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=kappa)
     v = endemic_point(ps, 0.0)
     chi = CharEq(r=ps.r, eps=ps.eps, tau=ps.tau, kappa=ps.kappa,
@@ -528,3 +669,33 @@ def test_pseudospectral_oracle_matches_tracked_leaf_counts(kappa, unstable):
     assert count_unstable(chi, locate=False).unstable_count == unstable
     for n in (80, 120):
         assert _pseudospectral_unstable(ps, v.state(), n) == unstable
+
+
+#: (r, p, tau, kappa, q, count): points where the argument-principle
+#: contour raised ContourThroughZero (a root within rounding of its edge)
+CONTOUR_FAILURES = [(15.8916, 0.94096, 0.28832, 28.4595, 0.24223, 34),
+                    (7.9105, 0.90093, 0.32737, 14.170, 0.076817, 10)]
+
+
+@pytest.mark.parametrize("r, p, tau, kappa, q, count", CONTOUR_FAILURES)
+def test_contour_failure_points_count(r, p, tau, kappa, q, count):
+    ps = ModelParams(r=r, p=p, tau=tau, kappa=kappa)
+    rep = count_unstable(endemic_chareq(ps, q))
+    assert rep.unstable_count == count == len(rep.roots)
+    assert rep.max_residual <= 1e-10
+    qc = q_critical(r, p, tau)
+    state = np.array([1.0 - qc, qc - q, q])
+    assert _pseudospectral_unstable(ps, state, 160) == count
+
+
+@pytest.mark.parametrize("kappa", [11.81, 25.29, 25.79])
+def test_slow_crossing_points_answer(kappa):
+    # (3, 0.6, 0.3, 0.05) at the fixed equilibrium: the crossing pairs sit
+    # at |Re| ~ 1e-4 here, where the contour raised ContourThroughZero
+    r, p, tau, q = CROSSING_POINTS[5]
+    ps = ModelParams(r=r, p=p, tau=tau, kappa=kappa)
+    rep = count_unstable(endemic_chareq(ps, q))
+    assert len(rep.roots) == rep.unstable_count
+    qc = q_critical(r, p, tau)
+    state = np.array([1.0 - qc, qc - q, q])
+    assert _pseudospectral_unstable(ps, state, 120) == rep.unstable_count
