@@ -303,15 +303,20 @@ def cmd_endemic(args) -> int:
 def cmd_spectrum(args) -> int:
     sc = build_scenario(args)
     params = sc.params
-    q = args.q or 0.0
-    if args.equilibrium == "disease-free":
-        chi = (seiq_disease_free_chareq(params, args.eta or 0.0, q)
-               if params.sigma > 0 else disease_free_chareq(params, q))
+    q, eta = args.q or 0.0, args.eta or 0.0
+    latent = args.equilibrium == "disease-free" and params.sigma > 0
+    if eta and not latent:
+        raise ConfigError(f"eta = {eta!r} labels the latent disease-free "
+                          "point only (sigma > 0, --equilibrium disease-free)")
+    if latent:
+        chi = seiq_disease_free_chareq(params, eta, q)
+    elif args.equilibrium == "disease-free":
+        chi = disease_free_chareq(params, q)
     else:
         chi = endemic_chareq(params, q)
     rep = count_unstable(chi, locate=not args.no_locate)
     meta = params_meta(params, equilibrium=args.equilibrium, q=q,
-                       eta=args.eta or 0.0, **{k: getattr(rep, k) for k in (
+                       eta=eta, **{k: getattr(rep, k) for k in (
                            "unstable_count", "classification", "base",
                            "crossings", "collocation_n", "max_residual")})
     rows = [(z.real, z.imag, res) for z, res in zip(rep.roots, rep.residuals)]
@@ -408,7 +413,8 @@ def cmd_network(args) -> int:
             "gamma": args.gamma, "p": args.p, "tau_days": args.tau_days,
             "kappa_days": args.kappa_days, "seeds": args.seeds,
             "base_seed": args.seed, "net_seed": args.net_seed,
-            "initial_infected": n_init, "r_mean_field": mf.r}
+            "initial_infected": n_init, "r_mean_field": mf.r,
+            **asdict(avg.stats)}
     rows = zip(avg.t_days, avg.s_frac, avg.i_frac, avg.q_frac)
     write_csv(args.out, ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta)
     return 0

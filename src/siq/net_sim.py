@@ -14,22 +14,25 @@ is the mean-field model's convention: its isolation term removes a
 fraction of the infection flux r*S*I delayed by tau, so the jump i0 of
 ``outbreak_history`` is never isolated either.
 
-Exactness: per-edge exponential infection clocks are realized as one
-aggregated clock per susceptible node (rate beta x infectious neighbors),
-resampled whenever that count changes -- valid by memorylessness.  Event
-ties are broken by insertion sequence number, so scheduled deterministic
-events (isolation, release) fire before any stochastic redraw inserted
-later at the same timestamp.  RNG: numpy PCG64 seeded with the config
-seed; draws are consumed from buffered streams in event order, so runs
-are bit-reproducible.
+Exactness: the per-edge infection processes (rate beta from an infectious
+endpoint) superpose at an infectious node u into one Poisson process of
+rate beta*deg(u) whose points pick a uniform neighbour and infect it if
+and only if it is susceptible then.  u's infectious period ends at a time
+fixed when u is infected (recovery after Exp(gamma), or isolation at
+t + tau if the Bernoulli(p) draw says so and that comes first), and its
+attempts stop there, so no event is ever voided.  Ties (only deterministic
+isolation and release times can tie) go by event kind, then node.  RNG:
+numpy PCG64 seeded with the config seed; buffered streams are consumed in
+event order, recovery first, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,10 +62,13 @@ class Network:
         (callers must not modify them)."""
         nbrs = self.__dict__.get("_adjacency")
         if nbrs is None:
-            nbrs = [[] for _ in range(self.n)]
-            for a, b in self.edges:
-                nbrs[a].append(int(b))
-                nbrs[b].append(int(a))
+            # endpoint k of the flattened edge array has neighbour
+            # other[k]; a stable sort by endpoint keeps edge-row order
+            ends = self.edges.ravel()
+            other = self.edges[:, ::-1].ravel()
+            flat = other[np.argsort(ends, kind="stable")].tolist()
+            bounds = np.cumsum(np.bincount(ends, minlength=self.n)).tolist()
+            nbrs = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
             object.__setattr__(self, "_adjacency", nbrs)
         return nbrs
 
@@ -173,8 +179,29 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class NetworkStats:
+    """Events a run processed up to t_end, by kind (``infections`` counts
+    the seeds too; a stale pop finds its node out of the state it acts on).
+    Runs combine with ``+``: counts add, ``peak_heap`` takes the larger."""
+
+    attempts: int = 0
+    infections: int = 0
+    recoveries: int = 0
+    isolations: int = 0
+    releases: int = 0
+    peak_heap: int = 0
+    stale_pops: int = 0
+
+    def __add__(self, other: NetworkStats) -> NetworkStats:
+        sums = NetworkStats(*(a + b for a, b in zip(astuple(self),
+                                                    astuple(other))))
+        return replace(sums, peak_heap=max(self.peak_heap, other.peak_heap))
+
+
+@dataclass(frozen=True)
 class NetworkSeries:
-    """Compartment fractions on a uniform output grid (right-continuous)."""
+    """Compartment fractions on a uniform output grid (right-continuous),
+    with the run's event counters (None where the producer kept none)."""
 
     t_days: np.ndarray
     s_frac: np.ndarray
@@ -182,158 +209,130 @@ class NetworkSeries:
     q_frac: np.ndarray
     seed: int
     n: int
+    stats: NetworkStats | None = None
 
 
-class _Stream:
-    """Buffered draws from one Generator, consumed in event order."""
+def _stream(fill: Callable[[int], np.ndarray], block: int = 1 << 15,
+            chunk: int = 1 << 9):
+    """Endless draws from ``fill`` as Python floats: ``block`` at a time
+    (the first block now), converted to floats ``chunk`` at a time."""
+    def chunks(arr):
+        while True:
+            yield from (arr[i:i + chunk].tolist() for i in range(0, block, chunk))
+            arr = fill(block)
 
-    def __init__(self, rng: np.random.Generator, kind: str, block: int = 1 << 15):
-        self._rng = rng
-        self._kind = kind
-        self._block = block
-        self._buf = self._fill()
-        self._i = 0
-
-    def _fill(self):
-        if self._kind == "exp":
-            return self._rng.standard_exponential(self._block)
-        return self._rng.random(self._block)
-
-    def take(self) -> float:
-        if self._i >= self._block:
-            self._buf = self._fill()
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+    return itertools.chain.from_iterable(chunks(fill(block))).__next__
 
 
-_INFECT, _RECOVER, _ISOLATE, _RELEASE = 0, 1, 2, 3
+_ATTEMPT, _RECOVER, _ISOLATE, _RELEASE = 0, 1, 2, 3
+_ACTS_ON = (1, 1, 1, 2)        # node state each event kind needs: I or Q
 
 
 def simulate_network(net: Network, cfg: SimConfig) -> NetworkSeries:
     """Exact event-driven run of the isolation process on ``net``."""
-    bad = [u for u in cfg.initial_infected if not 0 <= u < net.n]
-    if bad or not cfg.initial_infected:
-        raise ValueError(f"initial infected set invalid: {bad or 'empty'}")
+    seeds = cfg.initial_infected
+    bad = [u for u in seeds if not 0 <= u < net.n]
+    if bad or not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"initial infected set invalid: {bad or seeds}")
 
     rng = np.random.default_rng(cfg.seed)
-    exp_draw = _Stream(rng, "exp").take
-    uni_draw = _Stream(rng, "uni").take
+    exp_draw = _stream(rng.standard_exponential)
+    uni_draw = _stream(rng.random)
 
-    nbrs = net.adjacency()
-    state = bytearray(net.n)           # 0 S, 1 I, 2 Q
-    inf_nbrs = [0] * net.n
-    epoch = [0] * net.n                # susceptible-clock version
-    episode = [0] * net.n              # infection episode id
-    n_s, n_i, n_q = net.n, 0, 0
-
-    heap: list[tuple[float, int, int, int, int]] = []
-    push = heapq.heappush
-    seq = 0
     beta, gamma, p = cfg.beta, cfg.gamma, cfg.p
-    tau, kappa = cfg.tau_days, cfg.kappa_days
+    tau, kappa, t_end = cfg.tau_days, cfg.kappa_days, cfg.t_end_days
+    nbrs = net.adjacency() if beta > 0.0 else None
+    state = bytearray(net.n)           # 0 S, 1 I, 2 Q
+    until = [0.0] * net.n              # end of the node's infectious period
+    heap: list[tuple[float, int, int]] = []   # (time, kind, node)
+    push, pop = heapq.heappush, heapq.heappop
 
-    def schedule_candidate(u: int, t: float):
-        nonlocal seq
-        epoch[u] += 1
-        rate = beta * inf_nbrs[u]
-        if rate > 0.0:
-            push(heap, (t + exp_draw() / rate, seq, _INFECT, u, epoch[u]))
-            seq += 1
-
-    def become_infectious(u: int, t: float, isolable: bool = True):
-        nonlocal seq, n_s, n_i
+    def infect(u: int, t: float, isolable: bool):
+        """Make u infectious at t; push its end and its first transmission
+        attempt, each if it falls by t_end (the attempt: before the end)."""
         state[u] = 1
-        n_s -= 1
-        n_i += 1
-        episode[u] += 1
-        eid = episode[u]
-        if gamma > 0.0:
-            push(heap, (t + exp_draw() / gamma, seq, _RECOVER, u, eid))
-            seq += 1
-        if isolable and uni_draw() < p:
-            push(heap, (t + tau, seq, _ISOLATE, u, eid))
-            seq += 1
-        for w in nbrs[u]:
-            inf_nbrs[w] += 1
-            if state[w] == 0:
-                schedule_candidate(w, t)
+        end = t + exp_draw() / gamma if gamma > 0.0 else math.inf
+        kind = _RECOVER
+        if isolable and uni_draw() < p and t + tau < end:
+            end, kind = t + tau, _ISOLATE
+        until[u] = end
+        if end <= t_end:
+            push(heap, (end, kind, u))
+        if nbrs is not None and nbrs[u]:
+            ta = t + exp_draw() / (beta * len(nbrs[u]))
+            if ta < end and ta <= t_end:
+                push(heap, (ta, _ATTEMPT, u))
 
-    def stop_infecting(u: int, t: float):
-        episode[u] += 1            # voids the episode's pending events
-        for w in nbrs[u]:
-            inf_nbrs[w] -= 1
-            if state[w] == 0:
-                schedule_candidate(w, t)
+    for u in seeds:
+        infect(u, 0.0, isolable=False)
+    attempts = recoveries = isolations = releases = stale = 0
+    infections, peak = len(seeds), len(heap)
 
-    for u in cfg.initial_infected:
-        become_infectious(u, 0.0, isolable=False)
-
-    times = np.linspace(0.0, cfg.t_end_days, cfg.n_out)
-    out_s = np.empty(cfg.n_out)
-    out_i = np.empty(cfg.n_out)
-    out_q = np.empty(cfg.n_out)
-    out_idx = 0
-
-    def flush(up_to: float):
-        nonlocal out_idx
-        while out_idx < cfg.n_out and times[out_idx] < up_to:
-            out_s[out_idx] = n_s
-            out_i[out_idx] = n_i
-            out_q[out_idx] = n_q
-            out_idx += 1
+    grid = np.linspace(0.0, t_end, cfg.n_out)
+    next_out = grid.tolist() + [math.inf]
+    out: list[tuple[int, int]] = []    # (I, Q) counts at the grid times
+    t_out = 0.0
 
     while heap:
-        t, _, kind, u, token = heapq.heappop(heap)
-        if t > cfg.t_end_days:
-            break
-        flush(t)
-        if kind == _INFECT:
-            if state[u] == 0 and token == epoch[u]:
-                become_infectious(u, t)
+        t, kind, u = pop(heap)
+        while t_out < t:               # grid points before t see the old state
+            out.append((infections - recoveries - isolations,
+                        isolations - releases))
+            t_out = next_out[len(out)]
+        if state[u] != _ACTS_ON[kind]:
+            stale += 1
+        elif kind == _ATTEMPT:
+            attempts += 1
+            nb = nbrs[u]
+            w = nb[int(uni_draw() * len(nb))]
+            if state[w] == 0:
+                infect(w, t, isolable=True)
+                infections += 1
+                peak = max(peak, len(heap))
+            ta = t + exp_draw() / (beta * len(nb))
+            if ta < until[u] and ta <= t_end:      # u's next attempt
+                push(heap, (ta, _ATTEMPT, u))
         elif kind == _RECOVER:
-            if state[u] == 1 and token == episode[u]:
-                state[u] = 0
-                n_i -= 1
-                n_s += 1
-                stop_infecting(u, t)
-                schedule_candidate(u, t)
+            state[u] = 0
+            recoveries += 1
         elif kind == _ISOLATE:
-            if state[u] == 1 and token == episode[u]:
-                state[u] = 2
-                n_i -= 1
-                n_q += 1
-                stop_infecting(u, t)
-                push(heap, (t + kappa, seq, _RELEASE, u, 0))
-                seq += 1
+            state[u] = 2
+            isolations += 1
+            if t + kappa <= t_end:
+                push(heap, (t + kappa, _RELEASE, u))
         else:  # _RELEASE
             state[u] = 0
-            n_q -= 1
-            n_s += 1
-            schedule_candidate(u, t)
+            releases += 1
 
-    flush(math.inf)
+    out += [(infections - recoveries - isolations,
+             isolations - releases)] * (cfg.n_out - len(out))
+    i_count, q_count = np.array(out, dtype=float).T
     inv_n = 1.0 / net.n
-    return NetworkSeries(t_days=times, s_frac=out_s * inv_n,
-                         i_frac=out_i * inv_n, q_frac=out_q * inv_n,
-                         seed=cfg.seed, n=net.n)
+    return NetworkSeries(
+        t_days=grid, s_frac=(net.n - i_count - q_count) * inv_n,
+        i_frac=i_count * inv_n, q_frac=q_count * inv_n,
+        seed=cfg.seed, n=net.n,
+        stats=NetworkStats(attempts, infections, recoveries, isolations,
+                           releases, peak, stale))
 
 
 def average_runs(runs: Sequence[NetworkSeries]) -> NetworkSeries:
-    """Pointwise average of runs sharing one output grid (seed order fixed)."""
+    """Pointwise average of runs sharing one output grid (seed order fixed),
+    with their counters combined (None if any run has none)."""
     if not runs:
         raise ValueError("no runs to average")
     t = runs[0].t_days
     for run in runs[1:]:
         if run.t_days.shape != t.shape or not np.allclose(run.t_days, t):
             raise ValueError("runs use different output grids")
+    stats = [r.stats for r in runs]
     return NetworkSeries(
         t_days=t,
         s_frac=np.mean([r.s_frac for r in runs], axis=0),
         i_frac=np.mean([r.i_frac for r in runs], axis=0),
         q_frac=np.mean([r.q_frac for r in runs], axis=0),
-        seed=runs[0].seed, n=runs[0].n)
+        seed=runs[0].seed, n=runs[0].n,
+        stats=None if None in stats else sum(stats[1:], stats[0]))
 
 
 @dataclass(frozen=True)
@@ -367,6 +366,6 @@ def mean_field_params(beta: float, mean_degree: float,
 
 __all__ = [
     "Network", "complete_network", "erdos_renyi_network",
-    "network_from_edge_list", "SimConfig", "NetworkSeries",
+    "network_from_edge_list", "SimConfig", "NetworkStats", "NetworkSeries",
     "simulate_network", "average_runs", "MeanFieldMap", "mean_field_params",
 ]

@@ -94,11 +94,19 @@ def disease_free_chareq(params: ModelParams, q: float) -> CharEq:
                   kappa=params.kappa, w_s=1.0 - q, w_i=0.0)
 
 
+def _check_endemic_leaf(q: float, qc: float) -> None:
+    """The endemic family (1 - q_c, q_c - q, q) needs 0 <= q < q_c."""
+    _check_fractions(q=q)
+    if not q < qc:
+        raise InvalidFractions(f"endemic leaf q = {q!r} must lie below "
+                               f"q_c = {qc!r}: w_I = q_c - q <= 0")
+
+
 def endemic_chareq(params: ModelParams, q: float) -> CharEq:
     """Linearization at the endemic point with Q-component q:
     (1 - q_c, q_c - q, q)."""
-    _check_fractions(q=q)
     qc = q_critical(params.r, params.p, params.tau)
+    _check_endemic_leaf(q, qc)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
                   kappa=params.kappa, w_s=1.0 - qc, w_i=qc - q)
 
@@ -625,8 +633,9 @@ def stability_map(r: float, p: float, tau: float,
     ks = [float(v) for v in kappa_grid]
     if not all(k >= 0.0 for k in ks):
         raise ValueError("kappa grid values must be >= 0")
+    qc = q_critical(r, p, tau)
     for q in qs:
-        _check_fractions(q=q)
+        _check_endemic_leaf(q, qc)
     counts = np.full((len(qs), len(ks)), -1, dtype=int)
     errors: list[tuple[int, str]] = []
     for i, q in enumerate(qs):

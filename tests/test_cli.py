@@ -206,6 +206,35 @@ def test_cli_rejects_negative_leaf(tmp_path, capsys):
     assert not (tmp_path / "map.csv").exists()
 
 
+def test_cli_rejects_endemic_leaf_beyond_qc(tmp_path, capsys):
+    # q_c = 0.4259 here: no endemic point has q = 0.6, and the map's rows
+    # past q_c have none either
+    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 "--kappa", "1", "--q", "0.6", "--equilibrium",
+                 "endemic"]) == 1
+    err = capsys.readouterr().err
+    assert "q = 0.6" in err and "q_c = 0.4258" in err
+    assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 "--q-max", "0.5", "--q-steps", "3", "--kappa-steps", "2",
+                 "--out", str(tmp_path / "map.csv")]) == 1
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_cli_spectrum_rejects_eta_without_latent_point(tmp_path, capsys):
+    # eta labels the E leaf of the latent disease-free point; at sigma = 0
+    # it was dropped, and this call counted 1 unstable root for a point
+    # with eta + q = 0.5 > q_c
+    base = ["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+            "--kappa", "1", "--q", "0.2", "--eta", "0.3"]
+    assert main(base) == 1
+    assert "eta = 0.3" in capsys.readouterr().err
+    assert main(base + ["--equilibrium", "endemic", "--sigma", "0.5"]) == 1
+    out = tmp_path / "latent.csv"
+    assert main(base + ["--sigma", "0.5", "--out", str(out)]) == 0
+    meta, _, _ = read_csv(str(out))
+    assert meta["eta"] == "0.3" and meta["unstable_count"] == "0"
+
+
 def test_cli_stability_map_small(tmp_path):
     out = tmp_path / "map.csv"
     code = main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "0",
@@ -333,7 +362,13 @@ def test_cli_network_small(tmp_path):
     assert cols == ["t_days", "S_frac", "I_frac", "Q_frac"]
     assert meta["seeds"] == "2"
     for key in ("version", "base_seed", "net_seed", "n", "mean_degree",
-                "beta", "gamma", "p", "tau_days", "kappa_days"):
+                "beta", "gamma", "p", "tau_days", "kappa_days", "attempts",
+                "infections", "recoveries", "isolations", "releases",
+                "peak_heap"):
         assert key in meta
+    # counters summed over the two runs, each seeded with 6 infected
+    assert meta["stale_pops"] == "0"
+    assert int(meta["infections"]) - 12 <= int(meta["attempts"])
+    assert int(meta["releases"]) <= int(meta["isolations"])
     total = [sum(float(v) for v in r[1:]) for r in rows]
     assert np.allclose(total, 1.0, atol=1e-9)

@@ -1,15 +1,18 @@
 """Network generator and event-driven simulation tests, including the
-pure-death statistical oracle."""
+pure-death statistical oracle and a two-sample comparison with the
+per-susceptible-clock reference engine (``net_reference``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+import net_reference
 from siq.errors import BadDegree, FileParse
-from siq.net_sim import (SimConfig, Network, average_runs, complete_network,
-                         erdos_renyi_network, mean_field_params,
-                         network_from_edge_list, simulate_network)
+from siq.net_sim import (SimConfig, Network, NetworkStats, average_runs,
+                         complete_network, erdos_renyi_network,
+                         mean_field_params, network_from_edge_list,
+                         simulate_network)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +39,18 @@ def test_adjacency_built_once_and_runs_unchanged():
         fresh = simulate_network(Network(n=net.n, edges=net.edges.copy()), cfg)
         for key in ("s_frac", "i_frac", "q_frac"):
             assert np.array_equal(getattr(run, key), getattr(fresh, key))
+
+
+def test_adjacency_matches_edge_loop():
+    # the vectorized build gives the lists of the edge-by-edge loop, in
+    # the same order, for sorted, unsorted and empty edge arrays
+    rng = np.random.default_rng(4)
+    shuffled = erdos_renyi_network(200, 5.0, seed=4).edges
+    shuffled = shuffled[rng.permutation(len(shuffled))][:, ::-1]
+    for net in (erdos_renyi_network(500, 8.0, seed=2), complete_network(7),
+                Network(n=200, edges=shuffled),
+                Network(n=4, edges=np.empty((0, 2), dtype=np.int64))):
+        assert net.adjacency() == net_reference.adjacency_by_loop(net)
 
 
 def test_erdos_renyi_degree_concentration():
@@ -216,3 +231,100 @@ def test_pair_index_inversion_exhaustive_small_n():
         pairs = _pair_from_index(np.arange(total), n)
         expected = [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert [tuple(row) for row in pairs] == expected
+
+
+# ---------------------------------------------------------------------------
+# the reference engine and the event counters
+# ---------------------------------------------------------------------------
+
+def test_beta_zero_runs_match_reference_bitwise():
+    # with beta = 0 neither engine draws a transmission; both draw the
+    # seeds' recoveries from the same exponential stream in the same order
+    # (40000 seeds draw past the streams' first 2^15-value block)
+    net = erdos_renyi_network(300, 6.0, seed=3)
+    big = Network(n=50_000, edges=np.empty((0, 2), dtype=np.int64))
+    for graph, seed, gamma, seeds in ((net, 0, 1.0, range(0, 300, 7)),
+                                      (net, 1, 0.7, range(0, 300, 7)),
+                                      (net, 2, 0.0, range(0, 300, 7)),
+                                      (big, 3, 1.0, range(40_000))):
+        cfg = SimConfig(beta=0.0, gamma=gamma, p=0.5, tau_days=0.5,
+                        kappa_days=2.0, t_end_days=5.0, seed=seed,
+                        initial_infected=tuple(seeds))
+        new = simulate_network(graph, cfg)
+        old = net_reference.simulate_network(graph, cfg)
+        for key in ("t_days", "s_frac", "i_frac", "q_frac"):
+            assert np.array_equal(getattr(new, key), getattr(old, key))
+    assert "_adjacency" not in net.__dict__    # never built at beta = 0
+
+
+#: Two-sample |z| bound on each mean.  Under agreement each |z| exceeds 4
+#: with probability 6e-5, so 20 comparisons give a false alarm below 2e-3.
+TWO_SAMPLE_Z = 4.0
+
+
+def test_two_sample_agreement_with_reference():
+    # 300 runs per engine, disjoint seeds, on one G(200, 6) at r = 3, where
+    # isolation, release and reinfection all occur before t_end: the mean
+    # I and Q fractions agree at all 11 output times
+    net = erdos_renyi_network(200, 6.0, seed=11)
+    runs = 300
+    samples = []
+    for engine, base in ((simulate_network, 0),
+                         (net_reference.simulate_network, 10**6)):
+        out = []
+        for s in range(runs):
+            cfg = SimConfig(beta=0.5, gamma=1.0, p=0.5, tau_days=0.5,
+                            kappa_days=2.0, t_end_days=10.0, seed=base + s,
+                            initial_infected=tuple(range(5)), n_out=11)
+            r = engine(net, cfg)
+            out.append((r.i_frac, r.q_frac))
+        samples.append(np.array(out))
+    a, b = samples
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / runs)
+    # where both samples are constant (t = 0, and Q before tau) the means
+    # must agree exactly
+    assert np.all(diff[se == 0.0] == 0.0)
+    z = np.abs(diff) / np.where(se > 0.0, se, 1.0)
+    assert z.max() < TWO_SAMPLE_Z, np.round(z, 2)
+
+
+def test_counters_bookkeeping():
+    net = erdos_renyi_network(400, 8.0, seed=3)
+    seeds = tuple(range(5))
+    for seed in (1, 2, 3):
+        out = run(net, initial_infected=seeds, seed=seed, kappa_days=1.0)
+        s = out.stats
+        assert s.stale_pops == 0
+        assert 0 < s.releases <= s.isolations <= s.infections - len(seeds)
+        assert s.infections - len(seeds) <= s.attempts
+        assert s.recoveries + s.isolations <= s.infections
+        assert out.i_frac[-1] * net.n == pytest.approx(
+            s.infections - s.recoveries - s.isolations, abs=1e-9)
+        assert out.q_frac[-1] * net.n == pytest.approx(
+            s.isolations - s.releases, abs=1e-9)
+        assert 0 < s.peak_heap <= 2 * net.n
+
+    # no recovery and no isolation on a complete graph: every node is
+    # infected exactly once, the seeds and n - seeds successful attempts
+    out = run(complete_network(30), gamma=0.0, p=0.0, beta=1.0,
+              initial_infected=(0, 1, 2), t_end_days=50.0)
+    assert out.i_frac[-1] == 1.0
+    assert out.stats.infections == 30
+    assert out.stats.attempts >= 27
+    assert out.stats.recoveries == out.stats.isolations == 0
+
+    # beta = 0: the seeds are the only infections and nothing is attempted
+    out = run(net, beta=0.0, initial_infected=seeds)
+    assert out.stats.attempts == 0 and out.stats.infections == len(seeds)
+
+    # runs combine: counts add, the peak is the larger one
+    a, b = NetworkStats(1, 2, 3, 4, 5, 6, 0), NetworkStats(1, 1, 1, 1, 1, 9, 0)
+    assert a + b == NetworkStats(2, 3, 4, 5, 6, 9, 0)
+    runs = [run(net, initial_infected=seeds, seed=s) for s in (4, 5)]
+    assert average_runs(runs).stats == runs[0].stats + runs[1].stats
+
+
+def test_duplicate_initial_infected_rejected():
+    with pytest.raises(ValueError):
+        run(complete_network(5), initial_infected=(1, 1))

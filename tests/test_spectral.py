@@ -185,8 +185,10 @@ def test_default_box_extent():
             for tau in (0.0, 0.5, 2.0):
                 ps = ModelParams(r=r, p=0.5, tau=tau, kappa=kappa)
                 im = max(4.0 * math.pi / max(kappa, tau, 1.0), 20.0 * math.pi)
-                for chi in (endemic_chareq(ps, 0.0),
-                            disease_free_chareq(ps, 0.1)):
+                chis = [disease_free_chareq(ps, 0.1)]
+                if q_critical(r, 0.5, tau) > 0.0:   # an endemic point exists
+                    chis.append(endemic_chareq(ps, 0.0))
+                for chi in chis:
                     assert default_box(chi) == Box(1e-8, max(10.0, r),
                                                    -im, im)
 
@@ -325,9 +327,13 @@ def test_real_root_through_zero_raises():
     lambda: seiq_disease_free_chareq(PS, 0.7, 0.4),
     lambda: stability_map(2.5, 0.5, 0.0, [-0.5, 0.0], [1.0]),
     lambda: hopf_crossings(2.5, 0.5, 0.0, -0.1, 10.0),
+    # the endemic family (1 - q_c, q_c - q, q) needs q < q_c (w_I > 0)
+    lambda: endemic_chareq(PS, q_critical(PS.r, PS.p, PS.tau)),
+    lambda: endemic_chareq(PS, 0.6),
+    lambda: stability_map(2.5, 0.5, 0.0, [0.0, 0.25], [1.0]),   # q_c = 0.2
 ], ids=["disease-free q<0", "disease-free q>1", "endemic q<0",
         "seiq eta<0", "seiq q<0", "seiq eta+q>1", "stability-map q<0",
-        "hopf q<0"])
+        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c"])
 def test_leaf_labels_outside_simplex_rejected(call):
     with pytest.raises(InvalidFractions):
         call()
