@@ -193,8 +193,8 @@ def i_peak(traj: Trajectory, i_index: int = 1, settle: float = 50.0,
     taken over grid nodes and Hermite cell midpoints.
     """
     vals = traj.states[:, i_index]
-    mids, _ = traj.evaluate((np.arange(traj.n_nodes - 1) + 0.5) * traj.step,
-                            columns=[i_index])
+    mids = traj.evaluate((np.arange(traj.n_nodes - 1) + 0.5) * traj.step,
+                         columns=[i_index])
     peak = max(float(vals.max()), float(mids.max()))
     running = np.maximum.accumulate(vals)
     moved = np.diff(running) > rel_tol * running[1:]

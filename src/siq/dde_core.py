@@ -23,6 +23,9 @@ left limit Phi(theta-), and so does the dense output over that cell, while
 the node derivative (the next cell's k1 and the stored ``derivs``) keeps
 the right limit.  With these one-sided values the method keeps fourth
 order on outbreak data.
+
+Dense output (``History.evaluate``, ``Trajectory.evaluate``) returns state
+values only; the window functionals integrate those values.
 """
 
 from __future__ import annotations
@@ -48,15 +51,12 @@ class History:
 
     ``fn`` maps theta in [-span, 0] to a state tuple; at each of its
     ``jumps`` (and at theta = 0) it must return the right limit.
-    Elsewhere it is assumed piecewise smooth.  ``deriv``, when provided,
-    returns d(fn)/d(theta) between jumps and enables fourth-order
-    quadrature of conserved-quantity integrals over the history segment.
+    Elsewhere it is assumed piecewise smooth.
     """
 
     span: float
     fn: Callable[[float], Sequence[float]]
     jumps: tuple[float, ...] = ()
-    deriv: Callable[[float], Sequence[float]] | None = None
 
     def __post_init__(self):
         if self.span <= 0:
@@ -72,22 +72,22 @@ class History:
         """Times where the data may jump: window quadratures split there."""
         return self.jumps
 
-    def evaluate(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Values and (when ``deriv`` is given) derivatives at times ``ts``."""
-        vals = np.array([self.value(t) for t in ts], dtype=float)
-        if self.deriv is None:
-            return vals, None
-        ders = np.array([self.deriv(min(0.0, max(t, -self.span))) for t in ts],
+    def evaluate(self, ts) -> np.ndarray:
+        """Values at times ``ts``, shape (len(ts), dim)."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        out = (ts < -self.span - 1e-12) | (ts > 1e-12)
+        if out.any():
+            raise OutOfRange(f"history evaluated at theta={ts[out][0]!r}, "
+                             f"span={self.span!r}")
+        fn = self.fn
+        return np.array([fn(t) for t in np.clip(ts, -self.span, 0.0).tolist()],
                         dtype=float)
-        return vals, ders
 
 
 def constant_history(value: Sequence[float], span: float) -> History:
     """History identically equal to ``value`` on [-span, 0]."""
     v = tuple(float(x) for x in value)
-    zero = tuple(0.0 for _ in v)
-    return History(span=float(span), fn=lambda theta: v, jumps=(),
-                   deriv=lambda theta: zero)
+    return History(span=float(span), fn=lambda theta: v, jumps=())
 
 
 class Trajectory:
@@ -135,16 +135,13 @@ class Trajectory:
         return tuple(sorted(set(self.history.jumps) | {0.0}
                             | set((self.kink_nodes * self.step).tolist())))
 
-    def evaluate(self, ts, columns=slice(None)
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-        """States and time derivatives at times ``ts``, shape (len(ts), dim)
-        or restricted to the state ``columns`` (a list or slice).
+    def evaluate(self, ts, columns=slice(None)) -> np.ndarray:
+        """States at times ``ts``, shape (len(ts), dim) or restricted to the
+        state ``columns`` (a list or slice).
 
-        Exact at grid nodes, where the derivative is the right one; inside
-        a cell the cubic Hermite interpolant and its derivative, built from
-        the left derivative at a right end that is a kink.  Times before 0
-        read the history, whose derivatives may be missing (then the
-        derivatives returned are None).
+        Exact at grid nodes; inside a cell the cubic Hermite interpolant,
+        built from the left derivative at a right end that is a kink.
+        Times before 0 read the history.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         if ts.size and ts.max() > self.t_end + 1e-9 * self.step:
@@ -152,19 +149,14 @@ class Trajectory:
         neg = ts < self.t0
         if not neg.any():
             return self._hermite(ts, columns)
-        hv, hd = self.history.evaluate(ts[neg])
         vals = np.empty((ts.size, self.dimension))[:, columns]
-        ders = np.empty_like(vals)
-        vals[neg] = hv[:, columns]
-        if hd is not None:
-            ders[neg] = hd[:, columns]
+        vals[neg] = self.history.evaluate(ts[neg])[:, columns]
         pos = ~neg
         if pos.any():
-            vals[pos], ders[pos] = self._hermite(ts[pos], columns)
-        return vals, (None if hd is None else ders)
+            vals[pos] = self._hermite(ts[pos], columns)
+        return vals
 
-    def _hermite(self, ts: np.ndarray,
-                 columns) -> tuple[np.ndarray, np.ndarray]:
+    def _hermite(self, ts: np.ndarray, columns) -> np.ndarray:
         h = self.step
         u = ts / h
         node = np.rint(u).astype(np.int64)
@@ -188,17 +180,13 @@ class Trajectory:
 
         vals = (y0 + col(3 * t2 - 2 * t3) * dy + col((t3 - 2 * t2 + th) * h) * f0
                 + col((t3 - t2) * h) * f1)
-        ders = (col((6 * th - 6 * t2) / h) * dy + col(3 * t2 - 4 * th + 1) * f0
-                + col(3 * t2 - 2 * th) * f1)
         if on_node.any():
-            at = node[on_node]
-            vals[on_node] = states[at]
-            ders[on_node] = derivs[at]
-        return vals, ders
+            vals[on_node] = states[node[on_node]]
+        return vals
 
     def sample(self, t: float) -> np.ndarray:
         """State at time ``t``; exact at grid nodes."""
-        return self.evaluate([t])[0][0]
+        return self.evaluate([t])[0]
 
 
 def _snap(delay: float, step: float) -> int:

@@ -42,15 +42,26 @@ from .siq_model import ModelParams
 
 @dataclass(frozen=True)
 class Network:
-    """Undirected simple graph: no self-loops, no duplicate edges."""
+    """Undirected simple graph: no self-loops, no duplicate edges (a row
+    and its reverse are one edge); either endpoint order is accepted."""
 
     n: int
-    edges: np.ndarray          # (m, 2) int64, each row i < j
+    edges: np.ndarray          # (m, 2) int64
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if e.size and (e.min() < 0 or e.max() >= self.n):
             raise FileParse("edge endpoint out of node range")
+        a, b = e[:, 0], e[:, 1]
+        if (a == b).any():
+            raise FileParse(f"self-loop at node {int(a[a == b][0])}")
+        keys = np.minimum(a, b) * self.n
+        keys += np.maximum(a, b)
+        keys.sort()
+        dup = keys[1:] == keys[:-1]
+        if dup.any():
+            k = int(keys[1:][dup][0])
+            raise FileParse(f"duplicate edge {k // self.n} {k % self.n}")
         object.__setattr__(self, "edges", e)
 
     @property
@@ -147,8 +158,6 @@ def network_from_edge_list(path: str) -> Network:
             pairs.append((min(a, b), max(a, b)))
     if not pairs:
         raise FileParse(f"{path}: no edges")
-    if len(set(pairs)) != len(pairs):
-        raise FileParse(f"{path}: duplicate edge")
     n = max(max(a, b) for a, b in pairs) + 1
     return Network(n=n, edges=np.array(sorted(pairs), dtype=np.int64))
 

@@ -5,6 +5,9 @@ Component conventions: SIQ states are (S, I, Q), SEIQ states are
 (S, E, I, Q).  All populations are fractions; validated initial data lives
 in the probability simplex.  Time is measured in units of the mean
 infectious period (recovery rate 1).
+
+The conserved quantities are window integrals of I and S*I, computed from
+state values alone by composite Simpson on the integrator grid.
 """
 
 from __future__ import annotations
@@ -85,16 +88,14 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
     if seiq:
         pre = (1.0, 0.0, 0.0, 0.0)
         at0 = (1.0 - i0 - q0 - e0, e0, i0, q0)
-        zero = (0.0, 0.0, 0.0, 0.0)
     else:
         pre = (1.0, 0.0, 0.0)
         at0 = (1.0 - i0 - q0 - e0, i0, q0)
-        zero = (0.0, 0.0, 0.0)
 
     def fn(theta):
         return at0 if theta >= 0.0 else pre
 
-    return History(span=span, fn=fn, jumps=(0.0,), deriv=lambda theta: zero)
+    return History(span=span, fn=fn, jumps=(0.0,))
 
 
 def simulate(params: ModelParams, history: History, t_end: float,
@@ -110,29 +111,22 @@ def simulate(params: ModelParams, history: History, t_end: float,
 # window quadrature for the conserved quantities
 # ---------------------------------------------------------------------------
 
-def _split_points(phi: History | Trajectory, lo: float, hi: float,
-                  h: float) -> tuple[list[float], set[float]]:
-    tol, breaks = 1e-9 * h, phi.breaks
-    pts = [b for b in breaks if lo + tol < b < hi - tol]
-    # endpoints at a break are evaluated just inside the window: left
-    # limits at the right edge, right limits at the left edge
-    edge = {x for x in (lo, hi) for b in breaks if abs(b - x) <= tol}
-    return [lo] + pts + [hi], set(pts) | edge
-
-
-def _window_integral(phi, lo: float, hi: float, h: float, u_fn,
-                     du_fn) -> float:
-    """Integral of u(state(t)) dt over [lo, hi], fourth order on the grid.
-
-    Composite trapezoid with the Euler-Maclaurin endpoint correction
-    (h^2/12)*(u'(lo) - u'(hi)) applied per smooth segment; segments are cut
-    at the recorded breaks (jumps and derivative kinks), where one-sided
-    values are taken just inside each side.  Falls back to the plain
-    trapezoid where derivatives are unavailable.
+def _window_integral(phi, lo: float, hi: float, h: float, u_fn) -> float:
+    """Integral of u_fn(t, state(t)) dt over [lo, hi], fourth order on the
+    grid: composite Simpson on cells of width ~h, from state values at the
+    cell ends and midpoints.  On a Trajectory the Hermite midpoint makes
+    this, for an integrand linear in the state, the trapezoid with its
+    exact h^2/12 end correction.  Segments are cut at the recorded breaks
+    (jumps and derivative kinks); a segment end at a break is read just
+    inside the segment, so each side gets its one-sided limit.
     """
     if hi <= lo:
         return 0.0
-    bounds, jumpset = _split_points(phi, lo, hi, h)
+    tol, breaks = 1e-9 * h, phi.breaks
+    cuts = [b for b in breaks if lo + tol < b < hi - tol]
+    jumpset = set(cuts) | {x for x in (lo, hi) for b in breaks
+                           if abs(b - x) <= tol}
+    bounds = [lo] + cuts + [hi]
     total = 0.0
     for s0, s1 in zip(bounds[:-1], bounds[1:]):
         width = s1 - s0
@@ -140,34 +134,36 @@ def _window_integral(phi, lo: float, hi: float, h: float, u_fn,
         if m < 1 or abs(m * h - width) > 1e-9 * max(1.0, width):
             m = max(1, math.ceil(width / h - 1e-9))
         hseg = width / m
-        ts = s0 + hseg * np.arange(m + 1)
+        ts = s0 + 0.5 * hseg * np.arange(2 * m + 1)
         ts[-1] = s1
         shift = 1e-7 * hseg
         if s0 in jumpset:
             ts[0] = s0 + shift
         if s1 in jumpset:
             ts[-1] = s1 - shift
-        vals, ders = phi.evaluate(ts)
-        u = u_fn(ts, vals)
-        seg = hseg * (u.sum() - 0.5 * (u[0] + u[-1]))
-        if ders is not None:
-            du = du_fn(ts, vals, ders)
-            seg += hseg * hseg / 12.0 * (du[0] - du[-1])
-        total += seg
+        u = u_fn(ts, phi.evaluate(ts))
+        total += hseg / 6.0 * (u[0] + u[-1] + 4.0 * u[1::2].sum()
+                               + 2.0 * u[2:-1:2].sum())
     return total
 
 
-def _points(phi: History | Trajectory, *ts: float) -> np.ndarray:
-    return phi.evaluate(np.array(ts))[0]
-
-
-def _anchor_and_span(phi, t):
+def _window(phi: History | Trajectory, t: float | None, step: float | None,
+            need: float, reach: str) -> tuple[float, float]:
+    """Anchor time and quadrature step of a functional whose window reaches
+    ``need`` (named ``reach``) back from the anchor: the right end of a
+    History, or time ``t`` (default t_end) on a Trajectory, whose grid
+    gives the default step.  Raises SpanTooShort if ``phi`` is shorter."""
     if isinstance(phi, History):
         if t is not None:
             raise ValueError("evaluation time applies to trajectories only")
-        return 0.0, phi.span
-    t = phi.t_end if t is None else float(t)
-    return t, t + phi.history.span
+        anchor, avail, grid = 0.0, phi.span, DEFAULT_STEP
+    else:
+        anchor = phi.t_end if t is None else float(t)
+        avail, grid = anchor + phi.history.span, phi.step
+    if avail + 1e-12 < need:
+        raise SpanTooShort(f"window must span [-{reach}, 0]; need {need!r}, "
+                           f"available {avail!r}")
+    return anchor, step or grid
 
 
 def conserved_H(params: ModelParams, phi: History | Trajectory,
@@ -183,22 +179,11 @@ def conserved_H(params: ModelParams, phi: History | Trajectory,
     presumes kappa commensurate with the step (integrate() snaps delays
     and records them).
     """
-    k = params.kappa
-    r = params.r
-    anchor, avail = _anchor_and_span(phi, t)
-    if avail + 1e-12 < k:
-        raise SpanTooShort(f"window must span [-kappa, 0]; kappa={k!r}, "
-                           f"available {avail!r}")
-    h = step or (phi.step if isinstance(phi, Trajectory) else DEFAULT_STEP)
-    s_now, s_back = _points(phi, anchor, anchor - k)
-
-    def u_fn(ts, v):
-        return (1.0 - r * v[:, 0]) * v[:, 1]
-
-    def du_fn(ts, v, d):
-        return -r * d[:, 0] * v[:, 1] + (1.0 - r * v[:, 0]) * d[:, 1]
-
-    integral = _window_integral(phi, anchor - k, anchor, h, u_fn, du_fn)
+    k, r = params.kappa, params.r
+    anchor, h = _window(phi, t, step, k, "kappa")
+    s_now, s_back = phi.evaluate([anchor, anchor - k])
+    integral = _window_integral(phi, anchor - k, anchor, h,
+                                lambda ts, v: (1.0 - r * v[:, 0]) * v[:, 1])
     return 1.0 - s_now[0] - s_back[1] + integral
 
 
@@ -215,29 +200,15 @@ def conserved_H_star(params: ModelParams, phi: History | Trajectory,
     Reduces to (H, .) at sigma = 0 with phi_E(0) = 0.
     """
     k, sg, r = params.kappa, params.sigma, params.r
-    anchor, avail = _anchor_and_span(phi, t)
-    if avail + 1e-12 < sg + k:
-        raise SpanTooShort(f"window must span [-(sigma+kappa), 0]; need "
-                           f"{sg + k!r}, available {avail!r}")
-    h = step or (phi.step if isinstance(phi, Trajectory) else DEFAULT_STEP)
-    s_now, s_back = _points(phi, anchor, anchor - k)
-
-    def i_fn(ts, v):
-        return v[:, 2].copy()
-
-    def di_fn(ts, v, d):
-        return d[:, 2].copy()
+    anchor, h = _window(phi, t, step, sg + k, "(sigma+kappa)")
+    s_now, s_back = phi.evaluate([anchor, anchor - k])
 
     def si_fn(ts, v):
         return v[:, 0] * v[:, 2]
 
-    def dsi_fn(ts, v, d):
-        return d[:, 0] * v[:, 2] + v[:, 0] * d[:, 2]
-
-    int_i = _window_integral(phi, anchor - k, anchor, h, i_fn, di_fn)
-    int_si_back = _window_integral(phi, anchor - sg - k, anchor - sg, h,
-                                   si_fn, dsi_fn)
-    int_si_now = _window_integral(phi, anchor - sg, anchor, h, si_fn, dsi_fn)
+    int_i = _window_integral(phi, anchor - k, anchor, h, lambda ts, v: v[:, 2])
+    int_si_back = _window_integral(phi, anchor - sg - k, anchor - sg, h, si_fn)
+    int_si_now = _window_integral(phi, anchor - sg, anchor, h, si_fn)
     h1 = 1.0 - s_now[0] - s_now[1] - s_back[2] + int_i - r * int_si_back
     h2 = s_now[1] - r * int_si_now
     return h1, h2
@@ -258,22 +229,11 @@ def conserved_q(params: ModelParams, phi: History | Trajectory,
     leaves it alone.
     """
     r, eps, lag, k = params.r, params.eps, params.sigma + params.tau, params.kappa
-    anchor, avail = _anchor_and_span(phi, t)
-    if avail + 1e-12 < lag + k:
-        raise SpanTooShort(f"window must span [-(sigma+tau+kappa), 0]; need "
-                           f"{lag + k!r}, available {avail!r}")
-    h = step or (phi.step if isinstance(phi, Trajectory) else DEFAULT_STEP)
-    now = _points(phi, anchor)[0]
+    anchor, h = _window(phi, t, step, lag + k, "(sigma+tau+kappa)")
+    now = phi.evaluate([anchor])[0]
     ii = now.size - 2
-
-    def si_fn(ts, v):
-        return v[:, 0] * v[:, ii]
-
-    def dsi_fn(ts, v, d):
-        return d[:, 0] * v[:, ii] + v[:, 0] * d[:, ii]
-
     committed = _window_integral(phi, anchor - lag - k, anchor - lag, h,
-                                 si_fn, dsi_fn)
+                                 lambda ts, v: v[:, 0] * v[:, ii])
     return 1.0 - float(now[:-1].sum()) - r * eps * committed
 
 
@@ -323,30 +283,18 @@ def validate_history(params: ModelParams, psi: History,
 
     n = max(2, int(math.ceil(psi.span / h)) + 1)
     grid = np.linspace(-psi.span, 0.0, n)
-    vals, _ = psi.evaluate(grid)
+    vals = psi.evaluate(grid)
     if vals.min() < -SIMPLEX_TOL or np.abs(vals.sum(axis=1) - 1.0).max() > 1e-9:
         bad = grid[int(np.argmin(vals.min(axis=1)))]
         raise NotInSimplex(f"history leaves the simplex near theta={bad!r}")
 
-    def si_fn(ts, v):
-        return v[:, 0] * v[:, i_idx]
-
-    def dsi_fn(ts, v, d):
-        return d[:, 0] * v[:, i_idx] + v[:, 0] * d[:, i_idx]
-
-    def esi_fn(ts, v):
-        return np.exp(ts) * v[:, 0] * v[:, i_idx]
-
-    def desi_fn(ts, v, d):
-        si = v[:, 0] * v[:, i_idx]
-        dsi = d[:, 0] * v[:, i_idx] + v[:, 0] * d[:, i_idx]
-        return np.exp(ts) * (si + dsi)
-
     at0 = psi.value(0.0)
     i_bound = params.r * params.p * _window_integral(
-        psi, -params.tau, 0.0, h, esi_fn, desi_fn)
+        psi, -params.tau, 0.0, h,
+        lambda ts, v: np.exp(ts) * v[:, 0] * v[:, i_idx])
     q_bound = params.r * params.eps * _window_integral(
-        psi, -(params.tau + params.kappa), 0.0, h, si_fn, dsi_fn)
+        psi, -(params.tau + params.kappa), 0.0, h,
+        lambda ts, v: v[:, 0] * v[:, i_idx])
 
     violations = []
     if at0[i_idx] < i_bound - 1e-12:

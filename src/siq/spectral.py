@@ -61,7 +61,10 @@ class CharEq:
     w_i: float
     sigma: float = 0.0
     latent: bool = False
-    trivial_order: int = 1
+
+    @property
+    def trivial_order(self) -> int:
+        return 2 if self.latent else 1
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
@@ -118,7 +121,7 @@ def seiq_disease_free_chareq(params: ModelParams, eta: float,
     _check_fractions(eta=eta, q=q)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
                   kappa=params.kappa, w_s=1.0 - eta - q, w_i=0.0,
-                  sigma=params.sigma, latent=True, trivial_order=2)
+                  sigma=params.sigma, latent=True)
 
 
 @dataclass(frozen=True)
@@ -361,8 +364,7 @@ class AsymptoticSpectrum:
 def asymptotic_spectrum_tau0(r: float, p: float, q: float) -> AsymptoticSpectrum:
     """Asymptotic continuous spectrum of the endemic family at tau = 0."""
     qc = q_critical(r, p, 0.0)
-    if not q < qc:
-        raise ValueError(f"q = {q!r} must be below q_c = {qc!r}")
+    _check_endemic_leaf(q, qc)
     dq = qc - q
 
     denom = p * r * dq
@@ -587,10 +589,7 @@ def hopf_crossings(r: float, p: float, tau: float, q: float,
     unstable count) with kappa <= kappa_max, at the fixed equilibrium of
     leaf q or, with ``track_leaf``, at the point re-read from leaf q at
     each kappa (the outbreak-scenario destabilization)."""
-    _check_fractions(q=q)
-    qc = q_critical(r, p, tau)
-    if not q < qc:
-        raise ValueError(f"q = {q!r} must be below q_c = {qc!r}")
+    _check_endemic_leaf(q, q_critical(r, p, tau))
     return [c for c in axis_crossings(r, p, tau, q, kappa_max,
                                       track_leaf=track_leaf)
             if c.direction > 0][:max_crossings]

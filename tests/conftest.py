@@ -1,5 +1,5 @@
-"""Shared fixtures and helpers: smooth in-simplex histories with exact
-derivatives, used wherever conserved-quantity accuracy matters."""
+"""Shared fixtures and helpers: smooth in-simplex histories, used wherever
+conserved-quantity accuracy matters."""
 
 import math
 
@@ -11,9 +11,7 @@ from siq.dde_core import History
 def smooth_simplex_history(span: float, seed: int, dim: int = 3) -> History:
     """Random smooth history with values in the open simplex.
 
-    Components are softmax-normalized exp(a_i sin(w_i theta + c_i)); the
-    derivative is provided in closed form so window quadratures run at
-    fourth order over the history segment too.
+    Components are softmax-normalized exp(a_i sin(w_i theta + c_i)).
     """
     rng = np.random.default_rng(seed)
     amp = rng.uniform(0.2, 0.8, dim)
@@ -26,15 +24,4 @@ def smooth_simplex_history(span: float, seed: int, dim: int = 3) -> History:
         total = sum(f)
         return tuple(v / total for v in f)
 
-    def deriv(theta):
-        f = [math.exp(amp[i] * math.sin(freq[i] * theta + phase[i]))
-             for i in range(dim)]
-        g = [amp[i] * freq[i] * math.cos(freq[i] * theta + phase[i])
-             for i in range(dim)]
-        total = sum(f)
-        df = [f[i] * g[i] for i in range(dim)]
-        dtotal = sum(df)
-        return tuple((df[i] * total - f[i] * dtotal) / (total * total)
-                     for i in range(dim))
-
-    return History(span=span, fn=fn, jumps=(), deriv=deriv)
+    return History(span=span, fn=fn, jumps=())

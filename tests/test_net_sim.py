@@ -53,6 +53,15 @@ def test_adjacency_matches_edge_loop():
         assert net.adjacency() == net_reference.adjacency_by_loop(net)
 
 
+def test_network_rejects_self_loops_and_duplicate_pairs():
+    # a pair listed in both orders is one edge twice; reversed rows alone
+    # stay legal
+    for edges in ([[0, 1], [1, 0]], [[2, 2]], [[0, 1], [1, 2], [0, 1]]):
+        with pytest.raises(FileParse):
+            Network(n=3, edges=edges)
+    assert Network(n=3, edges=[[1, 0], [2, 1]]).mean_degree == 4.0 / 3.0
+
+
 def test_erdos_renyi_degree_concentration():
     net = erdos_renyi_network(10_000, 10.0, seed=99)
     assert 9.5 <= net.mean_degree <= 10.5

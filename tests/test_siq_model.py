@@ -154,7 +154,7 @@ def test_validate_violating_history_quadrature_oracle():
     pre = (0.5, 0.5, 0.0)
     at0 = (0.5, 0.3, 0.2)
     hist = History(span=1.0, fn=lambda th: at0 if th >= 0 else pre,
-                   jumps=(0.0,), deriv=lambda th: (0.0, 0.0, 0.0))
+                   jumps=(0.0,))
     rep = validate_history(ps, hist)
     closed = 2.5 * 0.25 * (1.0 - math.exp(-1.0))
     numeric, _ = quad(lambda th: 2.5 * math.exp(th) * 0.25, -1.0, 0.0)
@@ -211,18 +211,12 @@ def test_H_star_reduces_to_H_at_sigma_zero():
     def fn3(theta):
         s, e, i, q = hist4.fn(theta)
         return (s + e, i, q)
-    def d3(theta):
-        ds, de, di, dq = hist4.deriv(theta)
-        return (ds + de, di, dq)
-    hist3 = History(span=ps.span, fn=fn3, jumps=(), deriv=d3)
+    hist3 = History(span=ps.span, fn=fn3, jumps=())
     # build a 4-state history with E == 0 so the reduction is exact
     def fn4(theta):
         s, i, q = fn3(theta)
         return (s, 0.0, i, q)
-    def d4(theta):
-        ds, di, dq = d3(theta)
-        return (ds, 0.0, di, dq)
-    h1, _ = conserved_H_star(ps, History(span=ps.span, fn=fn4, jumps=(), deriv=d4))
+    h1, _ = conserved_H_star(ps, History(span=ps.span, fn=fn4, jumps=()))
     assert h1 == pytest.approx(conserved_H(ps, hist3), abs=1e-12)
 
 
@@ -278,6 +272,21 @@ def test_conserved_q_invariant_from_t_zero():
     for t in (0.0, 0.3, 1.0, 2.0, 13.0, 40.0):
         assert abs(conserved_q(ps, traj, t) - q0) <= 1e-10
     assert abs(conserved_H(ps, traj, 2.0) - q0) <= 1e-10
+
+
+def test_window_quadrature_fourth_order_without_derivatives():
+    # the window functionals read state values only; on a smooth history
+    # given by its values alone the error still falls 16-fold per halving
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.8)
+    hist = smooth_simplex_history(ps.span, seed=7)
+    s0, i0, _ = hist.fn(0.0)
+    si, _ = quad(lambda th: hist.fn(th)[0] * hist.fn(th)[1], -1.3, -0.5,
+                 epsabs=1e-15, epsrel=1e-15)
+    exact = 1.0 - s0 - i0 - ps.r * ps.eps * si
+    errs = [abs(conserved_q(ps, hist, step=h) - exact)
+            for h in (0.04, 0.02, 0.01)]
+    assert errs[0] / errs[1] >= 12.0
+    assert errs[1] / errs[2] >= 12.0
 
 
 def test_conserved_q_of_outbreak_data_is_q0():

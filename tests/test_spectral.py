@@ -331,9 +331,12 @@ def test_real_root_through_zero_raises():
     lambda: endemic_chareq(PS, q_critical(PS.r, PS.p, PS.tau)),
     lambda: endemic_chareq(PS, 0.6),
     lambda: stability_map(2.5, 0.5, 0.0, [0.0, 0.25], [1.0]),   # q_c = 0.2
+    lambda: asymptotic_spectrum_tau0(2.5, 0.5, -0.1),
+    lambda: asymptotic_spectrum_tau0(2.5, 0.5, 0.25),
 ], ids=["disease-free q<0", "disease-free q>1", "endemic q<0",
         "seiq eta<0", "seiq q<0", "seiq eta+q>1", "stability-map q<0",
-        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c"])
+        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c",
+        "asymptotic q<0", "asymptotic q>q_c"])
 def test_leaf_labels_outside_simplex_rejected(call):
     with pytest.raises(InvalidFractions):
         call()
@@ -513,7 +516,7 @@ def test_hopf_absent_when_scan_range_is_stable():
 
 
 def test_hopf_rejects_leaf_beyond_qc():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFractions):
         hopf_kappa0(2.5, 0.5, 0.0, 0.25, 10.0)    # q_c = 0.2
 
 
