@@ -24,5 +24,5 @@ from .spectral import (AsymptoticSpectrum, CharEq, HopfData, SpectralReport,
                        StabilityMap, asymptotic_spectrum_tau0, axis_crossings,
                        count_unstable, disease_free_chareq, e0_hopf_bound,
                        endemic_chareq, hopf_crossings, hopf_kappa0,
-                       hopf_sequence, seiq_disease_free_chareq, stability_map,
+                       seiq_disease_free_chareq, stability_map,
                        strong_spectrum_tau0)

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
-Every subcommand writes a CSV artifact (stdout by default) with a metadata
-header of ``# key = value`` lines recording parameters, step sizes, seeds,
-and the tool version, so artifacts are self-describing and re-parseable by
+Every subcommand returns its output path, columns, rows and metadata;
+``main`` stamps the tool and version and writes the CSV artifact (stdout by
+default) with a header of ``# key = value`` lines recording parameters,
+step sizes and seeds, so artifacts are self-describing and re-parseable by
 this module's own readers.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,8 +33,7 @@ from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
 from .siq_model import (ModelParams, conserved_H, conserved_H_star,
                         load_disease_table, outbreak_history, simulate)
 from .spectral import (count_unstable, disease_free_chareq, endemic_chareq,
-                       hopf_crossings, hopf_sequence, seiq_disease_free_chareq,
-                       stability_map)
+                       hopf_crossings, seiq_disease_free_chareq, stability_map)
 
 #: Reference critical times (p_c, T_c in days) tabulated at p = 0.8 for the
 #: bundled disease list; rows whose formula value disagrees are flagged.
@@ -72,6 +72,11 @@ def write_csv(out: str | None, columns: Sequence[str],
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+#: What a subcommand hands to ``main``: output path (None or "-" for
+#: stdout), columns, rows and header metadata.
+Artifact = tuple[str | None, Sequence[str], Iterable[Sequence], dict]
 
 
 def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
@@ -171,8 +176,7 @@ def build_scenario(args) -> ScenarioConfig:
 
 
 def params_meta(params: ModelParams, **extra) -> dict:
-    meta = {"tool": "siq", "version": __version__,
-            "r": params.r, "p": params.p, "tau": params.tau,
+    meta = {"r": params.r, "p": params.p, "tau": params.tau,
             "kappa": params.kappa, "sigma": params.sigma, "eps": params.eps}
     meta.update(extra)
     return meta
@@ -182,9 +186,9 @@ def params_meta(params: ModelParams, **extra) -> dict:
 # transient metrics
 # ---------------------------------------------------------------------------
 
-def i_peak(traj: Trajectory, i_index: int = 1, settle: float = 50.0,
+def i_peak(traj: Trajectory, settle: float = 50.0,
            rel_tol: float = 1e-9) -> float:
-    """Peak of the dense infectious fraction.
+    """Peak of the dense infectious fraction (SIQ or SEIQ trajectory).
 
     The horizon must extend ``settle`` time units past the last relative
     movement (> rel_tol) of I's running maximum, otherwise HorizonTooShort
@@ -192,6 +196,7 @@ def i_peak(traj: Trajectory, i_index: int = 1, settle: float = 50.0,
     that creep monotonically into their plateau.  The dense maximum is
     taken over grid nodes and Hermite cell midpoints.
     """
+    i_index = 2 if traj.dimension == 4 else 1
     vals = traj.states[:, i_index]
     mids = traj.evaluate((np.arange(traj.n_nodes - 1) + 0.5) * traj.step,
                          columns=[i_index])
@@ -233,38 +238,30 @@ def critical_rows(table, p: float):
     return rows
 
 
-def cmd_critical(args) -> int:
-    table = load_disease_table(args.table)
-    rows = critical_rows(table, args.p)
-    write_csv(args.out, ["name", "p_c", "tau_c", "T_c_days", "flag"], rows,
-              {"tool": "siq", "version": __version__, "p": args.p,
-               "table": args.table or "bundled"})
-    return 0
+def cmd_critical(args) -> Artifact:
+    rows = critical_rows(load_disease_table(args.table), args.p)
+    return (args.out, ["name", "p_c", "tau_c", "T_c_days", "flag"], rows,
+            {"p": args.p, "table": args.table or "bundled"})
 
 
-def cmd_table2(args) -> int:
-    args.table = None
-    args.p = 0.8
-    return cmd_critical(args)
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Artifact:
     sc = build_scenario(args)
     hist = outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
     traj = simulate(sc.params, hist, sc.t_end, sc.step)
     seiq = traj.dimension == 4
-    pred = predict_endemic_from_history(sc.params, hist)
+    # header functionals of the initial data, on the run's own grid
+    pred = predict_endemic_from_history(sc.params, traj, 0.0)
     meta = params_meta(sc.params, step=traj.step, t_end=traj.t_end,
                        i0=sc.i0, q0=sc.q0, e0=sc.e0,
                        predicted_v_S=pred.v_S, predicted_v_I=pred.v_I,
                        predicted_v_Q=pred.v_Q, leaf_q=pred.q,
                        reachable=pred.reachable)
     if seiq:
-        h1, h2 = conserved_H_star(sc.params, hist)
+        h1, h2 = conserved_H_star(sc.params, traj, 0.0)
         meta.update(H1_star=h1, H2_star=h2, predicted_v_E=pred.v_E,
                     leaf_eta=pred.eta)
     else:
-        meta.update(H=conserved_H(sc.params, hist))
+        meta.update(H=conserved_H(sc.params, traj, 0.0))
     every = args.every or max(1, traj.n_nodes // 2000)
     meta["output_stride"] = every
     idx = np.arange(0, traj.n_nodes, every)
@@ -275,11 +272,10 @@ def cmd_simulate(args) -> int:
     order = (0, 2, 3, 1) if seiq else (0, 1, 2)   # file order: S,I,Q[,E]
     rows = [[float(t)] + [float(traj.states[i, c]) for c in order]
             for t, i in zip(ts, idx)]
-    write_csv(sc.out if args.out is None else args.out, cols, rows, meta)
-    return 0
+    return sc.out, cols, rows, meta
 
 
-def cmd_endemic(args) -> int:
+def cmd_endemic(args) -> Artifact:
     sc = build_scenario(args)
     params = sc.params
     if args.q is not None:
@@ -295,12 +291,11 @@ def cmd_endemic(args) -> int:
     row = [pt.q, pt.eta if pt.eta is not None else "",
            pt.v_S, pt.v_E if pt.v_E is not None else "",
            pt.v_I, pt.v_Q, int(pt.reachable)]
-    write_csv(args.out, cols, [row],
-              params_meta(params, q_c=q_critical(params.r, params.p, params.tau)))
-    return 0
+    return (sc.out, cols, [row],
+            params_meta(params, q_c=q_critical(params.r, params.p, params.tau)))
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> Artifact:
     sc = build_scenario(args)
     params = sc.params
     q, eta = args.q or 0.0, args.eta or 0.0
@@ -320,11 +315,10 @@ def cmd_spectrum(args) -> int:
                            "unstable_count", "classification", "base",
                            "crossings", "collocation_n", "max_residual")})
     rows = [(z.real, z.imag, res) for z, res in zip(rep.roots, rep.residuals)]
-    write_csv(args.out, ["root_re", "root_im", "residual"], rows, meta)
-    return 0
+    return sc.out, ["root_re", "root_im", "residual"], rows, meta
 
 
-def cmd_stability_map(args) -> int:
+def cmd_stability_map(args) -> Artifact:
     qc = q_critical(args.r, args.p, args.tau)
     q_hi = args.q_max if args.q_max is not None else qc * 0.98
     qs = np.linspace(args.q_min, q_hi, args.q_steps)
@@ -333,66 +327,44 @@ def cmd_stability_map(args) -> int:
     rows = [(q, k, int(result.counts[i, j]))
             for i, q in enumerate(result.q_grid)
             for j, k in enumerate(result.kappa_grid)]
-    meta = {"tool": "siq", "version": __version__, "r": args.r, "p": args.p,
-            "tau": args.tau, "q_c": qc,
+    meta = {"r": args.r, "p": args.p, "tau": args.tau, "q_c": qc,
             "unknown_cells": int(np.sum(result.counts < 0))}
     meta.update((f"error_{i}", " ".join(e.split())) for i, e in result.errors)
-    write_csv(args.out, ["q", "kappa", "unstable_count"], rows, meta)
-    return 0
+    return args.out, ["q", "kappa", "unstable_count"], rows, meta
 
 
-def cmd_hopf(args) -> int:
-    # With the leaf tracked, omega moves with kappa: the cascade rows are
-    # the solved crossings up to kappa_max, not kappa_0 + 2 pi m / Omega.
+def cmd_hopf(args) -> Artifact:
+    if args.m_max < 0:
+        raise ConfigError(f"--m-max = {args.m_max} must be >= 0")
     found = hopf_crossings(args.r, args.p, args.tau, args.q, args.kappa_max,
                            max_crossings=args.m_max + 1,
                            track_leaf=args.track_leaf)
-    data = found[0] if found else None
-    meta = {"tool": "siq", "version": __version__, "r": args.r, "p": args.p,
-            "tau": args.tau, "q": args.q, "kappa_max": args.kappa_max,
-            "track_leaf": args.track_leaf,
-            "found": data is not None}
-    rows = []
-    if data is not None:
-        meta.update(asdict(data))      # kappa_0, omega, direction, residual
-        kappas = ([c.kappa_0 for c in found] if args.track_leaf else
-                  [hopf_sequence(data, m) for m in range(args.m_max + 1)])
-        rows = list(enumerate(kappas))
-    write_csv(args.out, ["m", "kappa_m"], rows, meta)
-    return 0
+    meta = {"r": args.r, "p": args.p, "tau": args.tau, "q": args.q,
+            "kappa_max": args.kappa_max, "track_leaf": args.track_leaf,
+            "found": bool(found)}
+    if found:
+        meta.update(asdict(found[0]))  # kappa_0, omega, direction, residual
+    rows = [(m, c.kappa_0) for m, c in enumerate(found)]
+    return args.out, ["m", "kappa_m"], rows, meta
 
 
-def cmd_ipeak(args) -> int:
+def cmd_ipeak(args) -> Artifact:
     sc = build_scenario(args)
-    kappas = []
+    rows = []
     for tok in args.kappas.split(","):
         tok = tok.strip()
-        kappas.append(math.inf if tok in ("inf", "Inf") else float(tok))
-    rows = []
-    for kap in kappas:
-        if math.isinf(kap):
-            if sc.params.sigma > 0:
-                raise ConfigError("kappa = inf runs are defined for the "
-                                  "three-state model only (sigma = 0)")
-            params = ModelParams(r=sc.params.r, p=sc.params.p,
-                                 tau=sc.params.tau, kappa=0.0)
-            hist = outbreak_history(params, sc.i0, sc.q0)
-            traj = simulate(params, hist, sc.t_end, sc.step, kappa_inf=True)
-        else:
-            params = ModelParams(r=sc.params.r, p=sc.params.p,
-                                 tau=sc.params.tau, kappa=kap,
-                                 sigma=sc.params.sigma)
-            hist = outbreak_history(params, sc.i0, sc.q0, sc.e0)
-            traj = simulate(params, hist, sc.t_end, sc.step)
-        i_idx = 2 if traj.dimension == 4 else 1
-        rows.append((kap, i_peak(traj, i_index=i_idx, settle=args.settle)))
-    meta = params_meta(sc.params, i0=sc.i0, q0=sc.q0, t_end=sc.t_end,
-                       step=sc.step, settle=args.settle)
-    write_csv(args.out, ["kappa", "I_peak"], rows, meta)
-    return 0
+        kap = math.inf if tok in ("inf", "Inf") else float(tok)
+        params = replace(sc.params, kappa=0.0 if math.isinf(kap) else kap)
+        hist = outbreak_history(params, sc.i0, sc.q0, sc.e0)
+        traj = simulate(params, hist, sc.t_end, sc.step,
+                        kappa_inf=math.isinf(kap))
+        rows.append((kap, i_peak(traj, settle=args.settle)))
+    meta = params_meta(sc.params, i0=sc.i0, q0=sc.q0, e0=sc.e0,
+                       t_end=sc.t_end, step=sc.step, settle=args.settle)
+    return sc.out, ["kappa", "I_peak"], rows, meta
 
 
-def cmd_network(args) -> int:
+def cmd_network(args) -> Artifact:
     if args.edge_list:
         net = network_from_edge_list(args.edge_list)
     else:
@@ -408,16 +380,14 @@ def cmd_network(args) -> int:
         runs.append(simulate_network(net, cfg))
     avg = average_runs(runs)
     mf = mean_field_params(args.beta, net.mean_degree, args.gamma)
-    meta = {"tool": "siq", "version": __version__, "n": net.n,
-            "mean_degree": net.mean_degree, "beta": args.beta,
+    meta = {"n": net.n, "mean_degree": net.mean_degree, "beta": args.beta,
             "gamma": args.gamma, "p": args.p, "tau_days": args.tau_days,
             "kappa_days": args.kappa_days, "seeds": args.seeds,
             "base_seed": args.seed, "net_seed": args.net_seed,
             "initial_infected": n_init, "r_mean_field": mf.r,
             **asdict(avg.stats)}
     rows = zip(avg.t_days, avg.s_frac, avg.i_frac, avg.q_frac)
-    write_csv(args.out, ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta)
-    return 0
+    return args.out, ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table2", help="bundled disease table at p = 0.8")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_table2)
+    sp.set_defaults(func=cmd_critical, table=None, p=0.8)
 
     sp = sub.add_parser("simulate", help="integrate a scenario to CSV")
     _add_scenario_flags(sp)
@@ -533,7 +503,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        out, columns, rows, meta = args.func(args)
+        write_csv(out, columns, rows,
+                  {"tool": "siq", "version": __version__, **meta})
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

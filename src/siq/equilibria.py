@@ -85,6 +85,8 @@ def critical_time_days(disease: DiseaseSpec, p: float) -> float:
 
 def q_critical(r: float, p: float, tau: float) -> float:
     """Stability boundary q_c = 1 - (1/r) / (1 - eps), eps = p*exp(-tau)."""
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r!r}")
     eps = p * math.exp(-tau)
     if eps >= 1.0:
         raise EpsNotBelowOne(f"eps = {eps!r} must be < 1")

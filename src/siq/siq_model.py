@@ -148,18 +148,24 @@ def _window_integral(phi, lo: float, hi: float, h: float, u_fn) -> float:
 
 
 def _window(phi: History | Trajectory, t: float | None, step: float | None,
-            need: float, reach: str) -> tuple[float, float]:
+            need: float, reach: str, dim: int | None = None
+            ) -> tuple[float, float]:
     """Anchor time and quadrature step of a functional whose window reaches
     ``need`` (named ``reach``) back from the anchor: the right end of a
     History, or time ``t`` (default t_end) on a Trajectory, whose grid
-    gives the default step.  Raises SpanTooShort if ``phi`` is shorter."""
+    gives the default step.  Raises ValueError if ``phi`` does not have
+    ``dim`` states (when given), SpanTooShort if it is shorter."""
     if isinstance(phi, History):
         if t is not None:
             raise ValueError("evaluation time applies to trajectories only")
         anchor, avail, grid = 0.0, phi.span, DEFAULT_STEP
+        have = len(phi.value(0.0))
     else:
         anchor = phi.t_end if t is None else float(t)
-        avail, grid = anchor + phi.history.span, phi.step
+        avail, grid, have = anchor + phi.history.span, phi.step, phi.dimension
+    if dim is not None and have != dim:
+        raise ValueError(f"window has {have} states, this functional "
+                         f"needs {dim}")
     if avail + 1e-12 < need:
         raise SpanTooShort(f"window must span [-{reach}, 0]; need {need!r}, "
                            f"available {avail!r}")
@@ -168,7 +174,8 @@ def _window(phi: History | Trajectory, t: float | None, step: float | None,
 
 def conserved_H(params: ModelParams, phi: History | Trajectory,
                 t: float | None = None, step: float | None = None) -> float:
-    """Conserved functional H of the SIQ flow, evaluated on a window.
+    """Conserved functional H of the SIQ flow, evaluated on a 3-state
+    window (ValueError otherwise).
 
     H(phi) = 1 - phi_S(0) - phi_I(-kappa)
              + integral_{-kappa}^{0} (1 - r*phi_S(s)) * phi_I(s) ds.
@@ -180,7 +187,7 @@ def conserved_H(params: ModelParams, phi: History | Trajectory,
     and records them).
     """
     k, r = params.kappa, params.r
-    anchor, h = _window(phi, t, step, k, "kappa")
+    anchor, h = _window(phi, t, step, k, "kappa", dim=3)
     s_now, s_back = phi.evaluate([anchor, anchor - k])
     integral = _window_integral(phi, anchor - k, anchor, h,
                                 lambda ts, v: (1.0 - r * v[:, 0]) * v[:, 1])
@@ -190,7 +197,8 @@ def conserved_H(params: ModelParams, phi: History | Trajectory,
 def conserved_H_star(params: ModelParams, phi: History | Trajectory,
                      t: float | None = None,
                      step: float | None = None) -> tuple[float, float]:
-    """Conserved pair (H1*, H2*) of the SEIQ flow on a 4-state window.
+    """Conserved pair (H1*, H2*) of the SEIQ flow on a 4-state window
+    (ValueError otherwise).
 
     H1* = 1 - phi_S(0) - phi_E(0) - phi_I(-kappa)
           + int_{-kappa}^{0} phi_I ds
@@ -200,7 +208,7 @@ def conserved_H_star(params: ModelParams, phi: History | Trajectory,
     Reduces to (H, .) at sigma = 0 with phi_E(0) = 0.
     """
     k, sg, r = params.kappa, params.sigma, params.r
-    anchor, h = _window(phi, t, step, sg + k, "(sigma+kappa)")
+    anchor, h = _window(phi, t, step, sg + k, "(sigma+kappa)", dim=4)
     s_now, s_back = phi.evaluate([anchor, anchor - k])
 
     def si_fn(ts, v):

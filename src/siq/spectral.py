@@ -399,8 +399,8 @@ def e0_hopf_bound(r: float, p: float, tau: float) -> tuple[float, float]:
     """Peak of the disease-free crossing-frequency relation:
     q_max = 1 - (1/r)/(1 - eps^2) and omega_max^2 = eps^2/(1 - eps^2).
 
-    No disease-free Hopf point exists; this bounds where one could have
-    been, and caps |omega| in axis scans.
+    No disease-free Hopf point exists; this bounds the (q, omega) region
+    where one could have been.
     """
     eps = p * math.exp(-tau)
     if eps >= 1.0:
@@ -424,16 +424,6 @@ class HopfData:
     omega: float
     direction: int = 1
     residual: float = math.nan
-
-    def kappa_m(self, m: int) -> float:
-        return self.kappa_0 + TWO_PI * m / self.omega
-
-
-def hopf_sequence(hopf: HopfData, m: int) -> float:
-    """m-th member of the crossing cascade, kappa_0 + 2*pi*m/Omega."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return hopf.kappa_m(m)
 
 
 def _endemic_chareq_at(r, p, tau, q, kappa, track_leaf):
@@ -588,8 +578,8 @@ def hopf_crossings(r: float, p: float, tau: float, q: float,
     """The first ``max_crossings`` destabilizing crossings (+2 jumps of the
     unstable count) with kappa <= kappa_max, at the fixed equilibrium of
     leaf q or, with ``track_leaf``, at the point re-read from leaf q at
-    each kappa (the outbreak-scenario destabilization)."""
-    _check_endemic_leaf(q, q_critical(r, p, tau))
+    each kappa (the outbreak-scenario destabilization).  A leaf outside
+    0 <= q < q_c raises InvalidFractions at the first kappa sampled."""
     return [c for c in axis_crossings(r, p, tau, q, kappa_max,
                                       track_leaf=track_leaf)
             if c.direction > 0][:max_crossings]
@@ -657,6 +647,6 @@ __all__ = [
     "seiq_disease_free_chareq", "SpectralReport",
     "count_unstable", "strong_spectrum_tau0", "AsymptoticSpectrum",
     "asymptotic_spectrum_tau0", "e0_hopf_bound", "HopfData",
-    "hopf_sequence", "axis_crossings", "hopf_crossings", "hopf_kappa0",
+    "axis_crossings", "hopf_crossings", "hopf_kappa0",
     "StabilityMap", "stability_map",
 ]

@@ -1,15 +1,18 @@
 """CLI contract tests: subcommands, config handling, exit codes, CSV
 round-trips."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from siq.cli import (build_scenario, critical_rows, i_peak, main,
-                     parse_config_file, read_csv)
+from siq import __version__
+from siq.cli import (build_parser, build_scenario, critical_rows, i_peak,
+                     main, parse_config_file, read_csv)
 from siq.errors import ConfigError, HorizonTooShort
-from siq.siq_model import ModelParams, load_disease_table, outbreak_history, simulate
+from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
+                           simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,68 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
 
 def test_cli_usage_error_exit_code(capsys):
     assert main(["critical"]) == 1       # missing --p
+
+
+def test_config_file_out_honoured_by_every_scenario_command(tmp_path, capsys):
+    scenario = "r = 2.5\np = 0.5\ntau = 0.5\nkappa = 1\ni0 = 0.01\n"
+    extra = {"simulate": ["--t-end", "1", "--step", "0.01"],
+             "endemic": ["--q", "0"],
+             "spectrum": ["--q", "0"],
+             "ipeak": ["--t-end", "60", "--step", "0.01", "--kappas", "1",
+                       "--p", "0.9", "--tau", "0"]}
+    for command, flags in extra.items():
+        out = tmp_path / f"{command}.csv"
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(scenario + f"out = {out}\n")
+        assert main([command, "--config", str(cfg), *flags]) == 0
+        assert capsys.readouterr().out == ""
+        meta, _, rows = read_csv(str(out))
+        assert meta["r"] == "2.5" and rows
+
+
+#: A small valid call of each subcommand.
+SMALL_CALLS = {
+    "critical": ["--p", "0.8"],
+    "table2": [],
+    "simulate": ["--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+                 "--i0", "0.01", "--t-end", "2", "--step", "0.01"],
+    "endemic": ["--r", "2.5", "--p", "0.5", "--tau", "0", "--kappa", "1",
+                "--q", "0"],
+    "spectrum": ["--r", "2.5", "--p", "0.8", "--tau", "0.1", "--kappa", "1",
+                 "--q", "0"],
+    "stability-map": ["--r", "2.5", "--p", "0.5", "--q-steps", "2",
+                      "--kappa-steps", "2"],
+    "hopf": ["--r", "2.5", "--p", "0.5", "--kappa-max", "12"],
+    "ipeak": ["--r", "2.5", "--p", "0.9", "--tau", "0", "--kappa", "1",
+              "--i0", "0.01", "--t-end", "60", "--step", "0.01",
+              "--kappas", "1"],
+    "network": ["--n", "100", "--mean-degree", "4", "--beta", "0.3",
+                "--gamma", "1", "--p", "0.5", "--tau-days", "0.5",
+                "--kappa-days", "1", "--t-end-days", "2"],
+}
+
+
+def test_every_subcommand_writes_one_stamped_artifact(tmp_path, capsys):
+    # each subcommand hands (out, columns, rows, meta) to main, which alone
+    # stamps tool and version and writes the file
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(SMALL_CALLS)
+    for command, flags in SMALL_CALLS.items():
+        folder = tmp_path / command
+        folder.mkdir()
+        out = folder / "out.csv"
+        argv = [command, *flags, "--out", str(out)]
+        args = parser.parse_args(argv)
+        path, _, _, meta = args.func(args)
+        assert path == str(out) and "tool" not in meta, command
+        assert not out.exists()
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out == ""
+        assert [f.name for f in folder.iterdir()] == ["out.csv"]
+        head = out.read_text().splitlines()[:2]
+        assert head == ["# tool = siq", f"# version = {__version__}"]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +355,7 @@ def test_cli_hopf_track_leaf_rows_are_solved_crossings(tmp_path):
 def test_cli_hopf(tmp_path):
     out = tmp_path / "hopf.csv"
     code = main(["hopf", "--r", "2.5", "--p", "0.5", "--tau", "0",
-                 "--q", "0", "--kappa-max", "12", "--m-max", "2",
+                 "--q", "0", "--kappa-max", "35", "--m-max", "2",
                  "--out", str(out)])
     assert code == 0
     meta, _, rows = read_csv(str(out))
@@ -303,6 +368,36 @@ def test_cli_hopf(tmp_path):
     assert len(rows) == 3
     assert float(rows[1][1]) - float(rows[0][1]) == pytest.approx(
         2 * math.pi / omega, rel=1e-7)    # 9-significant-digit round trip
+
+
+def test_cli_hopf_rows_stop_at_kappa_max(tmp_path):
+    # the fixed-equilibrium rows are solved crossings: 20.19 and 31.43
+    # lie past --kappa-max 12 and are not written
+    out = tmp_path / "hopf.csv"
+    assert main(["hopf", "--r", "2.5", "--p", "0.5", "--tau", "0",
+                 "--q", "0", "--kappa-max", "12", "--m-max", "3",
+                 "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert [r[0] for r in rows] == ["0"]
+    assert rows[0][1] == meta["kappa_0"]
+
+
+def test_cli_hopf_rejects_negative_m_max(tmp_path, capsys):
+    out = tmp_path / "hopf.csv"
+    assert main(["hopf", "--r", "2.5", "--p", "0.5", "--m-max", "-1",
+                 "--out", str(out)]) == 1
+    assert "--m-max = -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_cli_rejects_nonpositive_r(tmp_path, capsys, r):
+    for command in ("hopf", "stability-map"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--r", r, "--p", "0.5",
+                     "--out", str(out)]) == 1
+        assert "r must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +429,24 @@ def test_cli_ipeak(tmp_path):
     assert cols == ["kappa", "I_peak"]
     peaks = {r[0]: float(r[1]) for r in rows}
     assert peaks["5"] >= peaks["10"] >= peaks["inf"] - 1e-9
+
+
+def test_cli_ipeak_kappa_inf_keeps_e0(tmp_path):
+    # every kappa, inf included, runs the SEIQ outbreak that e0 > 0 implies
+    out = tmp_path / "peaks.csv"
+    assert main(["ipeak", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 "--i0", "0.01", "--e0", "0.05", "--t-end", "100",
+                 "--step", "0.01", "--kappa", "0", "--kappas", "1,5,inf",
+                 "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert meta["e0"] == "0.05"
+    peaks = {r[0]: float(r[1]) for r in rows}
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.0)
+    traj = simulate(ps, outbreak_history(ps, 0.01, e0=0.05), 100.0, 0.01,
+                    kappa_inf=True)
+    assert traj.dimension == 4
+    assert peaks["inf"] == float(format(i_peak(traj), ".9g"))
+    assert peaks["inf"] <= peaks["5"] <= peaks["1"]
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,21 @@ def test_H_requires_span():
         conserved_H(ps, constant_history([1.0, 0.0, 0.0], 1.0))
 
 
+def test_window_functionals_reject_wrong_dimension():
+    # H read E as I on a four-state window, and H* read Q as I on a
+    # three-state one; both returned numbers
+    siq = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0)
+    seiq = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=0.5)
+    traj3 = simulate(siq, outbreak_history(siq, 0.01), 10.0, 0.01)
+    traj4 = simulate(seiq, outbreak_history(seiq, 0.01), 10.0, 0.01)
+    for call in (lambda: conserved_H(seiq, traj4),
+                 lambda: conserved_H(seiq, outbreak_history(seiq, 0.01)),
+                 lambda: conserved_H_star(siq, traj3, 5.0),
+                 lambda: conserved_H_star(siq, outbreak_history(siq, 0.01))):
+        with pytest.raises(ValueError, match="window has"):
+            call()
+
+
 def test_H_star_reduces_to_H_at_sigma_zero():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.8, sigma=0.0)
     hist4 = smooth_simplex_history(ps.span, seed=3, dim=4)

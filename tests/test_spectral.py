@@ -16,7 +16,7 @@ from siq.siq_model import ModelParams
 from siq.spectral import (CharEq, asymptotic_spectrum_tau0, axis_crossings,
                           count_unstable, disease_free_chareq,
                           e0_hopf_bound, endemic_chareq, hopf_crossings,
-                          hopf_kappa0, hopf_sequence, HopfData,
+                          hopf_kappa0,
                           seiq_disease_free_chareq, stability_map,
                           strong_spectrum_tau0)
 from spectral_reference import (Box, ContourThroughZero, default_box,
@@ -493,21 +493,21 @@ def test_hopf_cascade_tau0():
     assert abs(complex(chi(1j * first.omega))) <= 1e-8
 
 
-def test_hopf_sequence_arithmetic():
-    h = HopfData(kappa_0=3.0, omega=0.5)
-    assert hopf_sequence(h, 0) == 3.0
-    diffs = [hopf_sequence(h, m + 1) - hopf_sequence(h, m) for m in range(4)]
-    assert all(d == pytest.approx(2 * math.pi / 0.5, abs=1e-12) for d in diffs)
-    with pytest.raises(ValueError):
-        hopf_sequence(h, -1)
-
-
 def test_hopf_residual_at_cascade_members():
-    first = hopf_kappa0(2.5, 0.5, 0.0, 0.0, 25.0)
-    for m in (1, 2):
-        km = hopf_sequence(first, m)
-        chi = endemic_chareq(ModelParams(r=2.5, p=0.5, tau=0.0, kappa=km), 0.0)
-        assert abs(complex(chi(1j * first.omega))) <= 1e-8
+    # at a fixed equilibrium the solved destabilizing crossings of one
+    # frequency are spaced 2 pi / Omega apart, each a root of chi
+    found = hopf_crossings(2.5, 0.5, 0.0, 0.0, 35.0, max_crossings=4)
+    assert len(found) == 3
+    first = found[0]
+    for m, c in enumerate(found):
+        assert c.omega == pytest.approx(first.omega, rel=1e-12)
+        assert c.kappa_0 - first.kappa_0 == pytest.approx(
+            2 * math.pi * m / first.omega, rel=1e-12, abs=1e-12)
+        chi = endemic_chareq(ModelParams(r=2.5, p=0.5, tau=0.0,
+                                         kappa=c.kappa_0), 0.0)
+        assert abs(complex(chi(1j * c.omega))) == pytest.approx(
+            c.residual, abs=1e-15)
+        assert c.residual <= 1e-10 and c.direction == 1
 
 
 def test_hopf_absent_when_scan_range_is_stable():
