@@ -20,9 +20,7 @@ from .siq_model import (DiseaseSpec, ModelParams, ValidationReport,
                         conserved_H, conserved_H_star, conserved_q,
                         load_disease_table, outbreak_history, simulate,
                         validate_history)
-from .spectral import (AsymptoticSpectrum, CharEq, HopfData, SpectralReport,
-                       StabilityMap, asymptotic_spectrum_tau0, axis_crossings,
-                       count_unstable, disease_free_chareq, e0_hopf_bound,
+from .spectral import (CharEq, HopfData, SpectralReport, StabilityMap,
+                       axis_crossings, count_unstable, disease_free_chareq,
                        endemic_chareq, hopf_crossings, hopf_kappa0,
-                       seiq_disease_free_chareq, stability_map,
-                       strong_spectrum_tau0)
+                       seiq_disease_free_chareq, stability_map)

@@ -107,8 +107,8 @@ def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
 # scenario configuration
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = ("r", "p", "tau", "kappa", "sigma", "i0", "q0", "e0",
-               "t_end", "step", "out")
+PARAM_KEYS = ("r", "p", "tau", "kappa", "sigma")
+CONFIG_KEYS = PARAM_KEYS + ("i0", "q0", "e0", "t_end", "step", "out")
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,22 @@ def params_meta(params: ModelParams, **extra) -> dict:
 # transient metrics
 # ---------------------------------------------------------------------------
 
+def _cubic_critical_points(y) -> list[float]:
+    """Critical points u in (0, 3) of the cubic through (u, y[u]),
+    u = 0, 1, 2, 3: the real roots of its derivative a u^2 + b u + c, by
+    the cancellation-free quadratic formula (no LAPACK call, whose first
+    use costs the process about 1 MB)."""
+    y0, y1, y2, y3 = (float(v) for v in np.ravel(y))
+    d1, d2, d3 = y1 - y0, y2 - 2.0 * y1 + y0, y3 - 3.0 * y2 + 3.0 * y1 - y0
+    a, b, c = 0.5 * d3, d2 - d3, d1 - 0.5 * d2 + d3 / 3.0
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = ([c / q] if q else []) + ([q / a] if a else [])
+    return [u for u in roots if 0.0 < u < 3.0]
+
+
 def i_peak(traj: Trajectory, settle: float = 50.0,
            rel_tol: float = 1e-9) -> float:
     """Peak of the dense infectious fraction (SIQ or SEIQ trajectory).
@@ -194,13 +210,18 @@ def i_peak(traj: Trajectory, settle: float = 50.0,
     movement (> rel_tol) of I's running maximum, otherwise HorizonTooShort
     is raised; the tolerance makes the detector terminate for trajectories
     that creep monotonically into their plateau.  The dense maximum is
-    taken over grid nodes and Hermite cell midpoints.
+    that of the Hermite cubics in the two cells next to the largest node
+    value, at the roots of their quadratic derivatives.
     """
     i_index = 2 if traj.dimension == 4 else 1
     vals = traj.states[:, i_index]
-    mids = traj.evaluate((np.arange(traj.n_nodes - 1) + 0.5) * traj.step,
-                         columns=[i_index])
-    peak = max(float(vals.max()), float(mids.max()))
+    top = int(np.argmax(vals))
+    peak = float(vals[top])
+    for cell in range(max(top - 1, 0), min(top + 1, traj.n_nodes - 1)):
+        for u in _cubic_critical_points(traj.evaluate(
+                (cell + np.arange(4) / 3.0) * traj.step, columns=[i_index])):
+            peak = max(peak, float(traj.evaluate(
+                [(cell + u / 3.0) * traj.step], columns=[i_index])[0, 0]))
     running = np.maximum.accumulate(vals)
     moved = np.diff(running) > rel_tol * running[1:]
     last_move = int(np.nonzero(moved)[0][-1]) + 1 if moved.any() else 0
@@ -279,14 +300,19 @@ def cmd_endemic(args) -> Artifact:
     sc = build_scenario(args)
     params = sc.params
     if args.q is not None:
-        eta = args.eta or 0.0
-        if params.sigma > 0 or args.eta is not None:
-            pt = seiq_endemic_point(params, eta, args.q)
-        else:
-            pt = endemic_point(params, args.q)
+        q, eta = args.q, args.eta
+    elif args.eta is not None:
+        raise ConfigError("--eta labels a leaf given by --q; outbreak data "
+                          "sit on the leaf (q0, e0)")
     else:
-        hist = outbreak_history(params, sc.i0, sc.q0, sc.e0)
-        pt = predict_endemic_from_history(params, hist)
+        # built only to reject bad outbreak data: I = 0 before t = 0, so
+        # valid data sit on the leaf (q0, e0) exactly
+        outbreak_history(params, sc.i0, sc.q0, sc.e0)
+        q, eta = sc.q0, sc.e0 or None
+    if params.sigma > 0 or eta is not None:
+        pt = seiq_endemic_point(params, eta or 0.0, q)
+    else:
+        pt = endemic_point(params, q)
     cols = ["leaf_q", "leaf_eta", "v_S", "v_E", "v_I", "v_Q", "reachable"]
     row = [pt.q, pt.eta if pt.eta is not None else "",
            pt.v_S, pt.v_E if pt.v_E is not None else "",
@@ -399,13 +425,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_scenario_flags(sp):
+def _add_scenario_flags(sp, keys=CONFIG_KEYS):
+    """--config plus one flag per config key the command reads."""
     sp.add_argument("--config", help="key = value scenario file")
-    for key in CONFIG_KEYS:
-        if key == "out":
-            continue
+    for key in keys:
         sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-    sp.add_argument("--out", dest="out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,14 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output every N-th grid node (default: ~2000 rows)")
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("endemic", help="endemic point from leaf or history")
-    _add_scenario_flags(sp)
+    sp = sub.add_parser("endemic", help="endemic point on a leaf")
+    _add_scenario_flags(sp, PARAM_KEYS + ("i0", "q0", "e0", "out"))
     sp.add_argument("--q", type=float, default=None, help="leaf label")
     sp.add_argument("--eta", type=float, default=None, help="latent leaf label")
     sp.set_defaults(func=cmd_endemic)
 
     sp = sub.add_parser("spectrum", help="count/locate unstable roots")
-    _add_scenario_flags(sp)
+    _add_scenario_flags(sp, PARAM_KEYS + ("out",))
     sp.add_argument("--equilibrium", choices=["disease-free", "endemic"],
                     default="disease-free")
     sp.add_argument("--q", type=float, default=None)

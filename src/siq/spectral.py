@@ -1,7 +1,6 @@
 """Characteristic quasi-polynomials of the equilibrium families, unstable
-root counts by continuation, root location by collocation, Hopf points in
-the isolation time by D-subdivision, and the large-delay closed forms at
-tau = 0.
+root counts by continuation, root location by collocation, and Hopf points
+in the isolation time by D-subdivision.
 
 chi has a structural zero root (order 1, or 2 for the latent disease-free
 family).  Divided by it, chi at kappa = 0 (sigma = 0) is
@@ -11,19 +10,21 @@ across the imaginary axis, where chi = A + B e^{-kappa lam} has |A| = |B|;
 each crossing moves the count by 2 sign F'(omega), F = |A|^2 - |B|^2.
 Roots are located by a Chebyshev collocation of the linearized system,
 Newton-polished on chi, refined until they number exactly the count.
+The large-kappa spectrum is the same count at that kappa: kappa Re lam of
+the rightmost roots tends to max -log|A(i omega)/B(i omega)| (Lichtner,
+Wolfrum & Yanchuk 2011).
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EpsNotBelowOne, InvalidFractions, NumericalError
+from .errors import ConfigError, InvalidFractions, NumericalError
 from .equilibria import endemic_point, q_critical
 from .siq_model import ModelParams
 
@@ -107,7 +108,10 @@ def _check_endemic_leaf(q: float, qc: float) -> None:
 
 def endemic_chareq(params: ModelParams, q: float) -> CharEq:
     """Linearization at the endemic point with Q-component q:
-    (1 - q_c, q_c - q, q)."""
+    (1 - q_c, q_c - q, q), for the SIQ model only (sigma = 0)."""
+    if params.sigma != 0.0:
+        raise ConfigError(f"sigma = {params.sigma!r}: the endemic spectrum "
+                          "is the SIQ linearization and needs sigma = 0")
     qc = q_critical(params.r, params.p, params.tau)
     _check_endemic_leaf(q, qc)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
@@ -322,92 +326,6 @@ def count_unstable(chareq: CharEq, *, locate: bool = True) -> SpectralReport:
         cls = f"unstable({count})"
     return SpectralReport(count, tuple(roots), residuals, cls, base,
                           crossings, n, max(residuals, default=0.0))
-
-
-# ---------------------------------------------------------------------------
-# closed forms at tau = 0
-# ---------------------------------------------------------------------------
-
-def strong_spectrum_tau0(r: float, p: float, q: float) -> tuple[complex, complex]:
-    """Large-isolation-time strong spectrum at tau = 0 (q_c taken at eps = p):
-
-    lambda_pm = (1/2) * [-r(1-p)(q_c - q)
-                         +- sqrt((q_c - q)(r^2 (1-p)^2 (q_c - q) - 4p))]
-    Both real parts are negative for every q in [0, q_c).
-    """
-    qc = q_critical(r, p, 0.0)
-    dq = qc - q
-    disc = dq * (r * r * (1.0 - p) ** 2 * dq - 4.0 * p)
-    root = cmath.sqrt(complex(disc))
-    a = -r * (1.0 - p) * dq
-    return (0.5 * (a + root), 0.5 * (a - root))
-
-
-@dataclass(frozen=True)
-class AsymptoticSpectrum:
-    """Large-kappa continuous-spectrum data at tau = 0.
-
-    gamma(omega) is the rescaled real part (-log|Y(i omega)|); its sign
-    pattern decides destabilization for large kappa.  h is the curvature
-    proxy of |Y| at omega = 0 (h < 0: modulational instability).  q_h is
-    the closed-form [q_h-, q_h+] stability window, or None when its
-    discriminant is negative (flagged in ``note``, since the source
-    formula asserts non-emptiness: cross-check against the sign of h).
-    """
-
-    h: float
-    q_h: tuple[float, float] | None
-    gamma: Callable[[np.ndarray], np.ndarray]
-    note: str | None = None
-
-
-def asymptotic_spectrum_tau0(r: float, p: float, q: float) -> AsymptoticSpectrum:
-    """Asymptotic continuous spectrum of the endemic family at tau = 0."""
-    qc = q_critical(r, p, 0.0)
-    _check_endemic_leaf(q, qc)
-    dq = qc - q
-
-    denom = p * r * dq
-    h = ((1.0 - r * (1.0 - p + (p - 2.0) * qc - q)) / denom) ** 2 \
-        - 2.0 / denom - 1.0
-
-    a = (1.0 - 1.0 / r) - p + (p - 3.0) * qc
-    disc = (a + p) ** 2 - (1.0 - p * p) * a * a
-    note = None
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        q_h = (qc - (a + p + root) / (1.0 - p * p),
-               qc - (a + p - root) / (1.0 - p * p))
-    else:
-        q_h = None
-        note = (f"q_h discriminant negative ({disc:.6g}); the closed-form "
-                "window is empty here although its source asserts "
-                "non-emptiness -- rely on the sign of h instead")
-
-    lin = 1.0 + r * (1.0 - q) + p / (1.0 - p)
-    const = r * dq * p
-
-    def gamma(omega):
-        lam = 1j * np.asarray(omega, dtype=float)
-        y = (lam * lam + lam * lin + const) / (const * (lam + 1.0))
-        return -np.log(np.abs(y))
-
-    return AsymptoticSpectrum(h=h, q_h=q_h, gamma=gamma, note=note)
-
-
-def e0_hopf_bound(r: float, p: float, tau: float) -> tuple[float, float]:
-    """Peak of the disease-free crossing-frequency relation:
-    q_max = 1 - (1/r)/(1 - eps^2) and omega_max^2 = eps^2/(1 - eps^2).
-
-    No disease-free Hopf point exists; this bounds the (q, omega) region
-    where one could have been.
-    """
-    eps = p * math.exp(-tau)
-    if eps >= 1.0:
-        raise EpsNotBelowOne(f"eps = {eps!r} must be < 1")
-    q_max = 1.0 - (1.0 / r) / (1.0 - eps * eps)
-    w2 = eps * eps / (1.0 - eps * eps)
-    return q_max, w2
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +563,7 @@ def stability_map(r: float, p: float, tau: float,
 __all__ = [
     "CharEq", "disease_free_chareq", "endemic_chareq",
     "seiq_disease_free_chareq", "SpectralReport",
-    "count_unstable", "strong_spectrum_tau0", "AsymptoticSpectrum",
-    "asymptotic_spectrum_tau0", "e0_hopf_bound", "HopfData",
+    "count_unstable", "HopfData",
     "axis_crossings", "hopf_crossings", "hopf_kappa0",
     "StabilityMap", "stability_map",
 ]

@@ -10,6 +10,8 @@ import pytest
 from siq import __version__
 from siq.cli import (build_parser, build_scenario, critical_rows, i_peak,
                      main, parse_config_file, read_csv)
+from siq.equilibria import (endemic_point, predict_endemic_from_history,
+                            seiq_endemic_point)
 from siq.errors import ConfigError, HorizonTooShort
 from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
                            simulate)
@@ -400,9 +402,67 @@ def test_cli_rejects_nonpositive_r(tmp_path, capsys, r):
         assert not out.exists()
 
 
+def test_cli_spectrum_rejects_endemic_sigma(capsys):
+    # the endemic CharEq is the SIQ linearization: this call used to exit 0
+    # with 2 unstable roots, where the SEIQ linearization has none
+    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0",
+                 "--kappa", "10", "--sigma", "0.5", "--q", "0",
+                 "--equilibrium", "endemic"]) == 1
+    assert "sigma = 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma, e0, q0", [(0.0, 0.0, 0.05),
+                                           (0.5, 0.05, 0.02)])
+def test_cli_endemic_reads_the_outbreak_leaf(sigma, e0, q0):
+    # I = 0 before t = 0, so outbreak data sit on the leaf (q0, e0) exactly:
+    # the row is the library point there, and the window quadrature agrees
+    argv = ["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+            "--kappa", "2", "--sigma", str(sigma), "--i0", "0.01",
+            "--q0", str(q0), "--e0", str(e0)]
+    args = build_parser().parse_args(argv)
+    _, _, rows, _ = args.func(args)
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=sigma)
+    if sigma:
+        pt = seiq_endemic_point(ps, e0, q0)
+        want = [q0, e0, pt.v_S, pt.v_E, pt.v_I, pt.v_Q, 1]
+    else:
+        pt = endemic_point(ps, q0)
+        want = [q0, "", pt.v_S, "", pt.v_I, pt.v_Q, 1]
+    assert rows == [want]
+    old = predict_endemic_from_history(ps, outbreak_history(ps, 0.01, q0, e0))
+    for value, was in zip(rows[0], (old.q, old.eta, old.v_S, old.v_E,
+                                    old.v_I, old.v_Q)):
+        assert was is None if value == "" else abs(value - was) <= 1e-15
+    # bad outbreak data still fail, and --eta labels only a --q leaf
+    assert main(argv + ["--i0", "0.99"]) == 1
+    assert main(argv + ["--eta", "0.1"]) == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", "--i0"), ("spectrum", "--q0"), ("spectrum", "--e0"),
+    ("spectrum", "--t-end"), ("spectrum", "--step"),
+    ("endemic", "--step"), ("endemic", "--t-end")])
+def test_scenario_commands_reject_flags_they_do_not_read(command, flag,
+                                                         capsys):
+    assert main([command, "--r", "2.5", "--p", "0.5", "--tau", "0",
+                 "--kappa", "10", "--q", "0", flag, "1"]) == 1
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # I_peak
 # ---------------------------------------------------------------------------
+
+def test_i_peak_as_accurate_as_the_trajectory():
+    # the peak of the dense cubic at h = 0.01 against a h = 5e-4 run: the
+    # node maximum is off by 7.7e-9 here, the cell midpoints no better
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=5.0)
+    hist = outbreak_history(ps, 0.01)
+    ref = i_peak(simulate(ps, hist, 60.0, 5e-4))
+    traj = simulate(ps, hist, 60.0, 0.01)
+    assert float(traj.states[:, 1].max()) < ref - 5e-9
+    assert i_peak(traj) == pytest.approx(ref, abs=1e-10)
+
 
 def test_i_peak_subcritical_equals_i0():
     # monotone-decreasing case: tau = 0 so removal acts from the start and

@@ -1,6 +1,7 @@
 """Spectral tests: characteristic function identities, continuation
 counts against the winding-number reference, the collocation oracle and
-bisection, Hopf detection, and the tau = 0 large-delay formulas."""
+bisection, the large-delay spectrum against max gamma of A/B, and Hopf
+detection."""
 
 import cmath
 import math
@@ -11,14 +12,12 @@ import pytest
 
 from dde_reference import siq_field
 from siq.equilibria import endemic_point, q_critical
-from siq.errors import EpsNotBelowOne, InvalidFractions, NumericalError
+from siq.errors import ConfigError, InvalidFractions, NumericalError
 from siq.siq_model import ModelParams
-from siq.spectral import (CharEq, asymptotic_spectrum_tau0, axis_crossings,
-                          count_unstable, disease_free_chareq,
-                          e0_hopf_bound, endemic_chareq, hopf_crossings,
-                          hopf_kappa0,
-                          seiq_disease_free_chareq, stability_map,
-                          strong_spectrum_tau0)
+from siq.spectral import (CharEq, axis_crossings, count_unstable,
+                          disease_free_chareq, endemic_chareq, hopf_crossings,
+                          hopf_kappa0, seiq_disease_free_chareq,
+                          stability_map)
 from spectral_reference import (Box, ContourThroughZero, default_box,
                                 winding_count)
 
@@ -331,78 +330,80 @@ def test_real_root_through_zero_raises():
     lambda: endemic_chareq(PS, q_critical(PS.r, PS.p, PS.tau)),
     lambda: endemic_chareq(PS, 0.6),
     lambda: stability_map(2.5, 0.5, 0.0, [0.0, 0.25], [1.0]),   # q_c = 0.2
-    lambda: asymptotic_spectrum_tau0(2.5, 0.5, -0.1),
-    lambda: asymptotic_spectrum_tau0(2.5, 0.5, 0.25),
 ], ids=["disease-free q<0", "disease-free q>1", "endemic q<0",
         "seiq eta<0", "seiq q<0", "seiq eta+q>1", "stability-map q<0",
-        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c",
-        "asymptotic q<0", "asymptotic q>q_c"])
+        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c"])
 def test_leaf_labels_outside_simplex_rejected(call):
     with pytest.raises(InvalidFractions):
         call()
 
 
+def test_endemic_chareq_rejects_sigma():
+    # the endemic CharEq is the SIQ linearization; at sigma = 0.5 it used
+    # to count the SIQ spectrum (2 unstable roots at kappa = 10, where the
+    # SEIQ linearization has none)
+    ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=10.0, sigma=0.5)
+    with pytest.raises(ConfigError, match="sigma = 0.5"):
+        endemic_chareq(ps, 0.0)
+
+
 # ---------------------------------------------------------------------------
-# closed forms at tau = 0
+# large-delay spectrum
 # ---------------------------------------------------------------------------
 
-def test_strong_spectrum_values():
-    lp, lm = strong_spectrum_tau0(2.5, 0.5, 0.0)
-    assert lp == pytest.approx(-0.125 + 0.2904737509655563j, abs=1e-9)
-    assert lm == pytest.approx(-0.125 - 0.2904737509655563j, abs=1e-9)
+def _gamma_split(chi):
+    """chi = A + B e^{-kappa lam} with A = lam^2 + lam (c + beta e) + b e,
+    B = -b e (lam + 1), e = e^{-tau lam}: (A, B) and
+    gamma(omega) = -log|A(i omega)/B(i omega)|."""
+    r, eps, tau = chi.r, chi.eps, chi.tau
+    b, beta = r * chi.w_i * eps, r * chi.w_s * eps
+    c = 1.0 - r * chi.w_s + r * chi.w_i
+
+    def a_term(lam):
+        e = np.exp(-tau * lam)
+        return lam * lam + lam * (c + beta * e) + b * e
+
+    def b_term(lam):
+        return -b * np.exp(-tau * lam) * (lam + 1.0)
+
+    def gamma(omega):
+        return -np.log(np.abs(a_term(1j * omega) / b_term(1j * omega)))
+
+    return a_term, b_term, gamma
 
 
-def test_strong_spectrum_vanishes_at_qc():
-    qc = q_critical(2.5, 0.5, 0.0)
-    lp, lm = strong_spectrum_tau0(2.5, 0.5, qc - 1e-12)
-    assert abs(lp) <= 1e-6 and abs(lm) <= 1e-6
-
-
-def test_strong_spectrum_always_damped():
-    qc = q_critical(2.5, 0.5, 0.0)
-    for q in np.linspace(0.0, qc - 1e-9, 100):
-        lp, lm = strong_spectrum_tau0(2.5, 0.5, float(q))
-        assert lp.real < 0 and lm.real < 0
-
-
-def test_asymptotic_spectrum_h_and_window():
-    a = asymptotic_spectrum_tau0(2.5, 0.5, 0.0)
-    assert a.h == pytest.approx(-5.0, abs=1e-12)
-    assert a.q_h is None and a.note is not None   # discriminant < 0, flagged
-    assert a.gamma(0.0) == 0.0
-
-    b = asymptotic_spectrum_tau0(2.5, 0.5, 0.1)
-    assert b.h == pytest.approx(19.0, abs=1e-12)
-    grid = np.linspace(0.05, 8.0, 400)
-    assert np.max(b.gamma(grid)) < 0.0            # damped comb off omega = 0
-
-    c = asymptotic_spectrum_tau0(2.5, 0.59, 0.01)
-    assert c.q_h is not None                      # discriminant >= 0 here
-    assert c.q_h[0] <= c.q_h[1]
-
-
-def test_gamma_zero_at_origin_grid():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        r = rng.uniform(1.3, 5.0)
-        p = rng.uniform(0.05, 0.95)
-        qc = q_critical(r, p, 0.0)
-        if qc <= 0.01:
+@pytest.mark.parametrize("tau, q, unstable", [
+    (0.0, 0.0, True), (0.0, 0.1, True), (0.5, 0.0, False)])
+def test_large_delay_spectrum_tends_to_max_gamma(tau, q, unstable):
+    # Lichtner, Wolfrum & Yanchuk (SIAM J. Math. Anal. 43, 2011): as kappa
+    # grows, kappa Re lam of the rightmost roots of A + B e^{-kappa lam}
+    # tends to max gamma, here from below with a gap of order 1/kappa;
+    # where max gamma <= 0 no root is unstable
+    ps = ModelParams(r=2.5, p=0.5, tau=tau, kappa=0.0)
+    a_term, b_term, gamma = _gamma_split(endemic_chareq(ps, q))
+    rng = np.random.default_rng(11)
+    for kappa in (0.0, 3.0, 100.0):
+        chi = endemic_chareq(replace(ps, kappa=kappa), q)
+        for lam in rng.normal(size=5) + 1j * rng.normal(size=5):
+            want = a_term(lam) + b_term(lam) * np.exp(-kappa * lam)
+            assert abs(complex(chi(lam)) - want) <= 1e-12 * (1.0 + abs(want))
+    grid = np.linspace(1e-3, 10.0, 10000)
+    k = int(np.argmax(gamma(grid)))
+    top = float(gamma(np.linspace(grid[max(k - 1, 0)], grid[k + 1],
+                                  2001)).max())
+    assert (top > 0.1) if unstable else (top <= 0.0)
+    gaps = []
+    for kappa in (100.0, 200.0, 400.0):
+        rep = count_unstable(endemic_chareq(replace(ps, kappa=kappa), q),
+                             locate=unstable)
+        if not unstable:
+            assert rep.unstable_count == 0
             continue
-        q = rng.uniform(0.0, qc - 0.01)
-        a = asymptotic_spectrum_tau0(r, p, q)
-        assert a.gamma(0.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_e0_hopf_bound():
-    q_max, w2 = e0_hopf_bound(2.5, 0.5, 0.0)
-    assert w2 == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert q_max == pytest.approx(1.0 - 0.4 / 0.75, abs=1e-12)
-    # eps -> 0: no delayed feedback, the bound collapses
-    _, w2_small = e0_hopf_bound(2.5, 1e-8, 0.0)
-    assert w2_small <= 1e-15
-    with pytest.raises(EpsNotBelowOne):
-        e0_hopf_bound(2.5, 1.0, 0.0)
+        assert len(rep.roots) == rep.unstable_count > 0
+        gaps.append(top - kappa * max(z.real for z in rep.roots))
+    assert all(g > 0.0 for g in gaps)
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert 1.8 <= wide / narrow <= 2.1
 
 
 # ---------------------------------------------------------------------------
