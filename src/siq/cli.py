@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
@@ -108,7 +110,13 @@ def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
 # ---------------------------------------------------------------------------
 
 PARAM_KEYS = ("r", "p", "tau", "kappa", "sigma")
-CONFIG_KEYS = PARAM_KEYS + ("i0", "q0", "e0", "t_end", "step", "out")
+OUTBREAK_KEYS = ("i0", "q0", "e0")
+CONFIG_KEYS = PARAM_KEYS + OUTBREAK_KEYS + ("t_end", "step", "out")
+#: The scenario keys each command reads; it registers a flag for each, and
+#: a config file may give only these.  A command given its leaf by --q
+#: (spectrum, endemic --q) reads LEAF_KEYS.
+ENDEMIC_KEYS = PARAM_KEYS + OUTBREAK_KEYS + ("out",)
+LEAF_KEYS = PARAM_KEYS + ("out",)
 
 
 @dataclass(frozen=True)
@@ -145,10 +153,15 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def build_scenario(args) -> ScenarioConfig:
+def build_scenario(args, keys: Sequence[str] = CONFIG_KEYS) -> ScenarioConfig:
+    """Scenario from ``--config`` and the flags, flags over file values.
+    The file may give only ``keys``, the keys the command reads."""
     values = parse_config_file(args.config) if args.config else {}
-    # CLI flags override file values
-    for key in CONFIG_KEYS:
+    for key in values:
+        if key not in keys:
+            raise ConfigError(f"{args.config}: key {key!r} is not read by "
+                              f"this command (it reads {', '.join(keys)})")
+    for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -297,18 +310,23 @@ def cmd_simulate(args) -> Artifact:
 
 
 def cmd_endemic(args) -> Artifact:
-    sc = build_scenario(args)
-    params = sc.params
     if args.q is not None:
+        for key in OUTBREAK_KEYS:
+            if getattr(args, key) is not None:
+                raise ConfigError(f"--{key} gives outbreak data, whose leaf "
+                                  "--q replaces")
+        sc = build_scenario(args, LEAF_KEYS)
         q, eta = args.q, args.eta
     elif args.eta is not None:
         raise ConfigError("--eta labels a leaf given by --q; outbreak data "
                           "sit on the leaf (q0, e0)")
     else:
+        sc = build_scenario(args, ENDEMIC_KEYS)
         # built only to reject bad outbreak data: I = 0 before t = 0, so
         # valid data sit on the leaf (q0, e0) exactly
-        outbreak_history(params, sc.i0, sc.q0, sc.e0)
+        outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
         q, eta = sc.q0, sc.e0 or None
+    params = sc.params
     if params.sigma > 0 or eta is not None:
         pt = seiq_endemic_point(params, eta or 0.0, q)
     else:
@@ -322,7 +340,7 @@ def cmd_endemic(args) -> Artifact:
 
 
 def cmd_spectrum(args) -> Artifact:
-    sc = build_scenario(args)
+    sc = build_scenario(args, LEAF_KEYS)
     params = sc.params
     q, eta = args.q or 0.0, args.eta or 0.0
     latent = args.equilibrium == "disease-free" and params.sigma > 0
@@ -374,19 +392,93 @@ def cmd_hopf(args) -> Artifact:
     return args.out, ["m", "kappa_m"], rows, meta
 
 
+def _fan_out(fn, items: list) -> tuple[list, int]:
+    """``[fn(x) for x in items]`` on one process per available core, and
+    the number of processes used.
+
+    The items are dealt round-robin to ``min(len(items), cores)`` shares.
+    This process runs share 0; every other share runs in a forked child,
+    which pickles its results, or its first error, back through a pipe.
+    The results keep item order, and the error raised is that of the
+    lowest-index failing item, as a serial loop would raise.  With one
+    share nothing is forked.  Fork, not spawn: a spawned worker imports
+    numpy and siq again, and ``fn`` need not be picklable.  Only the
+    results cross the pipe, so each should be small.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    workers = max(1, min(len(items), cores))
+    shares = [items[w::workers] for w in range(workers)]
+
+    def run(share):
+        results = []
+        for k, item in enumerate(share):
+            try:
+                results.append(fn(item))
+            except Exception as exc:
+                return False, (k, exc)
+        return True, results
+
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:                # child: never returns
+                code = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(run(share)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        outcomes = [run(shares[0])]
+    finally:
+        received = []
+        for pid, r in children:
+            with os.fdopen(r, "rb") as fh:
+                data = fh.read()
+            received.append((data, os.waitpid(pid, 0)[1]))
+    for share, (data, status) in zip(shares[1:], received):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0 or not data:
+            outcomes.append((False, (0, NumericalError(
+                f"the worker for items {share} ended without a result "
+                f"(wait status {status}, exit code {code})"))))
+        else:
+            outcomes.append(pickle.loads(data))
+    errors = {w + value[0] * workers: value[1]
+              for w, (ok, value) in enumerate(outcomes) if not ok}
+    if errors:
+        raise errors[min(errors)]
+    results = [None] * len(items)
+    for w, (_, share_results) in enumerate(outcomes):
+        results[w::workers] = share_results
+    return results, workers
+
+
 def cmd_ipeak(args) -> Artifact:
     sc = build_scenario(args)
-    rows = []
-    for tok in args.kappas.split(","):
-        tok = tok.strip()
-        kap = math.inf if tok in ("inf", "Inf") else float(tok)
+    kappas = [math.inf if tok.strip() in ("inf", "Inf") else float(tok)
+              for tok in args.kappas.split(",")]
+
+    def peak_and_steps(kap):
         params = replace(sc.params, kappa=0.0 if math.isinf(kap) else kap)
         hist = outbreak_history(params, sc.i0, sc.q0, sc.e0)
         traj = simulate(params, hist, sc.t_end, sc.step,
                         kappa_inf=math.isinf(kap))
-        rows.append((kap, i_peak(traj, settle=args.settle)))
+        return i_peak(traj, settle=args.settle), traj.n_nodes - 1
+
+    runs, workers = _fan_out(peak_and_steps, kappas)
+    rows = [(kap, peak) for kap, (peak, _) in zip(kappas, runs)]
     meta = params_meta(sc.params, i0=sc.i0, q0=sc.q0, e0=sc.e0,
-                       t_end=sc.t_end, step=sc.step, settle=args.settle)
+                       t_end=sc.t_end, step=sc.step, settle=args.settle,
+                       workers=workers, steps=sum(n for _, n in runs))
     return sc.out, ["kappa", "I_peak"], rows, meta
 
 
@@ -455,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("endemic", help="endemic point on a leaf")
-    _add_scenario_flags(sp, PARAM_KEYS + ("i0", "q0", "e0", "out"))
+    _add_scenario_flags(sp, ENDEMIC_KEYS)
     sp.add_argument("--q", type=float, default=None, help="leaf label")
     sp.add_argument("--eta", type=float, default=None, help="latent leaf label")
     sp.set_defaults(func=cmd_endemic)
 
     sp = sub.add_parser("spectrum", help="count/locate unstable roots")
-    _add_scenario_flags(sp, PARAM_KEYS + ("out",))
+    _add_scenario_flags(sp, LEAF_KEYS)
     sp.add_argument("--equilibrium", choices=["disease-free", "endemic"],
                     default="disease-free")
     sp.add_argument("--q", type=float, default=None)

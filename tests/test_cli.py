@@ -3,16 +3,17 @@ round-trips."""
 
 import argparse
 import math
+import os
 
 import numpy as np
 import pytest
 
 from siq import __version__
-from siq.cli import (build_parser, build_scenario, critical_rows, i_peak,
-                     main, parse_config_file, read_csv)
+from siq.cli import (_fan_out, build_parser, build_scenario, critical_rows,
+                     i_peak, main, parse_config_file, read_csv)
 from siq.equilibria import (endemic_point, predict_endemic_from_history,
                             seiq_endemic_point)
-from siq.errors import ConfigError, HorizonTooShort
+from siq.errors import ConfigError, HorizonTooShort, NumericalError
 from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
                            simulate)
 
@@ -120,12 +121,13 @@ def test_cli_usage_error_exit_code(capsys):
 
 
 def test_config_file_out_honoured_by_every_scenario_command(tmp_path, capsys):
-    scenario = "r = 2.5\np = 0.5\ntau = 0.5\nkappa = 1\ni0 = 0.01\n"
-    extra = {"simulate": ["--t-end", "1", "--step", "0.01"],
+    # i0 is a flag: spectrum and endemic --q reject it in a config file
+    scenario = "r = 2.5\np = 0.5\ntau = 0.5\nkappa = 1\n"
+    extra = {"simulate": ["--i0", "0.01", "--t-end", "1", "--step", "0.01"],
              "endemic": ["--q", "0"],
              "spectrum": ["--q", "0"],
-             "ipeak": ["--t-end", "60", "--step", "0.01", "--kappas", "1",
-                       "--p", "0.9", "--tau", "0"]}
+             "ipeak": ["--i0", "0.01", "--t-end", "60", "--step", "0.01",
+                       "--kappas", "1", "--p", "0.9", "--tau", "0"]}
     for command, flags in extra.items():
         out = tmp_path / f"{command}.csv"
         cfg = tmp_path / f"{command}.cfg"
@@ -438,6 +440,26 @@ def test_cli_endemic_reads_the_outbreak_leaf(sigma, e0, q0):
     assert main(argv + ["--eta", "0.1"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--i0", "--q0", "--e0"])
+def test_cli_endemic_rejects_outbreak_data_with_q(flag, capsys):
+    assert main(["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0",
+                 "--kappa", "1", "--q", "0", flag, "0.2"]) == 1
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, cfg, key", [
+    ("spectrum", ["--q", "0"], "step = 7\ni0 = 0.3\nt_end = 1\n", "step"),
+    ("endemic", [], "t_end = 1\n", "t_end"),
+    ("endemic", ["--q", "0"], "i0 = 0.3\n", "i0")])
+def test_config_file_keys_the_command_does_not_read(tmp_path, capsys,
+                                                    command, flags, cfg, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg)
+    assert main([command, "--r", "2.5", "--p", "0.5", "--tau", "0",
+                 "--kappa", "1", "--config", str(path), *flags]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("spectrum", "--i0"), ("spectrum", "--q0"), ("spectrum", "--e0"),
     ("spectrum", "--t-end"), ("spectrum", "--step"),
@@ -507,6 +529,123 @@ def test_cli_ipeak_kappa_inf_keeps_e0(tmp_path):
     assert traj.dimension == 4
     assert peaks["inf"] == float(format(i_peak(traj), ".9g"))
     assert peaks["inf"] <= peaks["5"] <= peaks["1"]
+
+
+# ---------------------------------------------------------------------------
+# the kappa sweep on every core
+# ---------------------------------------------------------------------------
+
+def _set_cores(monkeypatch, n):
+    assert n <= 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_fan_out_keeps_item_order(monkeypatch, cores):
+    _set_cores(monkeypatch, cores)
+    items = list(range(7))
+    results, workers = _fan_out(lambda x: (x, os.getpid()), items)
+    _assert_no_child_left()
+    assert workers == cores
+    assert [x for x, _ in results] == items
+    # share 0 runs here, each other share in a process of its own
+    pids = [pid for _, pid in results]
+    assert pids[::cores] == [os.getpid()] * len(pids[::cores])
+    assert len(set(pids)) == cores
+
+
+def test_fan_out_forks_nothing_for_one_item(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", no_fork)
+    _set_cores(monkeypatch, 3)
+    assert _fan_out(lambda x: 2 * x, [4]) == ([8], 1)
+    _set_cores(monkeypatch, 1)
+    assert _fan_out(lambda x: 2 * x, [1, 2, 3]) == ([2, 4, 6], 1)
+
+
+def test_fan_out_child_without_result(monkeypatch):
+    _set_cores(monkeypatch, 2)
+
+    def fn(x):
+        if x == "lost":
+            os._exit(3)
+        return x
+    with pytest.raises(NumericalError) as err:
+        _fan_out(fn, ["kept", "lost"])
+    _assert_no_child_left()
+    assert "['lost']" in str(err.value) and "exit code 3" in str(err.value)
+
+
+def test_fan_out_raises_the_lowest_index_error(monkeypatch):
+    _set_cores(monkeypatch, 2)
+
+    def fn(x):
+        if x < 0:
+            raise ValueError(f"item {x}")
+        return x
+    for items, first in (([1, -1, -2, 2], "item -1"),     # child's share
+                         ([-3, -1, 2, -2], "item -3")):   # this process's
+        with pytest.raises(ValueError, match=first):
+            _fan_out(fn, items)
+        _assert_no_child_left()
+
+
+IPEAK = ["ipeak", "--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "0",
+         "--i0", "0.01", "--t-end", "100", "--step", "0.01"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--kappas", "25,0,inf,2,10,1,5"],
+    ["--sigma", "0.5", "--kappas", "10,0,5,1,2,25"]])
+def test_cli_ipeak_artifact_independent_of_core_count(tmp_path, monkeypatch,
+                                                       extra):
+    texts = []
+    for cores in (1, 2, 3):
+        _set_cores(monkeypatch, cores)
+        out = tmp_path / f"peaks{cores}.csv"
+        assert main(IPEAK + extra + ["--out", str(out)]) == 0
+        _assert_no_child_left()
+        lines = out.read_text().splitlines()
+        assert f"# workers = {cores}" in lines
+        texts.append([ln for ln in lines if not ln.startswith("# workers")])
+    assert texts[0] == texts[1] == texts[2]
+    kappas = extra[-1].split(",")
+    assert [row.split(",")[0] for row in texts[0][-len(kappas):]] == kappas
+
+
+def test_cli_ipeak_records_its_steps(tmp_path):
+    # steps: the integrator steps of every kappa run, ceil(t_end/step) each
+    out = tmp_path / "peaks.csv"
+    assert main(["ipeak", "--r", "2.5", "--p", "0.9", "--tau", "0",
+                 "--kappa", "1", "--i0", "0.01", "--t-end", "60.01",
+                 "--step", "0.02", "--kappas", "1,inf,3", "--settle", "5",
+                 "--out", str(out)]) == 0
+    meta, _, _ = read_csv(str(out))
+    assert int(meta["steps"]) == 3 * math.ceil(60.01 / 0.02) == 9003
+    assert 1 <= int(meta["workers"]) <= 3
+
+
+@pytest.mark.parametrize("kappas, first", [
+    ("5,2,1", 2.0),      # index 1, a child's share, fails first
+    ("0,1", 0.0)])       # index 0, this process's share, fails first
+def test_cli_ipeak_reports_the_lowest_index_failure(monkeypatch, capsys,
+                                                    kappas, first):
+    # at t_end = 60, kappa = 0, 1 and 2 stop rising too late to settle
+    _set_cores(monkeypatch, 2)
+    argv = IPEAK[:-4] + ["--t-end", "60", "--step", "0.01",
+                         "--kappas", kappas]
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=first)
+    with pytest.raises(HorizonTooShort) as err:
+        i_peak(simulate(ps, outbreak_history(ps, 0.01), 60.0, 0.01))
+    assert main(argv) == 2
+    _assert_no_child_left()
+    assert capsys.readouterr().err == f"numerical failure: {err.value}\n"
 
 
 # ---------------------------------------------------------------------------
