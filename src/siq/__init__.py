@@ -23,4 +23,4 @@ from .siq_model import (DiseaseSpec, ModelParams, ValidationReport,
 from .spectral import (CharEq, HopfData, SpectralReport, StabilityMap,
                        axis_crossings, count_unstable, disease_free_chareq,
                        endemic_chareq, hopf_crossings, hopf_kappa0,
-                       seiq_disease_free_chareq, stability_map)
+                       stability_map)

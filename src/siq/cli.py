@@ -35,7 +35,7 @@ from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
 from .siq_model import (ModelParams, conserved_H, conserved_H_star,
                         load_disease_table, outbreak_history, simulate)
 from .spectral import (count_unstable, disease_free_chareq, endemic_chareq,
-                       hopf_crossings, seiq_disease_free_chareq, stability_map)
+                       hopf_crossings, stability_map)
 
 #: Reference critical times (p_c, T_c in days) tabulated at p = 0.8 for the
 #: bundled disease list; rows whose formula value disagrees are flagged.
@@ -343,14 +343,11 @@ def cmd_spectrum(args) -> Artifact:
     sc = build_scenario(args, LEAF_KEYS)
     params = sc.params
     q, eta = args.q or 0.0, args.eta or 0.0
-    latent = args.equilibrium == "disease-free" and params.sigma > 0
-    if eta and not latent:
-        raise ConfigError(f"eta = {eta!r} labels the latent disease-free "
-                          "point only (sigma > 0, --equilibrium disease-free)")
-    if latent:
-        chi = seiq_disease_free_chareq(params, eta, q)
-    elif args.equilibrium == "disease-free":
-        chi = disease_free_chareq(params, q)
+    if args.equilibrium == "disease-free":
+        chi = disease_free_chareq(params, q, eta)
+    elif eta:
+        raise ConfigError(f"eta = {eta!r} labels the disease-free point "
+                          "only (--equilibrium disease-free)")
     else:
         chi = endemic_chareq(params, q)
     rep = count_unstable(chi, locate=not args.no_locate)
@@ -549,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("endemic", help="endemic point on a leaf")
     _add_scenario_flags(sp, ENDEMIC_KEYS)
     sp.add_argument("--q", type=float, default=None, help="leaf label")
-    sp.add_argument("--eta", type=float, default=None, help="latent leaf label")
+    sp.add_argument("--eta", type=float, default=None, help="leaf label of E")
     sp.set_defaults(func=cmd_endemic)
 
     sp = sub.add_parser("spectrum", help="count/locate unstable roots")

@@ -1,18 +1,19 @@
-"""Characteristic quasi-polynomials of the equilibrium families, unstable
-root counts by continuation, root location by collocation, and Hopf points
-in the isolation time by D-subdivision.
+"""Characteristic quasi-polynomials of the equilibria, unstable root counts
+by continuation, root location by collocation, and Hopf points in the
+isolation time by D-subdivision.
 
-chi has a structural zero root (order 1, or 2 for the latent disease-free
-family).  Divided by it, chi at kappa = 0 (sigma = 0) is
-lam + a + b e^{-tau lam}, whose unstable count is closed form (Hayes 1950).
-The equations are retarded, so roots then move into or out of Re > 0 only
-across the imaginary axis, where chi = A + B e^{-kappa lam} has |A| = |B|;
-each crossing moves the count by 2 sign F'(omega), F = |A|^2 - |B|^2.
-Roots are located by a Chebyshev collocation of the linearized system,
-Newton-polished on chi, refined until they number exactly the count.
-The large-kappa spectrum is the same count at that kappa: kappa Re lam of
-the rightmost roots tends to max -log|A(i omega)/B(i omega)| (Lichtner,
-Wolfrum & Yanchuk 2011).
+One chi serves every equilibrium (w_S, w_I) of the SEIQ system, the SIQ
+model being sigma = 0.  Its structural zero root is simple.  Divided by
+it, chi at sigma = kappa = 0 is lam + a + b e^{-tau lam}, whose unstable
+count is closed form (Hayes 1950).  The equations are retarded, so roots
+then move into or out of Re > 0 only across the imaginary axis, first as
+sigma grows (w_I = 0 only), then as kappa grows, where
+chi = A + B e^{-kappa lam} has |A| = |B|; each crossing moves the count by
+2 sign F'(omega), F = |A|^2 - |B|^2.  Roots are located by a Chebyshev
+collocation of the linearized system, Newton-polished on chi, refined
+until they number exactly the count.  The large-kappa spectrum is the same
+count at that kappa: kappa Re lam of the rightmost roots tends to
+max -log|A(i omega)/B(i omega)| (Lichtner, Wolfrum & Yanchuk 2011).
 """
 
 from __future__ import annotations
@@ -34,24 +35,23 @@ TWO_PI = 2.0 * math.pi
 def _one_minus_exp(z):
     """1 - exp(-z), accurate for small |z| (complex, vectorized)."""
     z = np.asarray(z)
-    out = -np.expm1(-z.real) * np.exp(-1j * z.imag) + (1 - np.exp(-1j * z.imag))
+    rot = np.exp(-1j * z.imag)
     # assembled as 1 - e^{-x}e^{-iy} = (1 - e^{-iy}) + e^{-iy}(1 - e^{-x})
-    return out
+    return (1 - rot) - np.expm1(-z.real) * rot
 
 
 @dataclass(frozen=True)
 class CharEq:
-    """Characteristic function chi(lambda) at one equilibrium.
+    """Characteristic function chi(lambda) at the equilibrium (w_S, w_I):
+    the determinant of the (S, I) block of the SEIQ system linearized
+    there.  With u = e^{-sigma lam}, v = e^{-tau lam}, k = e^{-kappa lam}:
 
-    For the three-compartment model (latent=False):
-        chi = lam*(lam + 1 - r*w_S*(1 - eps*e^{-tau*lam})
-                        + r*w_I*(1 - eps*e^{-(tau+kappa)*lam}))
-              + r*w_I*eps*e^{-tau*lam}*(1 - e^{-kappa*lam})
-    For the latent-model disease-free family (latent=True, w_I = 0):
-        chi = lam^2*(lam + 1 - r*w_S*e^{-sigma*lam}*(1 - eps*e^{-tau*lam}))
+        chi = lam*(lam + 1 - r*w_S*u*(1 - eps*v) + r*w_I*(1 - eps*u*v*k))
+              + r*w_I*((1 - u) + eps*u*v*(1 - k))
 
-    chi(0) = 0 exactly; ``trivial_order`` is the multiplicity of that
-    structural zero root (1, or 2 for the latent family).
+    E and Q feed no right-hand side, so the full determinant is lam^2 chi.
+    sigma = 0 is the SIQ model.  chi(0) = 0 exactly, a simple structural
+    zero root.
     """
 
     r: float
@@ -61,25 +61,16 @@ class CharEq:
     w_s: float
     w_i: float
     sigma: float = 0.0
-    latent: bool = False
-
-    @property
-    def trivial_order(self) -> int:
-        return 2 if self.latent else 1
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)
-        et = np.exp(-self.tau * lam)
-        if self.latent:
-            es = np.exp(-self.sigma * lam)
-            return lam * lam * (lam + 1.0
-                                - self.r * self.w_s * es * (1.0 - self.eps * et))
-        ek = np.exp(-self.kappa * lam)
+        du = _one_minus_exp(self.sigma * lam)               # 1 - u
+        dk = _one_minus_exp(self.kappa * lam)               # 1 - k
+        uv = (1.0 - du) * np.exp(-self.tau * lam)
         lin = (lam + 1.0
-               - self.r * self.w_s * (1.0 - self.eps * et)
-               + self.r * self.w_i * (1.0 - self.eps * et * ek))
-        return lam * lin + self.r * self.w_i * self.eps * et * _one_minus_exp(
-            self.kappa * lam)
+               - self.r * self.w_s * (1.0 - du - self.eps * uv)
+               + self.r * self.w_i * (1.0 - self.eps * uv * (1.0 - dk)))
+        return lam * lin + self.r * self.w_i * (du + self.eps * uv * dk)
 
 
 def _check_fractions(**labels: float) -> None:
@@ -91,11 +82,15 @@ def _check_fractions(**labels: float) -> None:
             + ", ".join(f"{k} = {v!r}" for k, v in labels.items()))
 
 
-def disease_free_chareq(params: ModelParams, q: float) -> CharEq:
-    """Linearization at the disease-free point (1-q, 0, q)."""
-    _check_fractions(q=q)
+def disease_free_chareq(params: ModelParams, q: float,
+                        eta: float = 0.0) -> CharEq:
+    """Linearization at the disease-free point with E-component eta and
+    Q-component q: (1-eta-q, eta, 0, q), the SIQ point (1-q, 0, q) at
+    sigma = 0 and eta = 0."""
+    _check_fractions(eta=eta, q=q)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
-                  kappa=params.kappa, w_s=1.0 - q, w_i=0.0)
+                  kappa=params.kappa, w_s=1.0 - eta - q, w_i=0.0,
+                  sigma=params.sigma)
 
 
 def _check_endemic_leaf(q: float, qc: float) -> None:
@@ -118,22 +113,12 @@ def endemic_chareq(params: ModelParams, q: float) -> CharEq:
                   kappa=params.kappa, w_s=1.0 - qc, w_i=qc - q)
 
 
-def seiq_disease_free_chareq(params: ModelParams, eta: float,
-                             q: float) -> CharEq:
-    """Linearization at the latent-model disease-free point
-    (1-eta-q, eta, 0, q); the zero root has multiplicity 2."""
-    _check_fractions(eta=eta, q=q)
-    return CharEq(r=params.r, eps=params.eps, tau=params.tau,
-                  kappa=params.kappa, w_s=1.0 - eta - q, w_i=0.0,
-                  sigma=params.sigma, latent=True)
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """unstable_count = base + 2 * crossings: the closed-form count at
-    kappa = 0 (sigma = 0 for the latent family) and the signed axis
-    crossings below kappa (sigma).  ``roots`` (Re > 0) come from collocation
-    size ``collocation_n`` (0: none located); ``max_residual`` = max |chi|."""
+    sigma = kappa = 0 and the signed axis crossings below sigma, then below
+    kappa.  ``roots`` (Re > 0) come from collocation size ``collocation_n``
+    (0: none located); ``max_residual`` = max |chi|."""
 
     unstable_count: int
     roots: tuple[complex, ...]
@@ -146,13 +131,13 @@ class SpectralReport:
 
 
 def _base_count(chareq: CharEq) -> int:
-    """Unstable roots of chi/lam^d = lam + a + b e^{-tau lam} at kappa = 0
-    (sigma = 0), c = r(w_S - w_I), a = 1 - c, b = c eps (Hayes 1950): the
-    root -(a + b) of tau = 0 if negative, plus a pair crossing rightward at
-    each (theta + 2 pi k)/omega < tau when |b| > |a|, with
+    """Unstable roots of chi/lam = lam + a + b e^{-tau lam} at
+    sigma = kappa = 0, c = r(w_S - w_I), a = 1 - c, b = c eps (Hayes
+    1950): the root -(a + b) of tau = 0 if negative, plus a pair crossing
+    rightward at each (theta + 2 pi k)/omega < tau when |b| > |a|, with
     omega = sqrt(b^2 - a^2), theta in (0, 2 pi], cos theta = -a/b and
     sin theta = omega/b."""
-    c = chareq.r * (chareq.w_s - (0.0 if chareq.latent else chareq.w_i))
+    c = chareq.r * (chareq.w_s - chareq.w_i)
     a, b, tau = 1.0 - c, c * chareq.eps, chareq.tau
     count = int(a + b < 0.0)
     if abs(b) > abs(a):
@@ -172,9 +157,9 @@ def _signed_crossings(omega: np.ndarray, direction: np.ndarray,
         0.0, np.ceil((top * omega - theta) / TWO_PI))))
 
 
-def _latent_branches(chareq: CharEq):
-    """Axis frequencies in sigma of chi/lam^2 = A + B e^{-sigma lam},
-    A = lam + 1, B = -r w_S (1 - eps e^{-tau lam}), from
+def _sigma_branches(chareq: CharEq):
+    """Axis frequencies in sigma of chi/lam = A + B e^{-sigma lam} at
+    w_I = 0, A = lam + 1, B = -r w_S (1 - eps e^{-tau lam}), from
     F = 1 + omega^2 - (r w_S)^2 (1 - 2 eps cos(tau omega) + eps^2) > 0
     past |r w_S| (1 + eps); directions and alpha = arg(-A/B)."""
     rw, eps, tau = chareq.r * chareq.w_s, chareq.eps, chareq.tau
@@ -188,19 +173,24 @@ def _latent_branches(chareq: CharEq):
 
 
 def _continuation(chareq: CharEq) -> tuple[int, int]:
-    """(base, signed crossings): continued in kappa from kappa = 0, or in
-    sigma from sigma = 0 for the latent family."""
-    if chareq.latent:
-        return _base_count(chareq), _signed_crossings(
-            *_latent_branches(chareq), chareq.sigma)
+    """(base, signed crossings): the count at sigma = kappa = 0, continued
+    in sigma (w_I = 0 only: chi is then free of kappa) and then in kappa.
+    Continuing a point with infected in sigma is not modelled."""
+    r, eps, w_i = chareq.r, chareq.eps, chareq.w_i
+    crossings = 0
+    if chareq.sigma > 0.0:
+        if w_i != 0.0:
+            raise ConfigError(f"sigma = {chareq.sigma!r} with w_I = {w_i!r}: "
+                              "the count is continued in sigma only at "
+                              f"w_I = 0, at {_point(chareq)}")
+        crossings = _signed_crossings(*_sigma_branches(chareq), chareq.sigma)
     # chi'(0) moves with kappa, and a real root crossing at lam = 0 is
     # invisible to the axis frequencies omega > 0
-    r, eps, w_i = chareq.r, chareq.eps, chareq.w_i
     g0 = 1.0 - r * (chareq.w_s - w_i) * (1.0 - eps)
     if (g0 > 0.0) != (g0 + r * w_i * eps * chareq.kappa > 0.0):
         raise NumericalError(f"a real root crosses 0 at {_point(chareq)}")
-    return _base_count(chareq), _signed_crossings(*_kappa_branches(chareq),
-                                                  chareq.kappa)
+    return _base_count(chareq), crossings + _signed_crossings(
+        *_kappa_branches(chareq), chareq.kappa)
 
 
 def _point(chareq: CharEq) -> str:
@@ -220,22 +210,25 @@ def _delay_terms(chareq: CharEq) -> list[tuple[float, np.ndarray]]:
     """(delay, A_k) of x' = sum_k A_k x(t - d_k), the system linearized at
     the equilibrium, with d Phi = r (w_I dS + w_S dI).
 
-    Without infected (w_I = 0, and always in the latent family) S and E
-    decouple and carry the trivial roots, so the I equation alone,
+    Without infected (w_I = 0) S and E decouple and carry the trivial
+    roots, so the I equation alone,
     I' = -I + r w_S I(t - sigma) - eps r w_S I(t - sigma - tau), has
-    characteristic function chi/lam^d.  Otherwise (S, I) obeys
-    S' = -dPhi + I + eps dPhi(t-tau-kappa), I' = dPhi - I - eps dPhi(t-tau).
+    characteristic function chi/lam.  Otherwise (S, I) obeys
+    S' = -dPhi + I + eps dPhi(t - sigma - tau - kappa),
+    I' = dPhi(t - sigma) - I - eps dPhi(t - sigma - tau), whose
+    determinant is chi.
     """
-    r, eps, tau = chareq.r, chareq.eps, chareq.tau
-    if chareq.latent or chareq.w_i == 0.0:
-        rw, sigma = r * chareq.w_s, chareq.sigma if chareq.latent else 0.0
+    r, eps, tau, sigma = chareq.r, chareq.eps, chareq.tau, chareq.sigma
+    if chareq.w_i == 0.0:
+        rw = r * chareq.w_s
         return [(0.0, np.array([[-1.0]])), (sigma, np.array([[rw]])),
                 (sigma + tau, np.array([[-eps * rw]]))]
     f = r * np.array([chareq.w_i, chareq.w_s])
-    flux = np.array([[-1.0], [1.0]]) * f
-    return [(0.0, flux + np.array([[0.0, 1.0], [0.0, -1.0]])),
-            (tau, -eps * np.array([[0.0, 0.0], f])),
-            (tau + chareq.kappa, eps * np.array([f, [0.0, 0.0]]))]
+    zero = np.zeros(2)
+    return [(0.0, np.array([-f, zero]) + np.array([[0.0, 1.0], [0.0, -1.0]])),
+            (sigma, np.array([zero, f])),
+            (sigma + tau, -eps * np.array([zero, f])),
+            (sigma + tau + chareq.kappa, eps * np.array([f, zero]))]
 
 
 def _collocation_eigvals(terms, n: int) -> np.ndarray:
@@ -281,7 +274,7 @@ def _locate(chareq: CharEq, count: int) -> tuple[list[complex], int]:
     them.  N starts from the bound |lam + 1| <= rho - 1 on unstable roots,
     rho - 1 = r (w_S + w_I)(1 + eps) + r w_I eps min(kappa, 2/|lam|), and
     doubles until the polished roots with Re > 0 number exactly ``count``."""
-    w_i = 0.0 if chareq.latent else abs(chareq.w_i)
+    w_i = abs(chareq.w_i)
     rho = 1.0 + chareq.r * ((abs(chareq.w_s) + w_i) * (1.0 + chareq.eps)
                             + w_i * chareq.eps * min(chareq.kappa, 2.0))
     terms = _delay_terms(chareq)
@@ -289,7 +282,7 @@ def _locate(chareq: CharEq, count: int) -> tuple[list[complex], int]:
     n = min(max(8, math.ceil(rho * span / 6.0)), MAX_COLLOCATION_N)
     while True:
         ev = _collocation_eigvals(terms, n)
-        lam, resid = _polish(lambda z: chareq(z) / z ** chareq.trivial_order,
+        lam, resid = _polish(lambda z: chareq(z) / z,
                              ev[(ev.real > -1.0) & (np.abs(ev) <= 2.0 * rho)])
         roots: list[complex] = []
         for z in map(complex, lam[(lam.real > 0.0) & (
@@ -309,9 +302,9 @@ def _locate(chareq: CharEq, count: int) -> tuple[list[complex], int]:
 def count_unstable(chareq: CharEq, *, locate: bool = True) -> SpectralReport:
     """Roots of chi with Re > 0, the structural zero root excluded: the
     closed-form base continued through the signed axis crossings below
-    the chareq's own kappa (sigma).  With ``locate`` the roots are found
-    by collocation and must number the count, else NumericalError names
-    the point."""
+    the chareq's own sigma, then its own kappa; ConfigError at sigma > 0
+    with w_I != 0.  With ``locate`` the roots are found by collocation and
+    must number the count, else NumericalError names the point."""
     base, crossings = _continuation(chareq)
     count = base + 2 * crossings
     if count < 0:
@@ -535,11 +528,14 @@ def stability_map(r: float, p: float, tau: float,
     """Unstable counts of the endemic equilibria w(q): per q-row, the
     closed-form count at kappa = 0 plus twice the signed number of axis
     crossings below kappa (roots of this retarded equation enter the right
-    half-plane only across the imaginary axis as kappa grows)."""
+    half-plane only across the imaginary axis as kappa grows).  Invalid
+    (r, p, tau) raise ValueError; a q-row whose count fails numerically
+    is recorded in ``errors``."""
+    ModelParams(r=r, p=p, tau=tau, kappa=0.0)
     qs = [float(v) for v in q_grid]
     ks = [float(v) for v in kappa_grid]
-    if not all(k >= 0.0 for k in ks):
-        raise ValueError("kappa grid values must be >= 0")
+    if not all(math.isfinite(k) and k >= 0.0 for k in ks):
+        raise ValueError("kappa grid values must be finite and >= 0")
     qc = q_critical(r, p, tau)
     for q in qs:
         _check_endemic_leaf(q, qc)
@@ -554,15 +550,14 @@ def stability_map(r: float, p: float, tau: float,
             if min(row, default=0) < 0:
                 raise NumericalError(f"negative counts {row} at q={q!r}")
             counts[i] = row
-        except (NumericalError, ValueError) as exc:
+        except NumericalError as exc:
             errors.append((i, f"{type(exc).__name__}: {exc}"))
     return StabilityMap(q_grid=tuple(qs), kappa_grid=tuple(ks),
                         counts=counts, errors=tuple(errors))
 
 
 __all__ = [
-    "CharEq", "disease_free_chareq", "endemic_chareq",
-    "seiq_disease_free_chareq", "SpectralReport",
+    "CharEq", "disease_free_chareq", "endemic_chareq", "SpectralReport",
     "count_unstable", "HopfData",
     "axis_crossings", "hopf_crossings", "hopf_kappa0",
     "StabilityMap", "stability_map",

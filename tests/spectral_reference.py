@@ -2,7 +2,7 @@
 
 This is the second method ``siq.spectral.count_unstable`` (continuation
 from a closed-form base) is checked against.  The winding number of chi,
-deflated by lambda^d where the contour hugs the trivial zero root, is taken
+deflated by lambda where the contour hugs the trivial zero root, is taken
 on a rectangle with adaptive sampling: samples per side resolve the
 2 pi/kappa eigenvalue comb, and are doubled until the rounded count is
 stable three times.  A root on (or within rounding of) the contour raises
@@ -97,24 +97,19 @@ def _winding(f, box: Box, n0: int = 512, max_doublings: int = 8) -> int:
 
 
 def winding_count(chareq: CharEq, box: Box | None = None, *,
-                  deflation: int | None = None, samples: int = 512) -> int:
+                  samples: int = 512) -> int:
     """Roots of chi inside ``box`` (default: ``default_box``).
 
-    With box.re_min <= 1e-4 the trivial zero root sits inside or hugs the
-    edge, so chi is deflated by lambda^d; d defaults to the equilibrium
-    family's trivial root order.  Raises ContourThroughZero when a root
-    touches the contour through three inflations.
+    With box.re_min <= 1e-4 the simple structural zero root sits inside or
+    hugs the edge, so chi is deflated by lambda.  Raises
+    ContourThroughZero when a root touches the contour through three
+    inflations.
     """
     b = box or default_box(chareq)
-    if deflation is not None:
-        d = deflation
-    else:
-        d = chareq.trivial_order if b.re_min <= 1e-4 else 0
-
-    if d:
+    if b.re_min <= 1e-4:
         def f(lam):
             lam = np.asarray(lam, dtype=complex)
-            return chareq(lam) / lam ** d
+            return chareq(lam) / lam
     else:
         f = chareq
 

@@ -21,8 +21,7 @@ from siq.net_sim import (SimConfig, Network, average_runs,
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
                            load_disease_table, outbreak_history, simulate)
 from siq.spectral import (count_unstable, disease_free_chareq,
-                          endemic_chareq, hopf_crossings, hopf_kappa0,
-                          seiq_disease_free_chareq)
+                          endemic_chareq, hopf_crossings, hopf_kappa0)
 
 STEP = 1e-3
 
@@ -330,8 +329,8 @@ def test_criterion_07_ipeak_properties():
 
 
 def test_criterion_08_seiq_threshold_invariance():
-    """The latent-model disease-free transition sits at eta + q = q_c
-    within 1e-6 for sigma in {0, 0.5, 1}, and the latent endemic formulas
+    """The SEIQ disease-free transition sits at eta + q = q_c
+    within 1e-6 for sigma in {0, 0.5, 1}, and the SEIQ endemic formulas
     reduce to the three-state ones exactly at sigma=0, eta=0."""
     r, p, tau = 2.5, 0.5, 0.5
     qc = q_critical(r, p, tau)
@@ -341,7 +340,7 @@ def test_criterion_08_seiq_threshold_invariance():
             ps = ModelParams(r=r, p=p, tau=tau, kappa=1.0, sigma=sigma)
 
             def count_at(s):
-                chi = seiq_disease_free_chareq(ps, s / 3.0, 2.0 * s / 3.0)
+                chi = disease_free_chareq(ps, 2.0 * s / 3.0, eta=s / 3.0)
                 return count_unstable(chi, locate=False).unstable_count
 
             lo, hi = qc - 0.02, qc + 0.02

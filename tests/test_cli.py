@@ -290,18 +290,24 @@ def test_cli_rejects_endemic_leaf_beyond_qc(tmp_path, capsys):
 
 
 def test_cli_spectrum_rejects_eta_without_latent_point(tmp_path, capsys):
-    # eta labels the E leaf of the latent disease-free point; at sigma = 0
-    # it was dropped, and this call counted 1 unstable root for a point
-    # with eta + q = 0.5 > q_c
+    # eta labels the E leaf of the disease-free point at every sigma: with
+    # eta + q = 0.5 > q_c = 0.426 the point is stable, while q = 0.2 alone
+    # is not (at sigma = 0, eta was once dropped and this counted 1); the
+    # endemic point has no eta
     base = ["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
-            "--kappa", "1", "--q", "0.2", "--eta", "0.3"]
+            "--kappa", "1", "--q", "0.2"]
+    counts = {}
+    for extra in ([], ["--eta", "0.3"], ["--eta", "0.3", "--sigma", "0.5"]):
+        out = tmp_path / f"df{len(extra)}.csv"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        meta, _, _ = read_csv(str(out))
+        counts[" ".join(extra)] = (meta["eta"], meta["unstable_count"])
+    assert counts == {"": ("0", "1"), "--eta 0.3": ("0.3", "0"),
+                      "--eta 0.3 --sigma 0.5": ("0.3", "0")}
+    base += ["--eta", "0.3", "--equilibrium", "endemic"]
     assert main(base) == 1
     assert "eta = 0.3" in capsys.readouterr().err
-    assert main(base + ["--equilibrium", "endemic", "--sigma", "0.5"]) == 1
-    out = tmp_path / "latent.csv"
-    assert main(base + ["--sigma", "0.5", "--out", str(out)]) == 0
-    meta, _, _ = read_csv(str(out))
-    assert meta["eta"] == "0.3" and meta["unstable_count"] == "0"
+    assert main(base + ["--sigma", "0.5"]) == 1
 
 
 def test_cli_stability_map_small(tmp_path):
@@ -319,6 +325,18 @@ def test_cli_stability_map_small(tmp_path):
     assert grid[(0.0, 12.5)] == 2
     assert meta["unknown_cells"] == "0"
     assert not [k for k in meta if k.startswith("error_")]
+
+
+def test_cli_stability_map_rejects_invalid_model_parameters(tmp_path,
+                                                            capsys):
+    # p = 1.5 used to become "unknown cells" (one ValueError per q-row)
+    # in an artifact written with exit 0
+    out = tmp_path / "map.csv"
+    assert main(["stability-map", "--r", "2.5", "--p", "1.5", "--tau", "1",
+                 "--q-steps", "2", "--kappa-steps", "3",
+                 "--out", str(out)]) == 1
+    assert "p must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_stability_map_reports_failed_rows(tmp_path, monkeypatch):

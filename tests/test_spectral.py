@@ -10,14 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dde_reference import siq_field
+from dde_reference import seiq_field, siq_field
 from siq.equilibria import endemic_point, q_critical
 from siq.errors import ConfigError, InvalidFractions, NumericalError
 from siq.siq_model import ModelParams
 from siq.spectral import (CharEq, axis_crossings, count_unstable,
                           disease_free_chareq, endemic_chareq, hopf_crossings,
-                          hopf_kappa0, seiq_disease_free_chareq,
-                          stability_map)
+                          hopf_kappa0, stability_map)
 from spectral_reference import (Box, ContourThroughZero, default_box,
                                 winding_count)
 
@@ -31,9 +30,9 @@ QC = q_critical(2.5, 0.5, 0.5)
 
 def test_chi_vanishes_at_zero():
     for chi in (disease_free_chareq(PS, 0.3), endemic_chareq(PS, 0.1),
-                seiq_disease_free_chareq(
+                disease_free_chareq(
                     ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0, sigma=0.7),
-                    0.1, 0.1)):
+                    0.1, eta=0.1)):
         assert complex(chi(0.0)) == 0.0
 
 
@@ -78,14 +77,76 @@ def test_endemic_kappa0_collapse_dual_evaluation():
         assert abs(complex(chi(lam)) - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
-def test_seiq_disease_free_double_zero_root():
+def test_seiq_disease_free_simple_zero_root():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0, sigma=0.7)
-    chi = seiq_disease_free_chareq(ps, 0.05, 0.05)
-    assert chi.trivial_order == 2
-    # chi(h)/h^2 tends to a nonzero constant away from eta+q = q_c
-    vals = [complex(chi(h)) / h ** 2 for h in (1e-5, 1e-6)]
+    chi = disease_free_chareq(ps, 0.05, eta=0.05)
+    # chi(h)/h tends to a nonzero constant away from eta+q = q_c
+    vals = [complex(chi(h)) / h for h in (1e-5, 1e-6)]
     assert abs(vals[0] - vals[1]) <= 1e-4 * abs(vals[1])
     assert abs(vals[1]) > 1e-3
+
+
+def _seiq_jacobians(params: ModelParams, x: np.ndarray) -> list[np.ndarray]:
+    """Jacobians of ``seiq_field`` at the state x = (S, E, I, Q), in the
+    current state and in the states at lags sigma, sigma + tau and
+    sigma + tau + kappa, by central differences (h = 1e-3 is exact for the
+    bilinear field up to rounding)."""
+    field, h = seiq_field(params), 1e-3
+
+    def rhs(slot, dx):
+        y, z = x, [x, x, x]
+        if slot == 0:
+            y = x + dx
+        else:
+            z[slot - 1] = x + dx
+        return np.array(field.fn(0.0, y, z))
+
+    return [np.column_stack([(rhs(slot, h * e) - rhs(slot, -h * e)) / (2 * h)
+                             for e in np.eye(4)]) for slot in range(4)]
+
+
+def test_chareq_is_the_seiq_linearization():
+    # independent of chi's formula: det(lam - J_0 - sum_k J_k e^{-d_k lam})
+    # of the four-state SEIQ system is lam^2 chi (E and Q feed no right-hand
+    # side), at random points with sigma > 0 and w_I > 0; the collocated
+    # (S, I) delay system has determinant chi there too
+    from siq.spectral import _delay_terms
+    rng = np.random.default_rng(1313)
+    worst_full = worst_terms = 0.0
+    for _ in range(24):
+        ps = ModelParams(r=rng.uniform(1.3, 16.0), p=rng.uniform(0.05, 0.95),
+                         tau=rng.uniform(0.0, 2.0), kappa=rng.uniform(0.0, 30.0),
+                         sigma=rng.uniform(0.05, 2.0))
+        x = rng.dirichlet(np.ones(4))
+        chi = CharEq(r=ps.r, eps=ps.eps, tau=ps.tau, kappa=ps.kappa,
+                     w_s=x[0], w_i=x[2], sigma=ps.sigma)
+        jacs = _seiq_jacobians(ps, x)
+        lags = (ps.sigma, ps.sigma + ps.tau, ps.span)
+        terms = _delay_terms(chi)
+        for _ in range(3):
+            lam = complex(rng.uniform(-0.5, 2.0), 3.0 * rng.normal())
+            want = complex(chi(lam))
+            full = np.linalg.det(lam * np.eye(4) - jacs[0] - sum(
+                j * np.exp(-d * lam) for j, d in zip(jacs[1:], lags)))
+            block = np.linalg.det(lam * np.eye(2) - sum(
+                a * np.exp(-d * lam) for d, a in terms))
+            worst_full = max(worst_full, abs(full / lam ** 2 - want)
+                             / (1.0 + abs(want)))
+            worst_terms = max(worst_terms,
+                              abs(block - want) / (1.0 + abs(want)))
+    assert worst_full <= 1e-10
+    assert worst_terms <= 1e-12
+
+
+def test_count_unstable_rejects_sigma_with_infected():
+    # the count is continued in sigma only at w_I = 0; at (5, 0.85, 0.2,
+    # kappa = 8) with infected it used to ignore sigma and count the SIQ
+    # spectrum (4) at sigma = 0.5 and at sigma = 3
+    chi = endemic_chareq(ModelParams(r=5.0, p=0.85, tau=0.2, kappa=8.0), 0.0)
+    assert count_unstable(chi, locate=False).unstable_count == 4
+    for sigma in (0.5, 3.0):
+        with pytest.raises(ConfigError, match=f"sigma = {sigma}"):
+            count_unstable(replace(chi, sigma=sigma), locate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +272,12 @@ def _random_chareq(rng, family):
         if family == "disease-free":
             return disease_free_chareq(ModelParams(r, p, tau, kappa),
                                        rng.uniform(0.0, 1.0))
-        if family == "latent":
+        if family == "seiq disease-free":
             s = rng.uniform(0.0, 1.0)
             eta = rng.uniform(0.0, s)
-            return seiq_disease_free_chareq(
+            return disease_free_chareq(
                 ModelParams(r, p, tau, kappa, sigma=rng.uniform(0.0, 2.0)),
-                eta, s - eta)
+                s - eta, eta=eta)
 
 
 def test_continuation_matches_reference_on_random_points():
@@ -226,7 +287,8 @@ def test_continuation_matches_reference_on_random_points():
     rng = np.random.default_rng(707)
     compared = 0
     for k in range(102):
-        chi = _random_chareq(rng, ("endemic", "disease-free", "latent")[k % 3])
+        chi = _random_chareq(
+            rng, ("endemic", "disease-free", "seiq disease-free")[k % 3])
         rep = count_unstable(chi)
         assert len(rep.roots) == rep.unstable_count
         assert all(z.real > 0.0 for z in rep.roots)
@@ -253,9 +315,10 @@ def test_report_counters():
     rep = count_unstable(disease_free_chareq(PS, QC - 0.05), locate=False)
     assert (rep.base, rep.crossings, rep.collocation_n) == (1, 0, 0)
     assert rep.roots == () and rep.max_residual == 0.0
-    # latent family: the count moves by signed crossings in sigma
-    chi = seiq_disease_free_chareq(
-        ModelParams(r=12.0, p=0.9, tau=0.2, kappa=1.0, sigma=1.5), 0.0, 0.0)
+    # sigma > 0 at the disease-free point: the count moves by signed
+    # crossings in sigma
+    chi = disease_free_chareq(
+        ModelParams(r=12.0, p=0.9, tau=0.2, kappa=1.0, sigma=1.5), 0.0)
     rep = count_unstable(chi)
     assert rep.base == 1 and rep.crossings > 0
     assert rep.unstable_count == winding_count(chi) == len(rep.roots)
@@ -283,15 +346,15 @@ def test_collocation_cap_raises_named_error(monkeypatch):
 
 def test_collocation_system_is_the_linearization():
     # det(lam - sum_k A_k e^{-d_k lam}) of the collocated delay system is
-    # chi (the (S, I) system) or chi/lam^d (the I equation alone); and the
+    # chi (the (S, I) system) or chi/lam (the I equation alone); and the
     # raw collocation eigenvalues already sit on the roots before Newton
     from siq.spectral import _collocation_eigvals, _delay_terms
     rng = np.random.default_rng(11)
-    latent = ModelParams(r=4.0, p=0.7, tau=0.4, kappa=3.0, sigma=0.6)
+    seiq = ModelParams(r=4.0, p=0.7, tau=0.4, kappa=3.0, sigma=0.6)
     located = 0
     for chi, d in ((endemic_chareq(ModelParams(3.0, 0.6, 0.3, 20.0), 0.05), 0),
                    (disease_free_chareq(PS, 0.1), 1),
-                   (seiq_disease_free_chareq(latent, 0.1, 0.1), 2)):
+                   (disease_free_chareq(seiq, 0.1, eta=0.1), 1)):
         terms = _delay_terms(chi)
         for _ in range(5):
             lam = complex(rng.normal(), 3.0 * rng.normal())
@@ -321,9 +384,9 @@ def test_real_root_through_zero_raises():
     lambda: disease_free_chareq(PS, -0.3),
     lambda: disease_free_chareq(PS, 1.2),
     lambda: endemic_chareq(PS, -0.01),
-    lambda: seiq_disease_free_chareq(PS, -0.1, 0.2),
-    lambda: seiq_disease_free_chareq(PS, 0.1, -0.2),
-    lambda: seiq_disease_free_chareq(PS, 0.7, 0.4),
+    lambda: disease_free_chareq(PS, 0.2, eta=-0.1),
+    lambda: disease_free_chareq(PS, -0.2, eta=0.1),
+    lambda: disease_free_chareq(PS, 0.4, eta=0.7),
     lambda: stability_map(2.5, 0.5, 0.0, [-0.5, 0.0], [1.0]),
     lambda: hopf_crossings(2.5, 0.5, 0.0, -0.1, 10.0),
     # the endemic family (1 - q_c, q_c - q, q) needs q < q_c (w_I > 0)
@@ -583,8 +646,13 @@ def test_stability_map_reports_failed_rows(monkeypatch):
     res = stability_map(2.5, 0.5, 0.0, [0.0, 0.1], [1.0, 12.0])
     assert res.counts.tolist() == [[0, 2], [-1, -1]]
     assert res.errors == ((1, "NumericalError: forced"),)
-    with pytest.raises(ValueError):
-        stability_map(2.5, 0.5, 0.0, [0.0], [-1.0, 1.0])
+    for bad in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            stability_map(2.5, 0.5, 0.0, [0.0], [bad, 1.0])
+    # only numerical failures become rows: p = 1.5 used to be recorded as
+    # a failed row per q, not rejected
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        stability_map(2.5, 1.5, 1.0, [0.0, 0.1], [1.0])
 
 
 def test_hopf_tracked_leaf_regression():
