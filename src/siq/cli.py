@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import pickle
@@ -360,6 +361,9 @@ def cmd_spectrum(args) -> Artifact:
 
 
 def cmd_stability_map(args) -> Artifact:
+    # q_critical reads eps = p e^{-tau}: validate (r, p, tau) first, so an
+    # invalid tau is named as such
+    ModelParams(r=args.r, p=args.p, tau=args.tau, kappa=0.0)
     qc = q_critical(args.r, args.p, args.tau)
     q_hi = args.q_max if args.q_max is not None else qc * 0.98
     qs = np.linspace(args.q_min, q_hi, args.q_steps)
@@ -521,7 +525,12 @@ def _add_scenario_flags(sp, keys=CONFIG_KEYS):
         sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``siq`` parser, built once per process: every call returns the
+    same object, which ``main`` shares, so it must not be modified.
+    Parsing leaves it unchanged (each call fills a fresh Namespace, and
+    every default is immutable)."""
     parser = _Parser(prog="siq", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"siq {__version__}")

@@ -96,8 +96,7 @@ def _winding(f, box: Box, n0: int = 512, max_doublings: int = 8) -> int:
     raise _NearZero
 
 
-def winding_count(chareq: CharEq, box: Box | None = None, *,
-                  samples: int = 512) -> int:
+def winding_count(chareq: CharEq, box: Box | None = None) -> int:
     """Roots of chi inside ``box`` (default: ``default_box``).
 
     With box.re_min <= 1e-4 the simple structural zero root sits inside or
@@ -113,7 +112,7 @@ def winding_count(chareq: CharEq, box: Box | None = None, *,
     else:
         f = chareq
 
-    n0 = _scaled_samples(b, chareq, samples)
+    n0 = _scaled_samples(b, chareq, 512)
     for attempt in range(4):
         try:
             return _winding(f, b, n0=n0)

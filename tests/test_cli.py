@@ -4,6 +4,7 @@ round-trips."""
 import argparse
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,32 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
 
 def test_cli_usage_error_exit_code(capsys):
     assert main(["critical"]) == 1       # missing --p
+
+
+def test_parser_is_built_once_and_keeps_no_call_state(tmp_path, capsys):
+    # main shares one parser per process: a call's flags must not leak
+    # into the next call's defaults
+    assert build_parser() is build_parser()
+    out = tmp_path / "out.csv"
+    spectrum = ["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                "--kappa", "5", "--no-locate", "--out", str(out)]
+    assert main(spectrum + ["--q", "0.1", "--eta", "0.05"]) == 0
+    meta = read_csv(str(out))[0]
+    assert (meta["q"], meta["eta"]) == ("0.1", "0.05")
+    assert main(spectrum) == 0
+    meta = read_csv(str(out))[0]
+    assert (meta["q"], meta["eta"]) == ("0", "0")
+
+    hopf = ["hopf", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+            "--kappa-max", "1", "--out", str(out)]
+    assert main(hopf + ["--track-leaf"]) == 0
+    assert read_csv(str(out))[0]["track_leaf"] == "True"
+    assert main(hopf) == 0
+    assert read_csv(str(out))[0]["track_leaf"] == "False"
+
+    assert main(hopf + ["--bogus"]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    assert main(hopf) == 0
 
 
 def test_config_file_out_honoured_by_every_scenario_command(tmp_path, capsys):
@@ -409,6 +436,32 @@ def test_cli_hopf_rejects_negative_m_max(tmp_path, capsys):
     assert main(["hopf", "--r", "2.5", "--p", "0.5", "--m-max", "-1",
                  "--out", str(out)]) == 1
     assert "--m-max = -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["inf", "--track-leaf"], ["inf"],
+                                   ["-3"]])
+def test_cli_hopf_rejects_kappa_max_outside_domain(tmp_path, capsys, flags):
+    # inf with --track-leaf raised an uncaught OverflowError; inf without
+    # it warned and then blamed "kappa ... nan", and -3 blamed "kappa"
+    out = tmp_path / "hopf.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hopf", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                     "--kappa-max", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"kappa_max must be finite and >= 0, got {float(flags[0])}" in err
+    assert not out.exists()
+
+
+def test_cli_stability_map_names_invalid_tau(tmp_path, capsys):
+    # q_c was computed first, so tau = -1 was reported as "eps = 1.359...
+    # must be < 1"
+    out = tmp_path / "map.csv"
+    assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "-1",
+                 "--q-steps", "2", "--kappa-steps", "2",
+                 "--out", str(out)]) == 1
+    assert "tau must be finite and >= 0, got -1.0" in capsys.readouterr().err
     assert not out.exists()
 
 

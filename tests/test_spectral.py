@@ -679,6 +679,82 @@ def test_hopf_tracked_leaf_crossing_solve():
     assert axis_crossings(2.5, 0.5, 0.5, 0.0, 40.0) == []
 
 
+def _bisected_axis_roots(g, w_hi, tau):
+    """The reference polish: the same grid and brackets, each bisected 60
+    times (2^-60 of a cell: adjacent floats)."""
+    grid = np.linspace(0.0, w_hi,
+                       max(2048, math.ceil(64.0 * tau * w_hi / (2 * math.pi))))
+    pos = g(grid) > 0.0
+    k = np.nonzero(pos[:-1] != pos[1:])[0]
+    lo, hi, lo_pos = grid[k], grid[k + 1], pos[k]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = (g(mid) > 0.0) == lo_pos
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    keep = lo > 0.0
+    return lo[keep], np.where(lo_pos, -1, 1)[keep]
+
+
+def test_axis_frequency_polish_matches_bisection(monkeypatch):
+    # the Illinois polish of _axis_roots against 60 bisections, on the
+    # _axis_frequencies inputs of random endemic points (fixed and tracked
+    # leaf, every fourth at tau = 0): the same roots and directions, each
+    # omega within 16 ulp, plus the rounding band eps G/|g'| of g where g
+    # is ill-conditioned (G: its terms' magnitudes), where any point of
+    # the band is a sign change of the computed g
+    import siq.spectral as spectral
+    polish = spectral._axis_roots
+    calls = []
+
+    def counted(g, w_hi, tau):
+        def g_counted(w):
+            calls[-1] += 1
+            return g(w)
+        calls.append(0)
+        return polish(g_counted, w_hi, tau)
+
+    rng = np.random.default_rng(1414)
+    seen = {"no root": 0, "tau = 0 with roots": 0, "tau > 0 with roots": 0}
+    for k in range(40):
+        tau = 0.0 if k % 4 == 0 else rng.uniform(0.0, 1.5)
+        p = rng.uniform(0.2, 1.0)
+        r = rng.uniform(1.2, 4.0) / (1.0 - p * math.exp(-tau))  # q_c > 0
+        qc = q_critical(r, p, tau)
+        ps = ModelParams(r=r, p=p, tau=tau, kappa=rng.uniform(0.0, 30.0))
+        q = rng.uniform(0.0, 0.98 * qc)
+        w_s, w_i = 1.0 - qc, endemic_point(ps, q).v_I if k % 2 else qc - q
+        eps = ps.eps
+        b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
+        args = (b, c, beta, 1.0 + r * (w_s * (1.0 + eps) + w_i), tau)
+
+        monkeypatch.setattr(spectral, "_axis_roots", _bisected_axis_roots)
+        ref, ref_dir = spectral._axis_frequencies(*args)
+        monkeypatch.setattr(spectral, "_axis_roots", counted)
+        omega, direction = spectral._axis_frequencies(*args)
+
+        assert len(omega) == len(ref) and np.array_equal(direction, ref_dir)
+        if len(omega) == 0:
+            assert calls[-1] == 1
+            seen["no root"] += 1
+            continue
+        assert calls[-1] <= 25
+        seen[f"tau {'=' if tau == 0.0 else '>'} 0 with roots"] += 1
+
+        def g(w):
+            return (w * w + beta * beta + c * c - b * b
+                    + 2.0 * (beta * c - b) * np.cos(tau * w)
+                    - 2.0 * (b * c + beta * w * w) * tau
+                    * np.sinc(tau * w / math.pi))
+
+        big = (ref * ref + beta * beta + c * c + b * b + 2 * abs(beta * c - b)
+               + 2.0 * np.abs(b * c + beta * ref * ref) * tau)
+        h = 1e-6 * (1.0 + ref)
+        slope = np.abs(g(ref + h) - g(ref - h)) / (2.0 * h)
+        band = np.finfo(float).eps * big / slope
+        assert np.all(np.abs(omega - ref) <= 16 * np.spacing(ref) + band)
+    assert min(seen.values()) >= 3, seen
+
+
 # ---------------------------------------------------------------------------
 # pseudospectral oracle
 # ---------------------------------------------------------------------------
