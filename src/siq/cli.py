@@ -361,6 +361,10 @@ def cmd_spectrum(args) -> Artifact:
 
 
 def cmd_stability_map(args) -> Artifact:
+    for flag, steps in (("--q-steps", args.q_steps),
+                        ("--kappa-steps", args.kappa_steps)):
+        if steps < 1:
+            raise ConfigError(f"{flag} = {steps} must be >= 1")
     # q_critical reads eps = p e^{-tau}: validate (r, p, tau) first, so an
     # invalid tau is named as such
     ModelParams(r=args.r, p=args.p, tau=args.tau, kappa=0.0)
@@ -484,6 +488,10 @@ def cmd_ipeak(args) -> Artifact:
 
 
 def cmd_network(args) -> Artifact:
+    if not 0.0 < args.i0_frac <= 1.0:
+        raise ConfigError(f"--i0-frac = {args.i0_frac} must lie in (0, 1]")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds = {args.seeds} must be >= 1")
     if args.edge_list:
         net = network_from_edge_list(args.edge_list)
     else:

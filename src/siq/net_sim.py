@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from typing import Callable, Sequence
 
@@ -237,12 +238,23 @@ _ATTEMPT, _RECOVER, _ISOLATE, _RELEASE = 0, 1, 2, 3
 _ACTS_ON = (1, 1, 1, 2)        # node state each event kind needs: I or Q
 
 
+def _invalid_ids(what: str, ids: list[int]) -> str:
+    more = f", ... ({len(ids)} in all)" if len(ids) > 5 else ""
+    return (f"initial infected set invalid: ids {what}: "
+            f"{', '.join(map(str, ids[:5]))}{more}")
+
+
 def simulate_network(net: Network, cfg: SimConfig) -> NetworkSeries:
     """Exact event-driven run of the isolation process on ``net``."""
     seeds = cfg.initial_infected
     bad = [u for u in seeds if not 0 <= u < net.n]
-    if bad or not seeds or len(set(seeds)) != len(seeds):
-        raise ValueError(f"initial infected set invalid: {bad or seeds}")
+    if bad:
+        raise ValueError(_invalid_ids(f"outside [0, {net.n})", bad))
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(_invalid_ids(
+            "repeated", [u for u, m in Counter(seeds).items() if m > 1]))
+    if not seeds:
+        raise ValueError("initial infected set invalid: empty")
 
     rng = np.random.default_rng(cfg.seed)
     exp_draw = _stream(rng.standard_exponential)

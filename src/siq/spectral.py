@@ -347,51 +347,54 @@ def _endemic_chareq_at(r, p, tau, q, kappa, track_leaf):
 
 def _axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots omega in (0, w_hi) of g and the sign of g' there: sign changes
-    of g > 0 on >= 64 points per 2 pi/tau, all brackets polished at once
-    by Illinois false position from the grid values at their ends, until
-    each is at most 2 ulp wide; omega is its left end.
+    of g > 0 on >= 64 points per 2 pi/tau, each bracket then polished on
+    its own, in floats, by Illinois false position from the grid values at
+    its ends, until it is at most 2 ulp wide; omega is its left end.
 
     A step lands at least tol inside the bracket, tol doubling from 1 ulp
     while steps keep being clamped: that walks out of a stretch where g
     rounds to 0.  A bracket that three steps have not halved is bisected,
-    so each halving costs at most 4 calls of g.  Without a sign change g
-    is called once.
+    so each halving costs at most 4 calls of g.  g is called once on the
+    grid and then on one float per step; without a sign change it is
+    called once.
     """
     grid = np.linspace(0.0, w_hi,
                        max(2048, math.ceil(64.0 * tau * w_hi / TWO_PI)))
     val = g(grid)
     pos = val > 0.0
-    k = np.nonzero(pos[:-1] != pos[1:])[0]
-    lo, hi, lo_pos = grid[k], grid[k + 1], pos[k]
-    g_lo, g_hi = val[k], val[k + 1]
-    ref = hi - lo                  # the width when it last halved
-    stale = np.zeros(len(k), dtype=int)       # steps since then
-    clamped = np.zeros(len(k))                # clamped steps in a row
-    moved_lo = moved_hi = np.zeros(len(k), dtype=bool)
-    while True:
-        open_ = hi - lo > 2.0 * np.spacing(hi)
-        if not open_.any():
-            break
-        # g_lo and g_hi lie in opposite classes, so they differ
-        fp = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        tol = np.minimum(np.spacing(hi) * 2.0 ** clamped, 0.5 * (hi - lo))
-        x = np.clip(fp, lo + tol, hi - tol)
-        clamped = np.where(x != fp, clamped + 1, 0.0)
-        x = np.where(stale >= 3, 0.5 * (lo + hi), x)
-        gx = g(x)
-        to_lo = open_ & ((gx > 0.0) == lo_pos)
-        to_hi = open_ & ~to_lo
-        # Illinois: an end that moves twice in a row halves the other's g
-        g_hi = np.where(to_lo & moved_lo, 0.5 * g_hi, g_hi)
-        g_lo = np.where(to_hi & moved_hi, 0.5 * g_lo, g_lo)
-        lo, g_lo = np.where(to_lo, x, lo), np.where(to_lo, gx, g_lo)
-        hi, g_hi = np.where(to_hi, x, hi), np.where(to_hi, gx, g_hi)
-        moved_lo, moved_hi = to_lo, to_hi
-        halved = hi - lo <= 0.5 * ref
-        ref = np.where(halved, hi - lo, ref)
-        stale = np.where(halved, 0, stale + 1)
-    keep = lo > 0.0
-    return lo[keep], np.where(lo_pos, -1, 1)[keep]
+    omega, direction = [], []
+    for k in np.nonzero(pos[:-1] != pos[1:])[0].tolist():
+        lo, hi, lo_pos = float(grid[k]), float(grid[k + 1]), bool(pos[k])
+        g_lo, g_hi = float(val[k]), float(val[k + 1])
+        ref = hi - lo              # the width when it last halved
+        stale = clamped = 0        # steps since then; clamped steps in a row
+        moved_lo = moved_hi = False
+        while hi - lo > 2.0 * math.ulp(hi):
+            # g_lo and g_hi lie in opposite classes, so they differ
+            fp = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            tol = min(math.ulp(hi) * 2.0 ** clamped, 0.5 * (hi - lo))
+            x = min(max(fp, lo + tol), hi - tol)
+            clamped = clamped + 1 if x != fp else 0
+            if stale >= 3:
+                x = 0.5 * (lo + hi)
+            gx = float(g(x))
+            # Illinois: an end that moves twice in a row halves the other's g
+            if (gx > 0.0) == lo_pos:
+                if moved_lo:
+                    g_hi *= 0.5
+                lo, g_lo, moved_lo, moved_hi = x, gx, True, False
+            else:
+                if moved_hi:
+                    g_lo *= 0.5
+                hi, g_hi, moved_lo, moved_hi = x, gx, False, True
+            if hi - lo <= 0.5 * ref:
+                ref, stale = hi - lo, 0
+            else:
+                stale += 1
+        if lo > 0.0:
+            omega.append(lo)
+            direction.append(-1 if lo_pos else 1)
+    return np.array(omega, dtype=float), np.array(direction, dtype=int)
 
 
 def _axis_frequencies(b: float, c: float, beta: float, c1: float,

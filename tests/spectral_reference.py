@@ -9,6 +9,11 @@ stable three times.  A root on (or within rounding of) the contour raises
 ``ContourThroughZero`` after the contour is inflated and retried three
 times; callers skip such points.  The default rectangle is a heuristic
 extent, Re in [1e-8, max(10, r)], |Im| <= 20 pi, not a proven bound.
+
+It also holds the second method the per-bracket float polish
+``siq.spectral._axis_roots`` is checked against: ``axis_roots``, the same
+grid, brackets and step rule run on all brackets at once as masked numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -121,3 +126,43 @@ def winding_count(chareq: CharEq, box: Box | None = None) -> int:
             re_min = b.re_min * 0.5 if b.re_min > 0 else b.re_min - pad
             b = Box(re_min, b.re_max + pad, b.im_min - pad, b.im_max + pad)
     raise ContourThroughZero(f"contour repeatedly hit roots on {b}")
+
+
+def axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots omega in (0, w_hi) of g and the sign of g' there, as
+    ``siq.spectral._axis_roots`` finds them, with every bracket polished
+    at once: each step evaluates g on the whole array of brackets, closed
+    ones included, and masks their updates."""
+    grid = np.linspace(0.0, w_hi,
+                       max(2048, math.ceil(64.0 * tau * w_hi / TWO_PI)))
+    val = g(grid)
+    pos = val > 0.0
+    k = np.nonzero(pos[:-1] != pos[1:])[0]
+    lo, hi, lo_pos = grid[k], grid[k + 1], pos[k]
+    g_lo, g_hi = val[k], val[k + 1]
+    ref = hi - lo                  # the width when it last halved
+    stale = np.zeros(len(k), dtype=int)       # steps since then
+    clamped = np.zeros(len(k))                # clamped steps in a row
+    moved_lo = moved_hi = np.zeros(len(k), dtype=bool)
+    while True:
+        open_ = hi - lo > 2.0 * np.spacing(hi)
+        if not open_.any():
+            break
+        fp = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        tol = np.minimum(np.spacing(hi) * 2.0 ** clamped, 0.5 * (hi - lo))
+        x = np.clip(fp, lo + tol, hi - tol)
+        clamped = np.where(x != fp, clamped + 1, 0.0)
+        x = np.where(stale >= 3, 0.5 * (lo + hi), x)
+        gx = g(x)
+        to_lo = open_ & ((gx > 0.0) == lo_pos)
+        to_hi = open_ & ~to_lo
+        g_hi = np.where(to_lo & moved_lo, 0.5 * g_hi, g_hi)
+        g_lo = np.where(to_hi & moved_hi, 0.5 * g_lo, g_lo)
+        lo, g_lo = np.where(to_lo, x, lo), np.where(to_lo, gx, g_lo)
+        hi, g_hi = np.where(to_hi, x, hi), np.where(to_hi, gx, g_hi)
+        moved_lo, moved_hi = to_lo, to_hi
+        halved = hi - lo <= 0.5 * ref
+        ref = np.where(halved, hi - lo, ref)
+        stale = np.where(halved, 0, stale + 1)
+    keep = lo > 0.0
+    return lo[keep], np.where(lo_pos, -1, 1)[keep]

@@ -4,6 +4,9 @@ round-trips."""
 import argparse
 import math
 import os
+import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
@@ -78,6 +81,20 @@ def test_config_file_parsing(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_file(str(bad))
     assert "bogus" in str(err.value)
+
+
+def test_readme_commands_parse():
+    # every `siq ...` line of README's sh blocks, continuation lines joined
+    # and comments dropped, parses: the documented flags stay in step
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["siq"]]
+    assert len(commands) >= 9
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -465,6 +482,26 @@ def test_cli_stability_map_names_invalid_tau(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--q-steps", "0"), ("--kappa-steps", "0"), ("--q-steps", "-2"),
+    ("--kappa-steps", "-2")])
+def test_cli_stability_map_rejects_empty_grids(tmp_path, capsys, monkeypatch,
+                                               flag, value):
+    # 0 wrote a header without rows; -2 failed in np.linspace with a
+    # message that did not name the flag.  No cell is solved.
+    import siq.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("stability_map called")
+
+    monkeypatch.setattr(cli, "stability_map", no_solve)
+    out = tmp_path / "map.csv"
+    assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 flag, value, "--out", str(out)]) == 1
+    assert f"{flag} = {value} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r", ["0", "-1"])
 def test_cli_rejects_nonpositive_r(tmp_path, capsys, r):
     for command in ("hopf", "stability-map"):
@@ -755,3 +792,28 @@ def test_cli_network_small(tmp_path):
     assert int(meta["releases"]) <= int(meta["isolations"])
     total = [sum(float(v) for v in r[1:]) for r in rows]
     assert np.allclose(total, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--i0-frac", "-0.5", "--i0-frac = -0.5 must lie in (0, 1]"),
+    ("--i0-frac", "0", "--i0-frac = 0.0 must lie in (0, 1]"),
+    ("--i0-frac", "2", "--i0-frac = 2.0 must lie in (0, 1]"),
+    ("--seeds", "0", "--seeds = 0 must be >= 1"),
+    ("--seeds", "-1", "--seeds = -1 must be >= 1")])
+def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
+                                            flag, value, message):
+    # a negative --i0-frac seeded one node and exited 0, 2 listed every
+    # node id, and --seeds < 1 reported "no runs to average".  No run starts
+    import siq.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("simulate_network called")
+
+    monkeypatch.setattr(cli, "simulate_network", no_run)
+    out = tmp_path / "net.csv"
+    assert main(["network", "--n", "200", "--mean-degree", "6",
+                 "--beta", "0.3", "--gamma", "1", "--p", "0.5",
+                 "--tau-days", "0.5", "--kappa-days", "2", flag, value,
+                 "--out", str(out)]) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()

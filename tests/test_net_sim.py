@@ -172,6 +172,20 @@ def test_initial_infected_are_never_isolated():
     assert out.i_frac[0] == 1.0
 
 
+@pytest.mark.parametrize("initial, message", [
+    (tuple(range(400)), "ids outside [0, 200): 200, 201, 202, 203, 204, "
+                        "... (200 in all)"),
+    ((3, 3, 1, 0, 1), "ids repeated: 3, 1"),
+    ((), "empty"),
+])
+def test_invalid_initial_set_names_a_few_ids(initial, message):
+    # the message listed every invalid id, 10^4 of them for a whole graph
+    net = Network(n=200, edges=np.empty((0, 2), dtype=np.int64))
+    with pytest.raises(ValueError) as exc:
+        run(net, initial_infected=initial)
+    assert str(exc.value) == f"initial infected set invalid: {message}"
+
+
 def test_isolated_nodes_do_not_transmit_or_receive():
     # path 0-1-2 with seed 0: node 1, once infected, is isolated at once
     # with a huge kappa, so node 2 is never reached and node 1 is not

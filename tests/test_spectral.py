@@ -17,8 +17,8 @@ from siq.siq_model import ModelParams
 from siq.spectral import (CharEq, axis_crossings, count_unstable,
                           disease_free_chareq, endemic_chareq, hopf_crossings,
                           hopf_kappa0, stability_map)
-from spectral_reference import (Box, ContourThroughZero, default_box,
-                                winding_count)
+from spectral_reference import (Box, ContourThroughZero, axis_roots,
+                                default_box, winding_count)
 
 PS = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
 QC = q_critical(2.5, 0.5, 0.5)
@@ -753,6 +753,68 @@ def test_axis_frequency_polish_matches_bisection(monkeypatch):
         band = np.finfo(float).eps * big / slope
         assert np.all(np.abs(omega - ref) <= 16 * np.spacing(ref) + band)
     assert min(seen.values()) >= 3, seen
+
+
+def test_axis_frequency_polish_matches_vectorized_reference(monkeypatch):
+    # the per-bracket float polish of _axis_roots against the same step
+    # rule run on all brackets at once (spectral_reference.axis_roots), on
+    # random _axis_frequencies inputs: every third an endemic point (fixed
+    # or tracked leaf), the rest raw (b, c, beta) with the bound
+    # c1 = 1 + |c| + |beta|; every fourth at tau = 0.  The roots are
+    # bitwise equal, g is called once on the grid and then on one point
+    # per step, and only once without a sign change
+    import siq.spectral as spectral
+    polish = spectral._axis_roots
+    calls = []
+
+    def counted(g, w_hi, tau):
+        def g_counted(w):
+            out = g(w)
+            calls[-1].append((np.size(w), out))
+            return out
+        calls.append([])
+        return polish(g_counted, w_hi, tau)
+
+    rng = np.random.default_rng(1515)
+    seen = {"tau = 0 with roots": 0, "no sign change": 0, ">= 2 brackets": 0}
+    for k in range(240):
+        tau = 0.0 if k % 4 == 0 else rng.uniform(0.0, 4.0)
+        if k % 3 == 0:
+            p = rng.uniform(0.2, 1.0)
+            r = rng.uniform(1.2, 4.0) / (1.0 - p * math.exp(-tau))
+            qc = q_critical(r, p, tau)
+            ps = ModelParams(r=r, p=p, tau=tau, kappa=rng.uniform(0.0, 30.0))
+            q = rng.uniform(0.0, 0.98 * qc)
+            w_s = 1.0 - qc
+            w_i = endemic_point(ps, q).v_I if k % 2 else qc - q
+            eps = ps.eps
+            b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
+            c1 = 1.0 + r * (w_s * (1.0 + eps) + w_i)
+        else:
+            b, c = rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)
+            beta = rng.uniform(0.0, 5.0)
+            c1 = 1.0 + abs(c) + beta
+        args = (b, c, beta, c1, tau)
+
+        monkeypatch.setattr(spectral, "_axis_roots", axis_roots)
+        ref, ref_dir = spectral._axis_frequencies(*args)
+        monkeypatch.setattr(spectral, "_axis_roots", counted)
+        omega, direction = spectral._axis_frequencies(*args)
+
+        assert omega.dtype == ref.dtype and direction.dtype == ref_dir.dtype
+        assert omega.tobytes() == ref.tobytes()
+        assert np.array_equal(direction, ref_dir)
+        (_, grid_g), *steps = calls[-1]
+        pos = grid_g > 0.0
+        brackets = int(np.count_nonzero(pos[:-1] != pos[1:]))
+        assert all(size == 1 for size, _ in steps)
+        if brackets == 0:
+            assert not steps
+            seen["no sign change"] += 1
+        seen[">= 2 brackets"] += brackets >= 2
+        seen["tau = 0 with roots"] += tau == 0.0 and len(omega) > 0
+    assert seen["tau = 0 with roots"] >= 3 and seen["no sign change"] >= 20
+    assert seen[">= 2 brackets"] >= 10, seen
 
 
 # ---------------------------------------------------------------------------
