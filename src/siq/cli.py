@@ -297,16 +297,22 @@ def cmd_simulate(args) -> Artifact:
                     leaf_eta=pred.eta)
     else:
         meta.update(H=conserved_H(sc.params, traj, 0.0))
+    # integrator counters over every node: the sum of the states is
+    # conserved by the model, and no component may go negative
+    drift = traj.states.sum(axis=1)
+    drift -= drift[0]
+    meta.update(steps=traj.n_nodes - 1,
+                max_mass_drift=float(np.abs(drift, out=drift).max()),
+                min_component=float(traj.states.min()))
     every = args.every or max(1, traj.n_nodes // 2000)
     meta["output_stride"] = every
     idx = np.arange(0, traj.n_nodes, every)
     if idx[-1] != traj.n_nodes - 1:
         idx = np.append(idx, traj.n_nodes - 1)
-    ts = idx * traj.step
     cols = ["t", "S", "I", "Q", "E"] if seiq else ["t", "S", "I", "Q"]
-    order = (0, 2, 3, 1) if seiq else (0, 1, 2)   # file order: S,I,Q[,E]
-    rows = [[float(t)] + [float(traj.states[i, c]) for c in order]
-            for t, i in zip(ts, idx)]
+    order = [0, 2, 3, 1] if seiq else [0, 1, 2]   # file order: S,I,Q[,E]
+    rows = [[t] + row for t, row in zip((idx * traj.step).tolist(),
+                                        traj.states[idx][:, order].tolist())]
     return sc.out, cols, rows, meta
 
 
@@ -492,6 +498,19 @@ def cmd_network(args) -> Artifact:
         raise ConfigError(f"--i0-frac = {args.i0_frac} must lie in (0, 1]")
     if args.seeds < 1:
         raise ConfigError(f"--seeds = {args.seeds} must be >= 1")
+    for flag, value, ok, rule in (
+            ("--n-out", args.n_out, args.n_out >= 2, ">= 2"),
+            ("--t-end-days", args.t_end_days,
+             0 < args.t_end_days < math.inf, "finite and > 0"),
+            ("--beta", args.beta, 0 <= args.beta < math.inf,
+             "finite and >= 0"),
+            ("--gamma", args.gamma, 0 < args.gamma < math.inf,
+             "finite and > 0"),
+            ("--tau-days", args.tau_days, args.tau_days >= 0, ">= 0"),
+            ("--kappa-days", args.kappa_days, args.kappa_days >= 0,
+             ">= 0 (inf: permanent isolation)")):
+        if not ok:                    # NaN fails every comparison
+            raise ConfigError(f"{flag} = {value} must be {rule}")
     if args.edge_list:
         net = network_from_edge_list(args.edge_list)
     else:

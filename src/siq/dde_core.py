@@ -8,11 +8,14 @@ Phi = r*S*I at a lag:
     I' =  Phi(t - sigma) - I - eps*Phi(t - sigma - tau)
     Q' =  eps*Phi(t - sigma - tau) - eps*Phi(t - sigma - tau - kappa)
 
-so the kernel keeps the state in float locals and buffers only Phi, on the
-half-step grid: node values and cell midpoints, the history part sampled
-once in front of the solution part.  SIQ is the same loop at sigma = 0,
-where the zero lag reads the stage flux and E' is exactly 0; kappa = inf
-drops the return term.
+so the kernel buffers only Phi, on the half-step grid: node values and
+cell midpoints, the history part sampled once in front of the solution
+part.  E and Q feed no right-hand side, so the step loop carries only
+(S, I) in float locals; after it, numpy rebuilds E, Q and the node
+derivatives block by block with the loop's own float operations in its
+order, which gives exactly the trajectory of a loop over all four states.
+SIQ is the same loop at sigma = 0, where the zero lag reads the stage
+flux; kappa = inf drops the return term.
 
 Each lag is rounded to a multiple of the step, so every method-of-steps
 breakpoint lands on a grid node and the RK4 stages read the buffer only at
@@ -250,8 +253,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
     for i in range(-m, 0):
         phi.append(flux(i * h))
         phi.append(flux((i + 0.5) * h))
-    s, i_, q = y0[0], y0[ii], y0[-1]
-    e_ = y0[1] if dim == 4 else 0.0
+    s, i_ = y0[0], y0[ii]
     f = r * s * i_
     phi.append(f)
 
@@ -278,7 +280,6 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
                     acc[c] += weights[c] * delta
     kink_at = sorted(kink_jumps, reverse=True)
     next_kink = 2 * kink_at.pop() if kink_at else -1
-    kinks: dict[int, tuple[float, ...]] = {}
 
     # buffer offsets: node j - lag sits at 2*j - o, its cell midpoint before
     # it at 2*j - o - 1; a zero lag reads (unused) lag-1 slots
@@ -289,27 +290,15 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
     gk = f if zk else phi[-ok]
     ds = -f + i_ + ek * gk
     di = gs - i_ - e * gt
-    de = f - gs
-    dq = e * gt - ek * gk
     df = r * (ds * i_ + s * di)
 
-    states = array("d")
-    derivs = array("d")
-    put_y, put_d, put_phi = states.append, derivs.append, phi.append
+    # S and I go into their columns; the E and Q slots hold 0.0 until
+    # _rebuild fills them
+    states = array("d", y0)
+    put_y, put_phi = states.append, phi.append
     seiq = dim == 4
     h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
     inf = math.inf
-
-    put_y(s)
-    if seiq:
-        put_y(e_)
-    put_y(i_)
-    put_y(q)
-    put_d(ds)
-    if seiq:
-        put_d(de)
-    put_d(di)
-    put_d(dq)
 
     for j2 in range(2, 2 * n + 1, 2):
         ms, mt, mk = phi[j2 - os_ - 1], phi[j2 - ot - 1], phi[j2 - ok - 1]
@@ -322,8 +311,6 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         gk = f2 if zk else mk
         ds2 = -f2 + i2 + ek * gk
         di2 = gs - i2 - e * gt
-        de2 = f2 - gs
-        dq2 = e * gt - ek * gk
         # k3
         s3 = s + h2 * ds2
         i3 = i_ + h2 * di2
@@ -333,8 +320,6 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         gk = f3 if zk else mk
         ds3 = -f3 + i3 + ek * gk
         di3 = gs - i3 - e * gt
-        de3 = f3 - gs
-        dq3 = e * gt - ek * gk
         # k4, reading the node values (right limits)
         ns, nt, nk = phi[j2 - os_], phi[j2 - ot], phi[j2 - ok]
         s4 = s + h * ds3
@@ -345,21 +330,19 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         gk = f4 if zk else nk
         ds4 = -f4 + i4 + ek * gk
         di4 = gs - i4 - e * gt
-        de4 = f4 - gs
-        dq4 = e * gt - ek * gk
         if j2 == next_kink:           # k4 ends at the kink: left limits
             jump = kink_jumps[j2 >> 1]
             ds4 += jump[0]
-            de4 += jump[1]
             di4 += jump[2]
-            dq4 += jump[3]
         s += h6 * (ds + 2.0 * (ds2 + ds3) + ds4)
         i_ += h6 * (di + 2.0 * (di2 + di3) + di4)
-        e_ += h6 * (de + 2.0 * (de2 + de3) + de4)
-        q += h6 * (dq + 2.0 * (dq2 + dq3) + dq4)
-        if not -inf < s + i_ + e_ + q < inf:
-            raise NonFiniteState(f"non-finite state at t={(j2 >> 1) * h!r}: "
-                                 f"S={s!r}, E={e_!r}, I={i_!r}, Q={q!r}")
+        put_y(s)
+        if seiq:
+            put_y(0.0)
+        put_y(i_)
+        put_y(0.0)
+        if not -inf < s + i_ < inf:
+            break                     # _rebuild raises at the first bad node
         # node derivative, right limits
         f_prev, df_prev = f, df
         f = r * s * i_
@@ -368,30 +351,115 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         gk = f if zk else nk
         ds = -f + i_ + ek * gk
         di = gs - i_ - e * gt
-        de = f - gs
-        dq = e * gt - ek * gk
         df = r * (ds * i_ + s * di)
         mid = 0.5 * (f_prev + f) + h8 * (df_prev - df)
         if j2 == next_kink:           # the cell's Hermite: left derivative
-            kinks[j2 >> 1] = (ds + jump[0], de + jump[1], di + jump[2],
-                              dq + jump[3])
             mid -= h8 * r * (jump[0] * i_ + s * jump[2])
             next_kink = 2 * kink_at.pop() if kink_at else -1
         put_phi(mid)
         put_phi(f)
-        put_y(s)
-        if seiq:
-            put_y(e_)
-        put_y(i_)
-        put_y(q)
-        put_d(ds)
-        if seiq:
-            put_d(de)
-        put_d(di)
-        put_d(dq)
 
-    if not seiq:
-        kinks = {k: (v[0], v[2], v[3]) for k, v in kinks.items()}
-    return Trajectory(h, np.frombuffer(states).reshape(-1, dim),
-                      np.frombuffer(derivs).reshape(-1, dim), history,
-                      snapped, requested, kinks)
+    states = np.frombuffer(states).reshape(-1, dim)
+    derivs, kinks = _rebuild(states, np.frombuffer(phi), m=m,
+                             lags=(ls, lt, lk), r=r, e=e, ek=ek, h=h,
+                             kink_jumps=kink_jumps)
+    return Trajectory(h, states, derivs, history, snapped, requested, kinks)
+
+
+#: ``_rebuild`` works on blocks of at least this many cells, and on at
+#: most _BLOCKS blocks: few enough numpy calls per run, while its
+#: temporaries stay a few bytes per node.
+_MIN_BLOCK = 256
+_BLOCKS = 40
+
+
+def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
+    """Fill the E and Q columns of ``states`` (nodes 1..n) from its S and I
+    columns and the flux buffer ``phi``; return the node derivatives and
+    the left derivatives at the kink nodes.
+
+    E and Q feed no right-hand side, so the loop of ``integrate`` leaves
+    them out.  Every RK4 stage is a function of the node (S, I), its
+    derivative and ``phi``, so each block repeats the loop's float
+    operations in the loop's order, and ``np.add.accumulate``, which adds
+    left to right, repeats its running sums: the result is the one a loop
+    over all four states gives, bit for bit.  Raises NonFiniteState at the
+    first node whose state sum is not finite (the loop stops at the node
+    where S + I is not).
+    """
+    dim = states.shape[1]
+    seiq = dim == 4
+    ii = dim - 2
+    jump_of = (0, 1, 2, 3) if seiq else (0, 2, 3)   # column -> (dS, dE, dI, dQ)
+    quad = (1, 3) if seiq else (2,)                  # the E and Q columns
+    zeros = [L == 0 for L in lags]
+    zs, zt, zk = zeros
+    offsets = [2 * (max(L, 1) - m) for L in lags]
+    h2, h6 = 0.5 * h, h / 6.0
+    n = states.shape[0] - 1
+    derivs = np.empty_like(states)
+
+    def lagged(a, b, half):
+        """Lagged fluxes of nodes a..b-1 (half = 0), of the midpoints
+        (half = 1) or the right ends (half = 2) of cells a..b-1; None for
+        a zero lag."""
+        return [None if z else phi[2 * a + half - o:2 * b + half - o:2]
+                for z, o in zip(zeros, offsets)]
+
+    def rates(f, i, gs, gt, gk):
+        """Derivative of each state column at flux f and infectives i."""
+        gs = f if zs else gs
+        gt = f if zt else gt
+        gk = f if zk else gk
+        ds = -f + i + ek * gk
+        di = gs - i - e * gt
+        dq = e * gt - ek * gk
+        return (ds, f - gs, di, dq) if seiq else (ds, di, dq)
+
+    def node_rates(a, b):
+        return rates(phi[2 * (a + m):2 * (b + m):2], states[a:b, ii],
+                     *lagged(a, b, 0))
+
+    def stage(s, i, d, w, reads):
+        s_ = s + w * d[0]
+        i_ = i + w * d[ii]
+        return rates(r * s_ * i_, i_, *reads)
+
+    kink_nodes = sorted(kink_jumps)
+    names = ("S", "E", "I", "Q") if seiq else ("S", "I", "Q")
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = max(_MIN_BLOCK, -(-n // _BLOCKS))
+        for a in range(0, n, block):
+            b = min(a + block, n)
+            d1 = node_rates(a, b)
+            for c in range(dim):
+                derivs[a:b, c] = d1[c]
+            s, i = states[a:b, 0], states[a:b, ii]
+            mids = lagged(a, b, 1)
+            d2 = stage(s, i, d1, h2, mids)
+            d3 = stage(s, i, d2, h2, mids)
+            d4 = stage(s, i, d3, h, lagged(a, b, 2))
+            for k in kink_nodes:      # k4 ends at the kink: left limits
+                if a < k <= b:
+                    for c in quad:
+                        d4[c][k - 1 - a] += kink_jumps[k][jump_of[c]]
+            for c in quad:
+                run = h6 * (d1[c] + 2.0 * (d2[c] + d3[c]) + d4[c])
+                run[0] += states[a, c]
+                np.add.accumulate(run, out=states[a + 1:b + 1, c])
+            new = states[a + 1:b + 1]
+            total = new[:, 0] + new[:, ii]      # in the loop's order S+I+E+Q
+            for c in quad:
+                total += new[:, c]
+            bad = np.flatnonzero(~np.isfinite(total))
+            if bad.size:
+                j = a + 1 + int(bad[0])
+                vals = ", ".join(f"{k}={v!r}" for k, v in
+                                 zip(names, states[j].tolist()))
+                raise NonFiniteState(f"non-finite state at t={j * h!r}: "
+                                     f"{vals}")
+        derivs[n] = [d[0] for d in node_rates(n, n + 1)]
+    kinks = {k: tuple(d + jump[jump_of[c]]
+                      for c, d in enumerate(derivs[k].tolist()))
+             for k, jump in kink_jumps.items()}
+    return derivs, kinks

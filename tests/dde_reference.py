@@ -8,18 +8,24 @@ midpoint of the full state, and the k4 stage reads the value stored at the
 node (the right limit at a history jump), so on jump data it is only first
 order.  On jump-free histories the two methods agree to rounding and
 O(h^4) interpolation differences.
+
+It also holds the second method the kernel's loop is checked against:
+``flux_integrate``, the same flux kernel with all four states advanced
+through every RK4 stage in Python floats, which must give the kernel's
+trajectory bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from siq.dde_core import DEFAULT_STEP, History, Trajectory
-from siq.errors import DelayTooSmall, NonFiniteState, OutOfRange
+from siq.errors import DelayTooSmall, JumpOffGrid, NonFiniteState, OutOfRange
 from siq.siq_model import ModelParams
 
 Vector = tuple[float, ...]
@@ -267,3 +273,197 @@ def reference_simulate(params: ModelParams, history: History, t_end: float,
     else:
         raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
     return integrate(field.fn, field.delays, history, t_end, step)
+
+
+def flux_integrate(history: History, t_end: float,
+                   step: float = DEFAULT_STEP, *, r: float, eps: float,
+                   sigma: float = 0.0, tau: float = 0.0,
+                   kappa: float = math.inf) -> Trajectory:
+    """The flux kernel as it advanced all four states: the same RK4 stages,
+    kink corrections and Hermite midpoints as ``siq.dde_core.integrate``,
+    with E and Q (and every node derivative) carried through each step of
+    the loop instead of rebuilt after it.  Same arguments, result and
+    errors.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    h = float(step)
+    y0 = history.value(0.0)
+    dim = len(y0)
+    if dim not in (3, 4):
+        raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
+    if dim == 3 and sigma != 0.0:
+        raise ValueError("the three-state model requires sigma = 0")
+    permanent = math.isinf(kappa)
+    requested = (sigma, sigma + tau) + (() if permanent else
+                                        (sigma + tau + kappa,))
+    lags = _snap_delays(DelaySpec(requested, dim), h)
+    snapped = tuple(L * h for L in lags)
+    if max(snapped) > history.span + h:
+        raise OutOfRange(
+            f"max snapped delay {max(snapped)!r} exceeds history span {history.span!r}")
+    n = max(1, int(math.ceil(t_end / h - 1e-9)))
+    ii = dim - 2                      # index of I in the state tuple
+    e = float(eps)
+    ek = 0.0 if permanent else e      # weight of the return flow
+    ls, lt = lags[0], lags[1]
+    lk = lt if permanent else lags[2]
+    m = max(lags)
+
+    def flux(theta):
+        y = history.value(max(theta, -history.span))
+        return r * y[0] * y[ii]
+
+    # Phi on the half-step grid: node i at 2*(i + m), the midpoint of cell
+    # [i, i+1] at 2*(i + m) + 1; the history part is sampled exactly.
+    phi = array("d")
+    for i in range(-m, 0):
+        phi.append(flux(i * h))
+        phi.append(flux((i + 0.5) * h))
+    s, i_, q = y0[0], y0[ii], y0[-1]
+    e_ = y0[1] if dim == 4 else 0.0
+    f = r * s * i_
+    phi.append(f)
+
+    # kink node -> jump of the k4 read (left minus right limit), summed
+    # over the lags, as its effect (dS, dE, dI, dQ) on the derivative
+    kink_jumps: dict[int, list[float]] = {}
+    for theta in history.jumps:
+        if not -history.span < theta <= 0.0:
+            continue
+        j = int(round(theta / h))
+        if abs(theta / h - j) > 1e-9:
+            raise JumpOffGrid(f"history jump at theta={theta!r} is not a "
+                              f"multiple of the step {h!r}")
+        if j < -m:
+            continue
+        left = history.fn(math.nextafter(theta, -math.inf))
+        delta = r * left[0] * left[ii] - phi[2 * (j + m)]
+        for lag, weights in ((ls, (0.0, -1.0, 1.0, 0.0)),
+                             (lt, (0.0, 0.0, -e, e)),
+                             (lk, (ek, 0.0, 0.0, -ek))):
+            if lag and 0 < j + lag <= n:
+                acc = kink_jumps.setdefault(j + lag, [0.0, 0.0, 0.0, 0.0])
+                for c in range(4):
+                    acc[c] += weights[c] * delta
+    kink_at = sorted(kink_jumps, reverse=True)
+    next_kink = 2 * kink_at.pop() if kink_at else -1
+    kinks: dict[int, tuple[float, ...]] = {}
+
+    # buffer offsets: node j - lag sits at 2*j - o, its cell midpoint before
+    # it at 2*j - o - 1; a zero lag reads (unused) lag-1 slots
+    zs, zt, zk = ls == 0, lt == 0, lk == 0
+    os_, ot, ok = (2 * (max(L, 1) - m) for L in (ls, lt, lk))
+    gs = f if zs else phi[-os_]
+    gt = f if zt else phi[-ot]
+    gk = f if zk else phi[-ok]
+    ds = -f + i_ + ek * gk
+    di = gs - i_ - e * gt
+    de = f - gs
+    dq = e * gt - ek * gk
+    df = r * (ds * i_ + s * di)
+
+    states = array("d")
+    derivs = array("d")
+    put_y, put_d, put_phi = states.append, derivs.append, phi.append
+    seiq = dim == 4
+    h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
+    inf = math.inf
+
+    put_y(s)
+    if seiq:
+        put_y(e_)
+    put_y(i_)
+    put_y(q)
+    put_d(ds)
+    if seiq:
+        put_d(de)
+    put_d(di)
+    put_d(dq)
+
+    for j2 in range(2, 2 * n + 1, 2):
+        ms, mt, mk = phi[j2 - os_ - 1], phi[j2 - ot - 1], phi[j2 - ok - 1]
+        # k2
+        s2 = s + h2 * ds
+        i2 = i_ + h2 * di
+        f2 = r * s2 * i2
+        gs = f2 if zs else ms
+        gt = f2 if zt else mt
+        gk = f2 if zk else mk
+        ds2 = -f2 + i2 + ek * gk
+        di2 = gs - i2 - e * gt
+        de2 = f2 - gs
+        dq2 = e * gt - ek * gk
+        # k3
+        s3 = s + h2 * ds2
+        i3 = i_ + h2 * di2
+        f3 = r * s3 * i3
+        gs = f3 if zs else ms
+        gt = f3 if zt else mt
+        gk = f3 if zk else mk
+        ds3 = -f3 + i3 + ek * gk
+        di3 = gs - i3 - e * gt
+        de3 = f3 - gs
+        dq3 = e * gt - ek * gk
+        # k4, reading the node values (right limits)
+        ns, nt, nk = phi[j2 - os_], phi[j2 - ot], phi[j2 - ok]
+        s4 = s + h * ds3
+        i4 = i_ + h * di3
+        f4 = r * s4 * i4
+        gs = f4 if zs else ns
+        gt = f4 if zt else nt
+        gk = f4 if zk else nk
+        ds4 = -f4 + i4 + ek * gk
+        di4 = gs - i4 - e * gt
+        de4 = f4 - gs
+        dq4 = e * gt - ek * gk
+        if j2 == next_kink:           # k4 ends at the kink: left limits
+            jump = kink_jumps[j2 >> 1]
+            ds4 += jump[0]
+            de4 += jump[1]
+            di4 += jump[2]
+            dq4 += jump[3]
+        s += h6 * (ds + 2.0 * (ds2 + ds3) + ds4)
+        i_ += h6 * (di + 2.0 * (di2 + di3) + di4)
+        e_ += h6 * (de + 2.0 * (de2 + de3) + de4)
+        q += h6 * (dq + 2.0 * (dq2 + dq3) + dq4)
+        if not -inf < s + i_ + e_ + q < inf:
+            raise NonFiniteState(f"non-finite state at t={(j2 >> 1) * h!r}: "
+                                 f"S={s!r}, E={e_!r}, I={i_!r}, Q={q!r}")
+        # node derivative, right limits
+        f_prev, df_prev = f, df
+        f = r * s * i_
+        gs = f if zs else ns
+        gt = f if zt else nt
+        gk = f if zk else nk
+        ds = -f + i_ + ek * gk
+        di = gs - i_ - e * gt
+        de = f - gs
+        dq = e * gt - ek * gk
+        df = r * (ds * i_ + s * di)
+        mid = 0.5 * (f_prev + f) + h8 * (df_prev - df)
+        if j2 == next_kink:           # the cell's Hermite: left derivative
+            kinks[j2 >> 1] = (ds + jump[0], de + jump[1], di + jump[2],
+                              dq + jump[3])
+            mid -= h8 * r * (jump[0] * i_ + s * jump[2])
+            next_kink = 2 * kink_at.pop() if kink_at else -1
+        put_phi(mid)
+        put_phi(f)
+        put_y(s)
+        if seiq:
+            put_y(e_)
+        put_y(i_)
+        put_y(q)
+        put_d(ds)
+        if seiq:
+            put_d(de)
+        put_d(di)
+        put_d(dq)
+
+    if not seiq:
+        kinks = {k: (v[0], v[2], v[3]) for k, v in kinks.items()}
+    return Trajectory(h, np.frombuffer(states).reshape(-1, dim),
+                      np.frombuffer(derivs).reshape(-1, dim), history,
+                      snapped, requested, kinks)

@@ -240,6 +240,11 @@ def test_cli_simulate_artifact(tmp_path):
     meta, cols, rows = read_csv(str(out))
     assert cols == ["t", "S", "I", "Q"]
     assert float(meta["H"]) == pytest.approx(0.0, abs=1e-12)   # kappa = 0: H = q0
+    # integrator counters: RK4 keeps the linear invariant S + I + Q to
+    # rounding, and the states stay in the simplex
+    assert meta["steps"] == "150000"
+    assert 0.0 <= float(meta["max_mass_drift"]) <= 1e-12
+    assert float(meta["min_component"]) == 0.0          # p = 0: Q stays 0
     final = [float(v) for v in rows[-1]]
     assert final[0] == pytest.approx(150.0, abs=1e-9)
     # SIS limit: I -> 1 - 1/r = 0.6
@@ -794,22 +799,53 @@ def test_cli_network_small(tmp_path):
     assert np.allclose(total, 1.0, atol=1e-9)
 
 
+def test_cli_network_accepts_permanent_isolation(tmp_path):
+    out = tmp_path / "net.csv"
+    assert main(["network", "--n", "300", "--mean-degree", "6",
+                 "--beta", "0.3", "--gamma", "1", "--p", "0.5",
+                 "--tau-days", "0.5", "--kappa-days", "inf",
+                 "--t-end-days", "5", "--i0-frac", "0.02",
+                 "--out", str(out)]) == 0
+    meta, _, _ = read_csv(str(out))
+    assert meta["kappa_days"] == "inf"
+    assert int(meta["isolations"]) > 0 and meta["releases"] == "0"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--i0-frac", "-0.5", "--i0-frac = -0.5 must lie in (0, 1]"),
     ("--i0-frac", "0", "--i0-frac = 0.0 must lie in (0, 1]"),
     ("--i0-frac", "2", "--i0-frac = 2.0 must lie in (0, 1]"),
     ("--seeds", "0", "--seeds = 0 must be >= 1"),
-    ("--seeds", "-1", "--seeds = -1 must be >= 1")])
+    ("--seeds", "-1", "--seeds = -1 must be >= 1"),
+    ("--n-out", "1", "--n-out = 1 must be >= 2"),
+    ("--t-end-days", "0", "--t-end-days = 0.0 must be finite and > 0"),
+    ("--t-end-days", "inf", "--t-end-days = inf must be finite and > 0"),
+    ("--t-end-days", "nan", "--t-end-days = nan must be finite and > 0"),
+    ("--beta", "-0.3", "--beta = -0.3 must be finite and >= 0"),
+    ("--beta", "nan", "--beta = nan must be finite and >= 0"),
+    ("--beta", "inf", "--beta = inf must be finite and >= 0"),
+    ("--gamma", "0", "--gamma = 0.0 must be finite and > 0"),
+    ("--gamma", "-1", "--gamma = -1.0 must be finite and > 0"),
+    ("--tau-days", "-0.5", "--tau-days = -0.5 must be >= 0"),
+    ("--tau-days", "nan", "--tau-days = nan must be >= 0"),
+    ("--kappa-days", "-2", "--kappa-days = -2.0 must be >= 0 "
+     "(inf: permanent isolation)"),
+    ("--kappa-days", "nan", "--kappa-days = nan must be >= 0 "
+     "(inf: permanent isolation)")])
 def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
                                             flag, value, message):
     # a negative --i0-frac seeded one node and exited 0, 2 listed every
-    # node id, and --seeds < 1 reported "no runs to average".  No run starts
+    # node id, and --seeds < 1 reported "no runs to average"; --tau-days
+    # nan exited 0, --beta inf never returned, --gamma 0 ran every seed
+    # before failing, and --n-out 1 or --t-end-days 0 named no flag.  No
+    # run starts, and no graph is built
     import siq.cli as cli
 
     def no_run(*args):
         raise AssertionError("simulate_network called")
 
     monkeypatch.setattr(cli, "simulate_network", no_run)
+    monkeypatch.setattr(cli, "erdos_renyi_network", no_run)
     out = tmp_path / "net.csv"
     assert main(["network", "--n", "200", "--mean-degree", "6",
                  "--beta", "0.3", "--gamma", "1", "--p", "0.5",

@@ -6,10 +6,13 @@ against exact method-of-steps solutions: for x'(t) = -x(t-1) with history
 antidifferentiation.  The flux kernel ``siq.dde_core.integrate`` is then
 checked against the reference on jump-free histories, where both are
 fourth order, and by its own convergence order on outbreak data, where the
-reference is first order.
+reference is first order.  Its loop carries only (S, I) and rebuilds E, Q
+and the node derivatives after it, so it must give exactly the trajectory
+of the four-state loop ``dde_reference.flux_integrate``.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,9 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from conftest import smooth_simplex_history
-from dde_reference import DelaySpec, integrate, reference_simulate
+from dde_reference import (DelaySpec, flux_integrate, integrate,
+                           reference_simulate)
+from siq import dde_core
 from siq.dde_core import History, constant_history
 from siq.errors import (DelayTooSmall, JumpOffGrid, NonFiniteState,
                         OutOfRange)
@@ -260,3 +265,95 @@ def test_kernel_memory_per_node(sigma):
         tracemalloc.stop()
     assert traj.n_nodes == 10_001
     assert peak / traj.n_nodes < 100.0
+
+
+# ---------------------------------------------------------------------------
+# the (S, I) loop and its rebuild against the four-state loop
+# ---------------------------------------------------------------------------
+
+def _pulse_history(span, at0, pulse, start):
+    """No infection before ``start``, the state ``pulse`` on [start, 0) and
+    ``at0`` from 0 on: jumps at ``start`` and at 0."""
+    pre = (1.0,) + (0.0,) * (len(at0) - 1)
+
+    def fn(theta):
+        return pre if theta < start else pulse if theta < 0.0 else at0
+
+    return History(span=span, fn=fn, jumps=(start, 0.0))
+
+
+def _random_kernel_point(k):
+    """Point k: SIQ on even k, SEIQ on odd (at sigma = 0 on every eighth);
+    tau = 0 on every fourth, kappa = inf on every fifth and kappa = 0 on
+    every third of the rest; histories cycle through outbreak data (one
+    jump), outbreak data with q0/e0 > 0, a pulse (two jumps) and a smooth
+    history (no jump)."""
+    rng = np.random.default_rng(1600 + k)
+    seiq = k % 2 == 1
+    tau = 0.0 if k % 4 == 0 else float(rng.uniform(0.05, 1.0))
+    kappa = math.inf if k % 5 == 2 else 0.0 if k % 3 == 0 else \
+        float(rng.uniform(0.05, 4.0))
+    sigma = float(rng.uniform(0.05, 1.0)) if seiq and k % 8 != 5 else 0.0
+    ps = ModelParams(r=float(rng.uniform(1.2, 8.0)),
+                     p=float(rng.uniform(0.1, 0.95)), tau=tau,
+                     kappa=0.0 if math.isinf(kappa) else kappa, sigma=sigma)
+    step = float(rng.choice([1e-3, 2e-3, 5e-3, 0.01, 0.02]))
+    i0 = float(rng.uniform(1e-3, 0.1))
+    kind = (k // 2) % 4
+    if kind == 0:
+        hist = outbreak_history(ps, i0)
+    elif kind == 1:
+        hist = outbreak_history(ps, i0, q0=float(rng.uniform(0.0, 0.05)),
+                                e0=float(rng.uniform(0.0, 0.05)) if seiq
+                                else 0.0)
+    elif kind == 2:
+        lead = int(rng.integers(1, max(2, int(ps.span / step))))
+        pulse = (1.0 - i0, 0.0, i0, 0.0) if seiq else (1.0 - i0, i0, 0.0)
+        at0 = (1.0 - 2 * i0, 0.0, 2 * i0, 0.0) if seiq else \
+            (1.0 - 2 * i0, 2 * i0, 0.0)
+        hist = _pulse_history(ps.span + step, at0, pulse, -lead * step)
+    else:
+        hist = smooth_simplex_history(ps.span + step, seed=k,
+                                      dim=4 if seiq else 3)
+    kw = dict(r=ps.r, eps=ps.eps, sigma=ps.sigma, tau=ps.tau, kappa=kappa)
+    return hist, step, kw
+
+
+@pytest.mark.parametrize("k", range(64))
+def test_kernel_matches_four_state_loop_bitwise(k):
+    hist, step, kw = _random_kernel_point(k)
+    got = dde_core.integrate(hist, 6.0, step, **kw)
+    want = flux_integrate(hist, 6.0, step, **kw)
+    for name in ("states", "derivs", "kink_nodes", "kink_derivs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    if hist.jumps and max(got.snapped_delays) > 0:
+        assert got.kink_nodes.size     # the jump at 0 reaches the solution
+
+
+def _nonfinite_t(fn, hist, step, **kw):
+    with pytest.raises(NonFiniteState) as err:
+        fn(hist, 3.0, step, **kw)
+    return float(re.search(r"at t=(\S+):", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("state, kw", [
+    # the flux r*S*I overflows, at once or after a few steps, with and
+    # without zero lags
+    ((1e3, 1e3, 0.0), dict(tau=0.5, kappa=1.0)),
+    ((1e3, 1e4, 0.0), dict(tau=0.0, kappa=0.0)),
+    ((1e3, 1e3, 0.0), dict(tau=0.5, kappa=math.inf)),
+    ((-1e2, 1e2, 0.0), dict(tau=0.25, kappa=0.5)),
+    ((1e200, 1e200, 0.0), dict(tau=0.5, kappa=1.0)),
+    ((1e3, 0.0, 1e3, 0.0), dict(sigma=0.5, tau=0.5, kappa=1.0)),
+    ((1e3, 0.0, 1e3, 0.0), dict(sigma=0.25, tau=0.0, kappa=0.0)),
+    # only Q or E is not finite: the loop over (S, I) never sees it
+    ((0.5, 0.1, math.inf), dict(tau=0.5, kappa=1.0)),
+    ((0.5, math.nan, 0.1, 0.0), dict(sigma=0.5, tau=0.5, kappa=1.0)),
+])
+def test_nonfinite_state_raised_where_the_four_state_loop_raises(state, kw):
+    kw = dict(r=2.5, eps=0.5, **kw)
+    hist = constant_history(state, 2.5)
+    for step in (1e-3, 0.01):
+        t = _nonfinite_t(dde_core.integrate, hist, step, **kw)
+        assert t == _nonfinite_t(flux_integrate, hist, step, **kw)
