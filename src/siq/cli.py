@@ -350,13 +350,8 @@ def cmd_spectrum(args) -> Artifact:
     sc = build_scenario(args, LEAF_KEYS)
     params = sc.params
     q, eta = args.q or 0.0, args.eta or 0.0
-    if args.equilibrium == "disease-free":
-        chi = disease_free_chareq(params, q, eta)
-    elif eta:
-        raise ConfigError(f"eta = {eta!r} labels the disease-free point "
-                          "only (--equilibrium disease-free)")
-    else:
-        chi = endemic_chareq(params, q)
+    chi = (disease_free_chareq if args.equilibrium == "disease-free"
+           else endemic_chareq)(params, q, eta)
     rep = count_unstable(chi, locate=not args.no_locate)
     meta = params_meta(params, equilibrium=args.equilibrium, q=q,
                        eta=eta, **{k: getattr(rep, k) for k in (

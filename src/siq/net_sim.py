@@ -178,12 +178,19 @@ class SimConfig:
     n_out: int = 201
 
     def __post_init__(self):
-        if min(self.beta, self.gamma, self.tau_days, self.kappa_days) < 0:
-            raise ValueError("rates and times must be nonnegative")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.t_end_days <= 0 or self.n_out < 2:
-            raise ValueError("need t_end_days > 0 and n_out >= 2")
+        # a run at beta = inf never ends; kappa_days = inf stays legal
+        for name, ok, rule in (
+                ("beta", 0.0 <= self.beta < math.inf, "finite and >= 0"),
+                ("gamma", self.gamma >= 0.0, ">= 0"),
+                ("tau_days", self.tau_days >= 0.0, ">= 0"),
+                ("kappa_days", self.kappa_days >= 0.0, ">= 0"),
+                ("p", 0.0 <= self.p <= 1.0, "in [0, 1]"),
+                ("t_end_days", 0.0 < self.t_end_days < math.inf,
+                 "finite and > 0"),
+                ("n_out", self.n_out >= 2, ">= 2")):
+            if not ok:                    # NaN fails every comparison
+                raise ValueError(f"{name} = {getattr(self, name)!r} must "
+                                 f"be {rule}")
         object.__setattr__(self, "initial_infected",
                            tuple(int(u) for u in self.initial_infected))
 

@@ -7,13 +7,14 @@ model being sigma = 0.  Its structural zero root is simple.  Divided by
 it, chi at sigma = kappa = 0 is lam + a + b e^{-tau lam}, whose unstable
 count is closed form (Hayes 1950).  The equations are retarded, so roots
 then move into or out of Re > 0 only across the imaginary axis, first as
-sigma grows (w_I = 0 only), then as kappa grows, where
-chi = A + B e^{-kappa lam} has |A| = |B|; each crossing moves the count by
-2 sign F'(omega), F = |A|^2 - |B|^2.  Roots are located by a Chebyshev
-collocation of the linearized system, Newton-polished on chi, refined
-until they number exactly the count.  The large-kappa spectrum is the same
-count at that kappa: kappa Re lam of the rightmost roots tends to
-max -log|A(i omega)/B(i omega)| (Lichtner, Wolfrum & Yanchuk 2011).
+kappa grows at sigma = 0, then as sigma grows.  On both legs
+chi = A + B e^{-s lam} in the leg's delay s, and a crossing, where
+|A| = |B|, moves the count by 2 sign F'(omega), F = |A|^2 - |B|^2.  Roots
+are located by a Chebyshev collocation of the linearized system,
+Newton-polished on chi, refined until they number exactly the count.  The
+large-kappa spectrum is the same count at that kappa: kappa Re lam of the
+rightmost roots tends to max -log|A(i omega)/B(i omega)| (Lichtner,
+Wolfrum & Yanchuk 2011).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidFractions, NumericalError
+from .errors import InvalidFractions, NumericalError
 from .equilibria import endemic_point, q_critical
 from .siq_model import ModelParams
 
@@ -93,32 +94,27 @@ def disease_free_chareq(params: ModelParams, q: float,
                   sigma=params.sigma)
 
 
-def _check_endemic_leaf(q: float, qc: float) -> None:
-    """The endemic family (1 - q_c, q_c - q, q) needs 0 <= q < q_c."""
-    _check_fractions(q=q)
-    if not q < qc:
-        raise InvalidFractions(f"endemic leaf q = {q!r} must lie below "
-                               f"q_c = {qc!r}: w_I = q_c - q <= 0")
-
-
-def endemic_chareq(params: ModelParams, q: float) -> CharEq:
-    """Linearization at the endemic point with Q-component q:
-    (1 - q_c, q_c - q, q), for the SIQ model only (sigma = 0)."""
-    if params.sigma != 0.0:
-        raise ConfigError(f"sigma = {params.sigma!r}: the endemic spectrum "
-                          "is the SIQ linearization and needs sigma = 0")
+def endemic_chareq(params: ModelParams, q: float, eta: float = 0.0) -> CharEq:
+    """Linearization at the endemic point with E-component eta and
+    Q-component q: (1 - q_c, eta, q_c - q - eta, q), the SIQ point
+    (1 - q_c, q_c - q, q) at sigma = 0 and eta = 0.  It needs q, eta >= 0
+    and q + eta < q_c (w_I > 0)."""
+    _check_fractions(eta=eta, q=q)
     qc = q_critical(params.r, params.p, params.tau)
-    _check_endemic_leaf(q, qc)
+    if not q + eta < qc:
+        raise InvalidFractions(f"endemic leaf q = {q!r}, eta = {eta!r} must "
+                               f"sum below q_c = {qc!r}: w_I <= 0")
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
-                  kappa=params.kappa, w_s=1.0 - qc, w_i=qc - q)
+                  kappa=params.kappa, w_s=1.0 - qc, w_i=qc - q - eta,
+                  sigma=params.sigma)
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     """unstable_count = base + 2 * crossings: the closed-form count at
-    sigma = kappa = 0 and the signed axis crossings below sigma, then below
-    kappa.  ``roots`` (Re > 0) come from collocation size ``collocation_n``
-    (0: none located); ``max_residual`` = max |chi|."""
+    sigma = kappa = 0 and the signed axis crossings below kappa at
+    sigma = 0, then below sigma.  ``roots`` (Re > 0) come from collocation
+    size ``collocation_n`` (0: none located); ``max_residual`` = max |chi|."""
 
     unstable_count: int
     roots: tuple[complex, ...]
@@ -157,40 +153,20 @@ def _signed_crossings(omega: np.ndarray, direction: np.ndarray,
         0.0, np.ceil((top * omega - theta) / TWO_PI))))
 
 
-def _sigma_branches(chareq: CharEq):
-    """Axis frequencies in sigma of chi/lam = A + B e^{-sigma lam} at
-    w_I = 0, A = lam + 1, B = -r w_S (1 - eps e^{-tau lam}), from
-    F = 1 + omega^2 - (r w_S)^2 (1 - 2 eps cos(tau omega) + eps^2) > 0
-    past |r w_S| (1 + eps); directions and alpha = arg(-A/B)."""
-    rw, eps, tau = chareq.r * chareq.w_s, chareq.eps, chareq.tau
-    omega, direction = _axis_roots(
-        lambda w: 1.0 + w * w - rw * rw * (1.0 - 2.0 * eps * np.cos(tau * w)
-                                           + eps * eps),
-        abs(rw) * (1.0 + eps), tau)
-    lam = 1j * omega
-    alpha = np.angle((lam + 1.0) / (rw * (1.0 - eps * np.exp(-tau * lam))))
-    return omega, direction, alpha
-
-
 def _continuation(chareq: CharEq) -> tuple[int, int]:
     """(base, signed crossings): the count at sigma = kappa = 0, continued
-    in sigma (w_I = 0 only: chi is then free of kappa) and then in kappa.
-    Continuing a point with infected in sigma is not modelled."""
+    in kappa at sigma = 0 and then in sigma at the chareq's own kappa."""
     r, eps, w_i = chareq.r, chareq.eps, chareq.w_i
-    crossings = 0
-    if chareq.sigma > 0.0:
-        if w_i != 0.0:
-            raise ConfigError(f"sigma = {chareq.sigma!r} with w_I = {w_i!r}: "
-                              "the count is continued in sigma only at "
-                              f"w_I = 0, at {_point(chareq)}")
-        crossings = _signed_crossings(*_sigma_branches(chareq), chareq.sigma)
-    # chi'(0) moves with kappa, and a real root crossing at lam = 0 is
-    # invisible to the axis frequencies omega > 0
+    # chi'(0) is affine in kappa and in sigma, and a real root crossing at
+    # lam = 0 is invisible to the axis frequencies omega > 0
     g0 = 1.0 - r * (chareq.w_s - w_i) * (1.0 - eps)
-    if (g0 > 0.0) != (g0 + r * w_i * eps * chareq.kappa > 0.0):
+    corners = (g0, g0 + r * w_i * eps * chareq.kappa,
+               g0 + r * w_i * (chareq.sigma + eps * chareq.kappa))
+    if len({c > 0.0 for c in corners}) > 1:
         raise NumericalError(f"a real root crosses 0 at {_point(chareq)}")
-    return _base_count(chareq), crossings + _signed_crossings(
-        *_kappa_branches(chareq), chareq.kappa)
+    return _base_count(chareq), sum(
+        _signed_crossings(*_axis_branches(leg), top) for leg, top in zip(
+            _legs(chareq), (chareq.kappa, chareq.sigma)) if top > 0.0)
 
 
 def _point(chareq: CharEq) -> str:
@@ -302,9 +278,9 @@ def _locate(chareq: CharEq, count: int) -> tuple[list[complex], int]:
 def count_unstable(chareq: CharEq, *, locate: bool = True) -> SpectralReport:
     """Roots of chi with Re > 0, the structural zero root excluded: the
     closed-form base continued through the signed axis crossings below
-    the chareq's own sigma, then its own kappa; ConfigError at sigma > 0
-    with w_I != 0.  With ``locate`` the roots are found by collocation and
-    must number the count, else NumericalError names the point."""
+    the chareq's own kappa at sigma = 0, then below its own sigma.  With
+    ``locate`` the roots are found by collocation and must number the
+    count, else NumericalError names the point."""
     base, crossings = _continuation(chareq)
     count = base + 2 * crossings
     if count < 0:
@@ -335,14 +311,6 @@ class HopfData:
     omega: float
     direction: int = 1
     residual: float = math.nan
-
-
-def _endemic_chareq_at(r, p, tau, q, kappa, track_leaf):
-    params = ModelParams(r=r, p=p, tau=tau, kappa=kappa)
-    chi = endemic_chareq(params, q)
-    if track_leaf:
-        return replace(chi, w_i=endemic_point(params, q).v_I)
-    return chi
 
 
 def _axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -397,40 +365,67 @@ def _axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(omega, dtype=float), np.array(direction, dtype=int)
 
 
-def _axis_frequencies(b: float, c: float, beta: float, c1: float,
-                      tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots omega > 0 of F = |A(i omega)|^2 - |B(i omega)|^2 and sign F',
-    where chi = A + B e^{-kappa lam}, A = lam^2 + lam (c + beta e) + b e,
-    B = -b e (lam + 1), e = e^{-tau lam}.  As |A| >= omega^2 - c1 omega - |b|
-    and |B| <= |b| (1 + omega), F > 0 past the positive root of
-    omega^2 - (c1 + |b|) omega - 2|b|.  The roots are those of F/omega^2,
-    free of the structural root at 0.
-    """
-    if b == 0.0:                   # chi does not depend on kappa
-        return np.empty(0), np.empty(0, dtype=int)
+def _axis_branches(rows: tuple):
+    """Axis frequencies of chi = A + B e^{-s lam} in a delay s, where
+    A = lam^2 + sum (a0 + a1 lam) e, B = sum (b0 + b1 lam) e, e = e^{-d lam}
+    over rows (d, a0, a1, b0, b1) free of s, the a0 and b0 summing to 0:
+    the roots omega > 0 of F = |A(i omega)|^2 - |B(i omega)|^2, the signs
+    of F' there (+1: a pair enters Re > 0 as s grows) and alpha = arg(-A/B)
+    at each (Cooke & van den Driessche 1986).
+
+    The roots are those of g = F/omega^2 = Re((A - B) conj(A + B))/omega^2,
+    g(0) its limit.  A + B is O(omega), summed as lam^2 + sum ((a1 + b1)
+    lam e + (a0 + b0)(e - 1)) with e - 1 from expm1, so g keeps the digits
+    of its terms.  On the axis |A| >= omega^2 - sum (|a0| + |a1| omega)
+    and |B| <= sum (|b0| + |b1| omega): F > 0 past the positive root of
+    omega^2 - P1 omega - P0, P1 = sum |a1| + |b1|, P0 = sum |a0| + |b0|."""
+    rows = tuple(row for row in rows if any(row[1:]))
+    if not any(row[3] or row[4] for row in rows):  # chi is free of s
+        return np.empty(0), np.empty(0, dtype=int), np.empty(0)
+    # g(0) = D1 S1 - D0 S2, Taylor coefficients at 0 of D = A - B, S = A + B
+    d0, d1, s1, s2 = map(sum, zip(*((
+        a0 - b0, a1 - b1 - d * (a0 - b0), a1 + b1 - d * (a0 + b0),
+        d * (0.5 * d * (a0 + b0) - a1 - b1)) for d, a0, a1, b0, b1 in rows)))
+    g0 = d1 * s1 - d0 * (1.0 + s2)
+
+    def at(w):                     # A - B and A + B at i w
+        lam = 1j * w
+        diff = total = lam * lam
+        for d, a0, a1, b0, b1 in rows:
+            e = np.exp(-d * lam) if d else 1.0
+            diff = diff + (a0 - b0 + (a1 - b1) * lam) * e
+            total = total + (a1 + b1) * lam * e
+            if d and a0 + b0:
+                total = total + (a0 + b0) * np.expm1(-d * lam)
+        return diff, total
 
     def g(w):
-        return (w * w + beta * beta + c * c - b * b
-                + 2.0 * (beta * c - b) * np.cos(tau * w)
-                - 2.0 * (b * c + beta * w * w) * tau
-                * np.sinc(tau * w / math.pi))
+        diff, total = at(w)
+        f = diff.real * total.real + diff.imag * total.imag
+        if isinstance(w, float):   # one polish step
+            return f / w / w if w else g0      # w * w may underflow
+        return np.where(w == 0.0, g0, f / np.where(w == 0.0, 1.0, w * w))
 
-    s = c1 + abs(b)
-    return _axis_roots(g, 0.5 * (s + math.sqrt(s * s + 8.0 * abs(b))), tau)
+    p0, p1 = (sum(abs(row[k]) + abs(row[k + 2]) for row in rows)
+              for k in (1, 2))
+    omega, direction = _axis_roots(g, 0.5 * (p1 + math.sqrt(p1 * p1 + 4 * p0)),
+                                   max(row[0] for row in rows))
+    diff, total = at(omega)
+    return omega, direction, np.angle((total + diff) / (diff - total))
 
 
-def _kappa_branches(chi: CharEq, solve=_axis_frequencies):
-    """Axis frequencies of chi in kappa, their directions sign F' and
-    alpha = arg(-A/B) at each."""
-    r, tau, w_s, w_i, eps = chi.r, chi.tau, chi.w_s, chi.w_i, chi.eps
-    b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
-    omega, direction = solve(b, c, beta, 1.0 + r * (abs(w_s) * (1.0 + eps)
-                                                    + abs(w_i)), tau)
-    lam = 1j * omega
-    e = np.exp(-tau * lam)
-    alpha = np.angle((lam * lam + lam * (c + beta * e) + b * e)
-                     / (b * e * (lam + 1.0)))
-    return omega, direction, alpha
+def _legs(chi: CharEq) -> tuple[tuple, tuple]:
+    """The rows of chi = A + B e^{-s lam} on the two legs of the path, with
+    v = e^{-tau lam}, k = e^{-kappa lam}.  In s = kappa at sigma = 0:
+    A = lam^2 + (1 - r w_S + r w_I) lam + r eps (w_I + w_S lam) v and
+    B = -r w_I eps (1 + lam) v.  In s = sigma at chi's kappa:
+    A = lam (lam + 1 + r w_I) + r w_I and B = -lam r w_S (1 - eps v)
+    - lam r w_I eps v k - r w_I (1 - eps v (1 - k))."""
+    rs, ri, e, tau = chi.r * chi.w_s, chi.r * chi.w_i, chi.eps, chi.tau
+    return (((0.0, 0.0, 1.0 - rs + ri, 0.0, 0.0),
+             (tau, ri * e, rs * e, -ri * e, -ri * e)),
+            ((0.0, ri, 1.0 + ri, -ri, -rs), (tau, 0.0, 0.0, ri * e, rs * e),
+             (tau + chi.kappa, 0.0, 0.0, -ri * e, -ri * e)))
 
 
 class _Sample(NamedTuple):
@@ -510,11 +505,14 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
     if not (math.isfinite(kappa_max) and kappa_max >= 0.0):
         raise ValueError(f"kappa_max must be finite and >= 0, "
                          f"got {kappa_max!r}")
-    solve = functools.lru_cache(maxsize=None)(_axis_frequencies)
+    solve = functools.lru_cache(maxsize=None)(_axis_branches)
 
     def sample(kappa: float) -> _Sample:
-        chi = _endemic_chareq_at(r, p, tau, q, float(kappa), track_leaf)
-        return _Sample(float(kappa), chi, *_kappa_branches(chi, solve))
+        params = ModelParams(r=r, p=p, tau=tau, kappa=float(kappa))
+        chi = endemic_chareq(params, q)
+        if track_leaf:
+            chi = replace(chi, w_i=endemic_point(params, q).v_I)
+        return _Sample(float(kappa), chi, *solve(_legs(chi)[0]))
 
     steps = max(1, math.ceil(kappa_max / 0.25)) if track_leaf else 1
     samples = [sample(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
@@ -576,14 +574,13 @@ def stability_map(r: float, p: float, tau: float,
     ks = [float(v) for v in kappa_grid]
     if not all(math.isfinite(k) and k >= 0.0 for k in ks):
         raise ValueError("kappa grid values must be finite and >= 0")
-    qc = q_critical(r, p, tau)
-    for q in qs:
-        _check_endemic_leaf(q, qc)
+    # every leaf is checked before any row is counted
+    bases = [_base_count(endemic_chareq(ModelParams(r, p, tau, 0.0), q))
+             for q in qs]
     counts = np.full((len(qs), len(ks)), -1, dtype=int)
     errors: list[tuple[int, str]] = []
-    for i, q in enumerate(qs):
+    for i, (q, base) in enumerate(zip(qs, bases)):
         try:
-            base = _base_count(_endemic_chareq_at(r, p, tau, q, 0.0, False))
             cross = axis_crossings(r, p, tau, q, max(ks, default=0.0))
             row = [base + 2 * sum(c.direction for c in cross if c.kappa_0 < k)
                    for k in ks]

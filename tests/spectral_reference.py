@@ -13,7 +13,9 @@ extent, Re in [1e-8, max(10, r)], |Im| <= 20 pi, not a proven bound.
 It also holds the second method the per-bracket float polish
 ``siq.spectral._axis_roots`` is checked against: ``axis_roots``, the same
 grid, brackets and step rule run on all brackets at once as masked numpy
-arrays.
+arrays; and ``kappa_leg_g``, F/omega^2 of the kappa leg expanded by hand,
+which the generic axis routine (F from complex A - B and A + B) is
+checked against.
 """
 
 from __future__ import annotations
@@ -166,3 +168,16 @@ def axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
         stale = np.where(halved, 0, stale + 1)
     keep = lo > 0.0
     return lo[keep], np.where(lo_pos, -1, 1)[keep]
+
+
+def kappa_leg_g(b: float, c: float, beta: float, tau: float):
+    """g = F/omega^2, F = |A(i omega)|^2 - |B(i omega)|^2, expanded by hand
+    for chi = A + B e^{-kappa lam} at sigma = 0: A = lam^2 + lam (c +
+    beta e) + b e, B = -b e (lam + 1), e = e^{-tau lam}, with
+    b = r w_I eps, c = 1 - r w_S + r w_I and beta = r w_S eps."""
+    def g(w):
+        return (w * w + beta * beta + c * c - b * b
+                + 2.0 * (beta * c - b) * np.cos(tau * w)
+                - 2.0 * (b * c + beta * w * w) * tau
+                * np.sinc(tau * w / math.pi))
+    return g

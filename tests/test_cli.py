@@ -83,9 +83,11 @@ def test_config_file_parsing(tmp_path):
     assert "bogus" in str(err.value)
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path):
     # every `siq ...` line of README's sh blocks, continuation lines joined
-    # and comments dropped, parses: the documented flags stay in step
+    # and comments dropped, parses: the documented flags stay in step; the
+    # spectral and endemic commands, which take milliseconds, also run and
+    # exit 0, their --out redirected
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(),
                         re.MULTILINE | re.DOTALL)
@@ -93,8 +95,15 @@ def test_readme_commands_parse():
     commands = [shlex.split(line, comments=True) for line in lines]
     commands = [argv[1:] for argv in commands if argv[:1] == ["siq"]]
     assert len(commands) >= 9
-    for argv in commands:
+    ran = 0
+    for k, argv in enumerate(commands):
         build_parser().parse_args(argv)
+        if argv[0] in ("endemic", "spectrum", "hopf", "stability-map"):
+            out = tmp_path / f"{k}.csv"
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            assert out.exists()
+            ran += 1
+    assert ran >= 5
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -341,8 +350,7 @@ def test_cli_rejects_endemic_leaf_beyond_qc(tmp_path, capsys):
 def test_cli_spectrum_rejects_eta_without_latent_point(tmp_path, capsys):
     # eta labels the E leaf of the disease-free point at every sigma: with
     # eta + q = 0.5 > q_c = 0.426 the point is stable, while q = 0.2 alone
-    # is not (at sigma = 0, eta was once dropped and this counted 1); the
-    # endemic point has no eta
+    # is not (at sigma = 0, eta was once dropped and this counted 1)
     base = ["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
             "--kappa", "1", "--q", "0.2"]
     counts = {}
@@ -353,10 +361,18 @@ def test_cli_spectrum_rejects_eta_without_latent_point(tmp_path, capsys):
         counts[" ".join(extra)] = (meta["eta"], meta["unstable_count"])
     assert counts == {"": ("0", "1"), "--eta 0.3": ("0.3", "0"),
                       "--eta 0.3 --sigma 0.5": ("0.3", "0")}
-    base += ["--eta", "0.3", "--equilibrium", "endemic"]
-    assert main(base) == 1
-    assert "eta = 0.3" in capsys.readouterr().err
-    assert main(base + ["--sigma", "0.5"]) == 1
+    # on the endemic point (1 - q_c, eta, q_c - q - eta, q) eta labels E
+    # too, and q + eta = 0.5 >= q_c leaves no infected
+    endemic = base + ["--eta", "0.3", "--equilibrium", "endemic"]
+    for extra in ([], ["--sigma", "0.5"]):
+        assert main(endemic + extra) == 1
+        assert "must sum below q_c" in capsys.readouterr().err
+    out = tmp_path / "endemic.csv"
+    assert main(base[:-2] + ["--q", "0.1", "--eta", "0.05", "--sigma", "0.5",
+                             "--equilibrium", "endemic", "--out",
+                             str(out)]) == 0
+    meta, _, _ = read_csv(str(out))
+    assert (meta["q"], meta["eta"]) == ("0.1", "0.05")
 
 
 def test_cli_stability_map_small(tmp_path):
@@ -517,13 +533,18 @@ def test_cli_rejects_nonpositive_r(tmp_path, capsys, r):
         assert not out.exists()
 
 
-def test_cli_spectrum_rejects_endemic_sigma(capsys):
-    # the endemic CharEq is the SIQ linearization: this call used to exit 0
-    # with 2 unstable roots, where the SEIQ linearization has none
-    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0",
-                 "--kappa", "10", "--sigma", "0.5", "--q", "0",
-                 "--equilibrium", "endemic"]) == 1
-    assert "sigma = 0.5" in capsys.readouterr().err
+def test_cli_spectrum_counts_endemic_sigma(tmp_path):
+    # the SEIQ endemic point at sigma = 0.5: stable at kappa = 10, where
+    # the SIQ linearization has 2 unstable roots, and 2 past kappa_0 = 12.35
+    counts = []
+    for kappa in ("10", "13.35"):
+        out = tmp_path / f"k{kappa}.csv"
+        assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0",
+                     "--kappa", kappa, "--sigma", "0.5", "--q", "0",
+                     "--equilibrium", "endemic", "--out", str(out)]) == 0
+        meta, _, rows = read_csv(str(out))
+        counts.append((meta["unstable_count"], len(rows)))
+    assert counts == [("0", 0), ("2", 2)]
 
 
 @pytest.mark.parametrize("sigma, e0, q0", [(0.0, 0.0, 0.05),

@@ -247,6 +247,21 @@ def test_config_validation():
                                         initial_infected=(5,)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta", math.nan), ("beta", math.inf), ("gamma", math.nan),
+    ("tau_days", math.nan), ("kappa_days", math.nan),
+    ("t_end_days", math.nan), ("t_end_days", math.inf)])
+def test_config_rejects_non_finite_fields(field, value):
+    # only constructs the config: at beta = inf a run would never return
+    good = dict(beta=1.0, gamma=1.0, p=0.5, tau_days=0.5, kappa_days=2.0,
+                t_end_days=5.0, seed=0, initial_infected=(0,))
+    with pytest.raises(ValueError, match=f"^{field} = {value}"):
+        SimConfig(**{**good, field: value})
+    # permanent isolation and an unreachable identification stay legal
+    SimConfig(**{**good, "kappa_days": math.inf})
+    SimConfig(**{**good, "tau_days": math.inf})
+
+
 def test_pair_index_inversion_exhaustive_small_n():
     from siq.net_sim import _pair_from_index
     for n in (2, 3, 5, 11):

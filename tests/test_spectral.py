@@ -6,19 +6,21 @@ detection."""
 import cmath
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dde_reference import seiq_field, siq_field
 from siq.equilibria import endemic_point, q_critical
-from siq.errors import ConfigError, InvalidFractions, NumericalError
-from siq.siq_model import ModelParams
+from siq.errors import InvalidFractions, NumericalError
+from siq.dde_core import History
+from siq.siq_model import ModelParams, simulate
 from siq.spectral import (CharEq, axis_crossings, count_unstable,
                           disease_free_chareq, endemic_chareq, hopf_crossings,
                           hopf_kappa0, stability_map)
 from spectral_reference import (Box, ContourThroughZero, axis_roots,
-                                default_box, winding_count)
+                                default_box, kappa_leg_g, winding_count)
 
 PS = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
 QC = q_critical(2.5, 0.5, 0.5)
@@ -138,15 +140,15 @@ def test_chareq_is_the_seiq_linearization():
     assert worst_terms <= 1e-12
 
 
-def test_count_unstable_rejects_sigma_with_infected():
-    # the count is continued in sigma only at w_I = 0; at (5, 0.85, 0.2,
-    # kappa = 8) with infected it used to ignore sigma and count the SIQ
-    # spectrum (4) at sigma = 0.5 and at sigma = 3
+def test_count_unstable_continues_sigma_with_infected():
+    # (5, 0.85, 0.2, kappa = 8) with infected: the kappa leg at sigma = 0
+    # gives 4, and the sigma leg at kappa = 8 takes the pairs back out
     chi = endemic_chareq(ModelParams(r=5.0, p=0.85, tau=0.2, kappa=8.0), 0.0)
-    assert count_unstable(chi, locate=False).unstable_count == 4
-    for sigma in (0.5, 3.0):
-        with pytest.raises(ConfigError, match=f"sigma = {sigma}"):
-            count_unstable(replace(chi, sigma=sigma), locate=False)
+    for sigma, want in ((0.0, 4), (0.5, 2), (3.0, 0)):
+        seiq = replace(chi, sigma=sigma)
+        rep = count_unstable(seiq)
+        assert rep.unstable_count == want == winding_count(seiq)
+        assert len(rep.roots) == want
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +395,68 @@ def test_real_root_through_zero_raises():
     lambda: endemic_chareq(PS, q_critical(PS.r, PS.p, PS.tau)),
     lambda: endemic_chareq(PS, 0.6),
     lambda: stability_map(2.5, 0.5, 0.0, [0.0, 0.25], [1.0]),   # q_c = 0.2
+    # and with E-component eta, q + eta < q_c
+    lambda: endemic_chareq(PS, 0.1, eta=-0.05),
+    lambda: endemic_chareq(PS, 0.2, eta=0.3),
 ], ids=["disease-free q<0", "disease-free q>1", "endemic q<0",
         "seiq eta<0", "seiq q<0", "seiq eta+q>1", "stability-map q<0",
-        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c"])
+        "hopf q<0", "endemic q=q_c", "endemic q>q_c", "stability-map q>q_c",
+        "endemic eta<0", "endemic q+eta>q_c"])
 def test_leaf_labels_outside_simplex_rejected(call):
     with pytest.raises(InvalidFractions):
         call()
 
 
-def test_endemic_chareq_rejects_sigma():
-    # the endemic CharEq is the SIQ linearization; at sigma = 0.5 it used
-    # to count the SIQ spectrum (2 unstable roots at kappa = 10, where the
-    # SEIQ linearization has none)
-    ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=10.0, sigma=0.5)
-    with pytest.raises(ConfigError, match="sigma = 0.5"):
-        endemic_chareq(ps, 0.0)
+def test_endemic_chareq_counts_the_seiq_point():
+    # the SEIQ endemic point (1 - q_c, eta, q_c - q - eta, q) at
+    # (2.5, 0.5, tau = 0, sigma = 0.5): stable at kappa = 10, where the SIQ
+    # linearization has 2 unstable roots, and unstable past kappa_0 = 12.35
+    for kappa, want in ((10.0, 0), (13.35, 2)):
+        ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=kappa, sigma=0.5)
+        chi = endemic_chareq(ps, 0.0)
+        assert chi.sigma == 0.5 and chi.w_s + chi.w_i == 1.0   # q_c = 0.2
+        rep = count_unstable(chi)
+        assert rep.unstable_count == want == winding_count(chi)
+        assert len(rep.roots) == want
+    chi = endemic_chareq(ps, 0.05, eta=0.1)
+    assert chi.w_i == pytest.approx(0.05, abs=1e-15)
+    assert complex(chi(0.0)) == 0.0
+
+
+def _random_seiq_endemic(rng):
+    """A point of the SEIQ endemic family (1 - q_c, eta, q_c - q - eta, q):
+    r in [2, 12], p in [0.3, 0.95], tau in [0, 1], kappa in [5, 40],
+    sigma in [0.05, 3]."""
+    while True:
+        r, p, tau = rng.uniform(2.0, 12.0), rng.uniform(0.3, 0.95), \
+            rng.uniform(0.0, 1.0)
+        ps = ModelParams(r, p, tau, rng.uniform(5.0, 40.0),
+                         sigma=rng.uniform(0.05, 3.0))
+        qc = q_critical(r, p, tau)
+        if qc > 0.0:
+            q = rng.uniform(0.0, qc)
+            return endemic_chareq(ps, q, eta=rng.uniform(0.0, qc - q))
+
+
+def test_seiq_endemic_continuation_matches_reference():
+    # the kappa-then-sigma continuation against the argument principle
+    # wherever the contour answers; the located roots number the count,
+    # and at many points the sigma leg moves the count of the SIQ point
+    rng = np.random.default_rng(1717)
+    compared = moved = 0
+    for _ in range(40):
+        chi = _random_seiq_endemic(rng)
+        rep = count_unstable(chi)
+        assert len(rep.roots) == rep.unstable_count
+        moved += rep.unstable_count != count_unstable(
+            replace(chi, sigma=0.0), locate=False).unstable_count
+        try:
+            ref = winding_count(chi)
+        except ContourThroughZero:
+            continue
+        assert rep.unstable_count == ref, chi
+        compared += 1
+    assert compared >= 36 and moved >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -696,23 +745,27 @@ def _bisected_axis_roots(g, w_hi, tau):
 
 
 def test_axis_frequency_polish_matches_bisection(monkeypatch):
-    # the Illinois polish of _axis_roots against 60 bisections, on the
-    # _axis_frequencies inputs of random endemic points (fixed and tracked
-    # leaf, every fourth at tau = 0): the same roots and directions, each
-    # omega within 16 ulp, plus the rounding band eps G/|g'| of g where g
-    # is ill-conditioned (G: its terms' magnitudes), where any point of
-    # the band is a sign change of the computed g
+    # the axis routine on the kappa leg (g = F/omega^2 from complex A - B
+    # and A + B, Illinois-polished) against 60 bisections of the hand g of
+    # that leg on the same grid, at random endemic points (fixed and
+    # tracked leaf, every fourth at tau = 0): the same roots and
+    # directions, each omega within 16 ulp, plus the rounding band
+    # eps G/|g'| of g where g is ill-conditioned (G: its terms'
+    # magnitudes), where any point of the band is a sign change of the
+    # computed g; and g(0) is the hand g's value there
     import siq.spectral as spectral
     polish = spectral._axis_roots
-    calls = []
+    calls, solves = [], []
 
     def counted(g, w_hi, tau):
         def g_counted(w):
             calls[-1] += 1
             return g(w)
         calls.append(0)
+        solves.append((g, w_hi, tau))
         return polish(g_counted, w_hi, tau)
 
+    monkeypatch.setattr(spectral, "_axis_roots", counted)
     rng = np.random.default_rng(1414)
     seen = {"no root": 0, "tau = 0 with roots": 0, "tau > 0 with roots": 0}
     for k in range(40):
@@ -725,12 +778,20 @@ def test_axis_frequency_polish_matches_bisection(monkeypatch):
         w_s, w_i = 1.0 - qc, endemic_point(ps, q).v_I if k % 2 else qc - q
         eps = ps.eps
         b, c, beta = r * w_i * eps, 1.0 - r * w_s + r * w_i, r * w_s * eps
-        args = (b, c, beta, 1.0 + r * (w_s * (1.0 + eps) + w_i), tau)
+        chi = CharEq(r=r, eps=eps, tau=tau, kappa=ps.kappa, w_s=w_s, w_i=w_i)
 
-        monkeypatch.setattr(spectral, "_axis_roots", _bisected_axis_roots)
-        ref, ref_dir = spectral._axis_frequencies(*args)
-        monkeypatch.setattr(spectral, "_axis_roots", counted)
-        omega, direction = spectral._axis_frequencies(*args)
+        omega, direction, _ = spectral._axis_branches(
+            spectral._legs(chi)[0])
+        g_axis, w_hi, span = solves[-1]
+        g = kappa_leg_g(b, c, beta, tau)
+        ref, ref_dir = _bisected_axis_roots(g, w_hi, span)
+        assert span == tau
+        # the hand g at 0, in exact rationals: in floats it cancels digits
+        # where c ~ -beta
+        fb, fc, fbeta, ftau = map(Fraction, (b, c, beta, tau))
+        g_at_0 = float(fbeta * fbeta + fc * fc - fb * fb
+                       + 2 * (fbeta * fc - fb) - 2 * fb * fc * ftau)
+        assert abs(float(g_axis(0.0)) - g_at_0) <= 1e-12 * abs(g_at_0)
 
         assert len(omega) == len(ref) and np.array_equal(direction, ref_dir)
         if len(omega) == 0:
@@ -739,12 +800,6 @@ def test_axis_frequency_polish_matches_bisection(monkeypatch):
             continue
         assert calls[-1] <= 25
         seen[f"tau {'=' if tau == 0.0 else '>'} 0 with roots"] += 1
-
-        def g(w):
-            return (w * w + beta * beta + c * c - b * b
-                    + 2.0 * (beta * c - b) * np.cos(tau * w)
-                    - 2.0 * (b * c + beta * w * w) * tau
-                    * np.sinc(tau * w / math.pi))
 
         big = (ref * ref + beta * beta + c * c + b * b + 2 * abs(beta * c - b)
                + 2.0 * np.abs(b * c + beta * ref * ref) * tau)
@@ -755,26 +810,39 @@ def test_axis_frequency_polish_matches_bisection(monkeypatch):
     assert min(seen.values()) >= 3, seen
 
 
-def test_axis_frequency_polish_matches_vectorized_reference(monkeypatch):
-    # the per-bracket float polish of _axis_roots against the same step
-    # rule run on all brackets at once (spectral_reference.axis_roots), on
-    # random _axis_frequencies inputs: every third an endemic point (fixed
-    # or tracked leaf), the rest raw (b, c, beta) with the bound
-    # c1 = 1 + |c| + |beta|; every fourth at tau = 0.  The roots are
-    # bitwise equal, g is called once on the grid and then on one point
-    # per step, and only once without a sign change
+def test_axis_branches_sigma_leg_limit_at_zero(monkeypatch):
+    # on the sigma leg at w_I = 0, chi = lam (lam + 1) - lam r w_S
+    # (1 - eps e^{-tau lam}) e^{-sigma lam}: g = F/omega^2 at omega = 0
+    # is 1 - (r w_S (1 - eps))^2, and g is finite on the whole grid
     import siq.spectral as spectral
     polish = spectral._axis_roots
-    calls = []
+    solves = []
 
-    def counted(g, w_hi, tau):
-        def g_counted(w):
-            out = g(w)
-            calls[-1].append((np.size(w), out))
-            return out
-        calls.append([])
-        return polish(g_counted, w_hi, tau)
+    def captured(g, w_hi, tau):
+        solves.append((g, w_hi, tau))
+        return polish(g, w_hi, tau)
 
+    monkeypatch.setattr(spectral, "_axis_roots", captured)
+    rng = np.random.default_rng(1818)
+    for _ in range(20):
+        chi = _random_chareq(rng, "seiq disease-free")
+        spectral._axis_branches(spectral._legs(chi)[1])
+        g, w_hi, span = solves[-1]
+        want = 1.0 - (chi.r * chi.w_s * (1.0 - chi.eps)) ** 2
+        assert abs(float(g(0.0)) - want) <= 1e-12 * abs(want)
+        assert span == chi.tau
+        assert np.all(np.isfinite(g(np.linspace(0.0, w_hi, 9))))
+
+
+def test_axis_frequency_polish_matches_vectorized_reference():
+    # the per-bracket float polish of _axis_roots against the same step
+    # rule run on all brackets at once (spectral_reference.axis_roots), on
+    # the hand-expanded g of the kappa leg at random inputs: every third
+    # an endemic point (fixed or tracked leaf), the rest raw (b, c, beta)
+    # with the bound c1 = 1 + |c| + |beta|; every fourth at tau = 0.  The
+    # roots are bitwise equal, g is called once on the grid and then on
+    # one point per step, and only once without a sign change
+    from siq.spectral import _axis_roots
     rng = np.random.default_rng(1515)
     seen = {"tau = 0 with roots": 0, "no sign change": 0, ">= 2 brackets": 0}
     for k in range(240):
@@ -794,17 +862,24 @@ def test_axis_frequency_polish_matches_vectorized_reference(monkeypatch):
             b, c = rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)
             beta = rng.uniform(0.0, 5.0)
             c1 = 1.0 + abs(c) + beta
-        args = (b, c, beta, c1, tau)
+        g = kappa_leg_g(b, c, beta, tau)
+        s = c1 + abs(b)
+        w_hi = 0.5 * (s + math.sqrt(s * s + 8.0 * abs(b)))
 
-        monkeypatch.setattr(spectral, "_axis_roots", axis_roots)
-        ref, ref_dir = spectral._axis_frequencies(*args)
-        monkeypatch.setattr(spectral, "_axis_roots", counted)
-        omega, direction = spectral._axis_frequencies(*args)
+        ref, ref_dir = axis_roots(g, w_hi, tau)
+        calls = []
+
+        def g_counted(w):
+            out = g(w)
+            calls.append((np.size(w), out))
+            return out
+
+        omega, direction = _axis_roots(g_counted, w_hi, tau)
 
         assert omega.dtype == ref.dtype and direction.dtype == ref_dir.dtype
         assert omega.tobytes() == ref.tobytes()
         assert np.array_equal(direction, ref_dir)
-        (_, grid_g), *steps = calls[-1]
+        (_, grid_g), *steps = calls
         pos = grid_g > 0.0
         brackets = int(np.count_nonzero(pos[:-1] != pos[1:]))
         assert all(size == 1 for size, _ in steps)
@@ -823,33 +898,42 @@ def test_axis_frequency_polish_matches_vectorized_reference(monkeypatch):
 
 def _pseudospectral_unstable(params: ModelParams, x: np.ndarray,
                              n: int) -> int:
-    """Unstable eigenvalues of the SIQ field linearized at the equilibrium
-    x = (S, I, Q), by a Chebyshev collocation of the infinitesimal generator
-    (Breda, Maset & Vermiglio 2005, SIAM J. Sci. Comput. 27:482-495).
+    """Unstable eigenvalues of the field linearized at the equilibrium
+    x = (S, I, Q) of the SIQ model or x = (S, E, I, Q) of the SEIQ model,
+    by a Chebyshev collocation of the infinitesimal generator (Breda,
+    Maset & Vermiglio 2005, SIAM J. Sci. Comput. 27:482-495).
 
     The Jacobians come from central differences of ``siq_field`` (exact
-    for its quadratic terms), not from the characteristic function; Q
-    enters no right-hand side, so the (S, I) block carries the spectrum.
+    for its quadratic terms) or ``_seiq_jacobians``, not from the
+    characteristic function; E and Q enter no right-hand side, so the
+    (S, I) block carries the spectrum, with lags tau and tau + kappa, or
+    sigma, sigma + tau and sigma + tau + kappa.
     """
-    field = siq_field(params)
+    if len(x) == 4:
+        si = np.ix_([0, 2], [0, 2])
+        jacs = [j[si] for j in _seiq_jacobians(params, x)]
+        lags = (params.sigma, params.sigma + params.tau, params.span)
+    else:
+        field = siq_field(params)
 
-    def jac(slot):
-        cols = []
-        for c in range(2):
-            h = np.zeros(3)
-            h[c] = 1e-6
-            args = [[x, [x, x]] for _ in range(2)]
-            if slot == 0:
-                args[0][0], args[1][0] = x + h, x - h
-            else:
-                args[0][1][slot - 1] = x + h
-                args[1][1][slot - 1] = x - h
-            cols.append((np.array(field.fn(0.0, *args[0]))
-                         - np.array(field.fn(0.0, *args[1])))[:2] / 2e-6)
-        return np.column_stack(cols)
+        def jac(slot):
+            cols = []
+            for c in range(2):
+                h = np.zeros(3)
+                h[c] = 1e-6
+                args = [[x, [x, x]] for _ in range(2)]
+                if slot == 0:
+                    args[0][0], args[1][0] = x + h, x - h
+                else:
+                    args[0][1][slot - 1] = x + h
+                    args[1][1][slot - 1] = x - h
+                cols.append((np.array(field.fn(0.0, *args[0]))
+                             - np.array(field.fn(0.0, *args[1])))[:2] / 2e-6)
+            return np.column_stack(cols)
 
-    a_now, a_tau, a_ret = jac(0), jac(1), jac(2)
-    span = params.tau + params.kappa
+        jacs = [jac(0), jac(1), jac(2)]
+        lags = (params.tau, params.tau + params.kappa)
+    span = lags[-1]
     nodes = np.cos(np.pi * np.arange(n + 1) / n)       # 1 .. -1
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
@@ -862,11 +946,13 @@ def _pseudospectral_unstable(params: ModelParams, x: np.ndarray,
     w = (-1.0) ** np.arange(n + 1)
     w[0] *= 0.5
     w[-1] *= 0.5
-    bary = w / (-params.tau - theta)                   # interpolate at -tau
     gen = np.kron(d, np.eye(2))
-    gen[:2, :] = np.kron(bary[None, :] / bary.sum(), a_tau)
-    gen[:2, :2] += a_now
-    gen[:2, 2 * n:] += a_ret
+    gen[:2, :] = 0.0
+    gen[:2, :2] = jacs[0]
+    for lag, a in zip(lags, jacs[1:]):
+        gap = -lag - theta                             # interpolate at -lag
+        row = (gap == 0.0).astype(float) if (gap == 0.0).any() else w / gap
+        gen[:2, :] += np.kron(row[None, :] / row.sum(), a)
     ev = np.linalg.eigvals(gen)
     return int(np.sum(ev.real > 1e-8))
 
@@ -915,3 +1001,43 @@ def test_slow_crossing_points_answer(kappa):
     qc = q_critical(r, p, tau)
     state = np.array([1.0 - qc, qc - q, q])
     assert _pseudospectral_unstable(ps, state, 120) == rep.unstable_count
+
+
+#: SEIQ endemic point (r, p, tau, q, sigma) with kappa_0 = 12.35 (first
+#: Hopf point of the fixed equilibrium (1 - q_c, 0, q_c, 0), scan step 0.05)
+SEIQ_HOPF = (2.5, 0.5, 0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("kappa, unstable", [(11.35, 0), (13.35, 2)])
+def test_seiq_endemic_count_matches_field_collocation(kappa, unstable):
+    # the four-lag collocation of the SEIQ field, whose Jacobians come from
+    # central differences of seiq_field, on both sides of kappa_0
+    r, p, tau, q, sigma = SEIQ_HOPF
+    ps = ModelParams(r=r, p=p, tau=tau, kappa=kappa, sigma=sigma)
+    qc = q_critical(r, p, tau)
+    assert count_unstable(endemic_chareq(ps, q),
+                          locate=False).unstable_count == unstable
+    for n in (80, 120):
+        assert _pseudospectral_unstable(
+            ps, np.array([1.0 - qc, 0.0, qc - q, q]), n) == unstable
+
+
+def test_seiq_endemic_flow_decays_below_kappa0_and_grows_above():
+    # a jump of 1e-3 from S into I at t = 0, integrated by the DDE kernel:
+    # the oscillation of I over [800, 1200] against [400, 800] shrinks at
+    # kappa_0 - 1 (0.65) and grows at kappa_0 + 1 (6.2, e^{400 Re lam} with
+    # Re lam = 0.0046 the located root)
+    r, p, tau, q, sigma = SEIQ_HOPF
+    qc, step = q_critical(r, p, tau), 0.05
+    x = (1.0 - qc, 0.0, qc - q, q)
+    at0 = (x[0] - 1e-3, 0.0, x[2] + 1e-3, q)
+    ratios = []
+    for kappa in (11.35, 13.35):
+        ps = ModelParams(r=r, p=p, tau=tau, kappa=kappa, sigma=sigma)
+        history = History(span=ps.span, jumps=(0.0,),
+                          fn=lambda theta: at0 if theta >= 0.0 else x)
+        i_vals = simulate(ps, history, 1200.0, step).states[:, 2]
+        amp = [np.ptp(i_vals[round(lo / step):round(hi / step) + 1])
+               for lo, hi in ((400.0, 800.0), (800.0, 1200.0))]
+        ratios.append(amp[1] / amp[0])
+    assert ratios[0] < 0.8 and ratios[1] > 4.0, ratios
