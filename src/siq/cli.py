@@ -407,16 +407,19 @@ def _fan_out(fn, items: list) -> tuple[list, int]:
     which pickles its results, or its first error, back through a pipe.
     The results keep item order, and the error raised is that of the
     lowest-index failing item, as a serial loop would raise.  With one
-    share nothing is forked.  Fork, not spawn: a spawned worker imports
-    numpy and siq again, and ``fn`` need not be picklable.  Only the
-    results cross the pipe, so each should be small.
+    share nothing is forked.  If a fork fails (say EAGAIN), this process
+    runs that share and every later one itself, with the same results and
+    error; the count returned is of the processes that ran.  Fork, not
+    spawn: a spawned worker imports numpy and siq again, and ``fn`` need
+    not be picklable.  Only the results cross the pipe, so each should be
+    small.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity call on this platform
         cores = os.cpu_count() or 1
-    workers = max(1, min(len(items), cores))
-    shares = [items[w::workers] for w in range(workers)]
+    n_shares = max(1, min(len(items), cores))
+    shares = [items[w::n_shares] for w in range(n_shares)]
 
     def run(share):
         results = []
@@ -431,7 +434,12 @@ def _fan_out(fn, items: list) -> tuple[list, int]:
     try:
         for share in shares[1:]:
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:             # no process to spare: run the
+                os.close(r)             # rest of the shares here
+                os.close(w)
+                break
             if pid == 0:                # child: never returns
                 code = 1
                 try:
@@ -443,29 +451,30 @@ def _fan_out(fn, items: list) -> tuple[list, int]:
                     os._exit(code)
             os.close(w)
             children.append((pid, r))
-        outcomes = [run(shares[0])]
+        outcomes = [run(share)
+                    for share in shares[:1] + shares[1 + len(children):]]
     finally:
         received = []
         for pid, r in children:
             with os.fdopen(r, "rb") as fh:
                 data = fh.read()
             received.append((data, os.waitpid(pid, 0)[1]))
-    for share, (data, status) in zip(shares[1:], received):
+    for w, (data, status) in enumerate(received, 1):
         code = os.waitstatus_to_exitcode(status)
         if code != 0 or not data:
-            outcomes.append((False, (0, NumericalError(
-                f"the worker for items {share} ended without a result "
+            outcomes.insert(w, (False, (0, NumericalError(
+                f"the worker for items {shares[w]} ended without a result "
                 f"(wait status {status}, exit code {code})"))))
         else:
-            outcomes.append(pickle.loads(data))
-    errors = {w + value[0] * workers: value[1]
+            outcomes.insert(w, pickle.loads(data))
+    errors = {w + value[0] * n_shares: value[1]
               for w, (ok, value) in enumerate(outcomes) if not ok}
     if errors:
         raise errors[min(errors)]
     results = [None] * len(items)
     for w, (_, share_results) in enumerate(outcomes):
-        results[w::workers] = share_results
-    return results, workers
+        results[w::n_shares] = share_results
+    return results, 1 + len(children)
 
 
 def cmd_ipeak(args) -> Artifact:
@@ -503,7 +512,9 @@ def cmd_network(args) -> Artifact:
              "finite and > 0"),
             ("--tau-days", args.tau_days, args.tau_days >= 0, ">= 0"),
             ("--kappa-days", args.kappa_days, args.kappa_days >= 0,
-             ">= 0 (inf: permanent isolation)")):
+             ">= 0 (inf: permanent isolation)"),
+            ("--seed", args.seed, args.seed >= 0, ">= 0"),
+            ("--net-seed", args.net_seed, args.net_seed >= 0, ">= 0")):
         if not ok:                    # NaN fails every comparison
             raise ConfigError(f"{flag} = {value} must be {rule}")
     if args.edge_list:
@@ -512,21 +523,22 @@ def cmd_network(args) -> Artifact:
         net = erdos_renyi_network(args.n, args.mean_degree, args.net_seed)
     n_init = max(1, int(round(args.i0_frac * net.n)))
     initial = tuple(range(n_init))
-    runs = []
-    for k in range(args.seeds):
-        cfg = SimConfig(beta=args.beta, gamma=args.gamma, p=args.p,
-                        tau_days=args.tau_days, kappa_days=args.kappa_days,
-                        t_end_days=args.t_end_days, seed=args.seed + k,
-                        initial_infected=initial, n_out=args.n_out)
-        runs.append(simulate_network(net, cfg))
+    cfgs = [SimConfig(beta=args.beta, gamma=args.gamma, p=args.p,
+                      tau_days=args.tau_days, kappa_days=args.kappa_days,
+                      t_end_days=args.t_end_days, seed=args.seed + k,
+                      initial_infected=initial, n_out=args.n_out)
+            for k in range(args.seeds)]
+    if args.beta > 0:
+        net.adjacency()     # built once here, not in each forked child
+    runs, workers = _fan_out(lambda cfg: simulate_network(net, cfg), cfgs)
     avg = average_runs(runs)
     mf = mean_field_params(args.beta, net.mean_degree, args.gamma)
     meta = {"n": net.n, "mean_degree": net.mean_degree, "beta": args.beta,
             "gamma": args.gamma, "p": args.p, "tau_days": args.tau_days,
             "kappa_days": args.kappa_days, "seeds": args.seeds,
-            "base_seed": args.seed, "net_seed": args.net_seed,
-            "initial_infected": n_init, "r_mean_field": mf.r,
-            **asdict(avg.stats)}
+            "workers": workers, "base_seed": args.seed,
+            "net_seed": args.net_seed, "initial_infected": n_init,
+            "r_mean_field": mf.r, **asdict(avg.stats)}
     rows = zip(avg.t_days, avg.s_frac, avg.i_frac, avg.q_frac)
     return args.out, ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta
 

@@ -2,6 +2,7 @@
 round-trips."""
 
 import argparse
+import errno
 import math
 import os
 import pathlib
@@ -807,6 +808,7 @@ def test_cli_network_small(tmp_path):
     meta, cols, rows = read_csv(str(out))
     assert cols == ["t_days", "S_frac", "I_frac", "Q_frac"]
     assert meta["seeds"] == "2"
+    assert meta["workers"] in ("1", "2")
     for key in ("version", "base_seed", "net_seed", "n", "mean_degree",
                 "beta", "gamma", "p", "tau_days", "kappa_days", "attempts",
                 "infections", "recoveries", "isolations", "releases",
@@ -852,14 +854,16 @@ def test_cli_network_accepts_permanent_isolation(tmp_path):
     ("--kappa-days", "-2", "--kappa-days = -2.0 must be >= 0 "
      "(inf: permanent isolation)"),
     ("--kappa-days", "nan", "--kappa-days = nan must be >= 0 "
-     "(inf: permanent isolation)")])
+     "(inf: permanent isolation)"),
+    ("--seed", "-1", "--seed = -1 must be >= 0"),
+    ("--net-seed", "-3", "--net-seed = -3 must be >= 0")])
 def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
                                             flag, value, message):
     # a negative --i0-frac seeded one node and exited 0, 2 listed every
     # node id, and --seeds < 1 reported "no runs to average"; --tau-days
     # nan exited 0, --beta inf never returned, --gamma 0 ran every seed
-    # before failing, and --n-out 1 or --t-end-days 0 named no flag.  No
-    # run starts, and no graph is built
+    # before failing, and --n-out 1, --t-end-days 0 or a negative --seed
+    # or --net-seed named no flag.  No run starts, and no graph is built
     import siq.cli as cli
 
     def no_run(*args):
@@ -874,3 +878,83 @@ def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
                  "--out", str(out)]) == 1
     assert f"error: {message}\n" == capsys.readouterr().err
     assert not out.exists()
+
+
+NETWORK = ["network", "--n", "300", "--mean-degree", "6", "--beta", "0.3",
+           "--gamma", "1", "--p", "0.5", "--tau-days", "0.5",
+           "--kappa-days", "2", "--t-end-days", "5", "--i0-frac", "0.02"]
+
+
+def test_cli_network_artifact_independent_of_core_count(tmp_path,
+                                                         monkeypatch):
+    texts = []
+    for cores in (1, 2, 3):
+        _set_cores(monkeypatch, cores)
+        out = tmp_path / f"net{cores}.csv"
+        assert main(NETWORK + ["--seeds", "3", "--out", str(out)]) == 0
+        _assert_no_child_left()
+        lines = out.read_text().splitlines()
+        assert f"# workers = {cores}" in lines
+        texts.append([ln for ln in lines if not ln.startswith("# workers")])
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("failing, first", [
+    ({1001, 1002}, 1001),    # index 1, a child's share, fails first
+    ({1000, 1003}, 1000)])   # index 0, this process's share, fails first
+def test_cli_network_reports_the_lowest_index_failure(monkeypatch, capsys,
+                                                      failing, first):
+    import siq.cli as cli
+    simulate_network = cli.simulate_network
+
+    def fail_some(net, cfg):
+        if cfg.seed in failing:
+            raise ValueError(f"seed {cfg.seed} failed")
+        return simulate_network(net, cfg)
+
+    monkeypatch.setattr(cli, "simulate_network", fail_some)
+    _set_cores(monkeypatch, 2)
+    assert main(NETWORK + ["--seeds", "4", "--seed", "1000"]) == 1
+    _assert_no_child_left()
+    assert capsys.readouterr().err == f"error: seed {first} failed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    IPEAK + ["--kappas", "25,0,inf,2,10"],
+    NETWORK + ["--seeds", "5"]])
+@pytest.mark.parametrize("failed_call", [1, 2])
+def test_cli_runs_the_shares_here_when_a_fork_fails(tmp_path, monkeypatch,
+                                                    argv, failed_call):
+    # a failed fork (EAGAIN) used to escape main with both ends of its pipe
+    # open; this process now runs that share and every later one itself
+    _set_cores(monkeypatch, 1)
+    serial = tmp_path / "serial.csv"
+    assert main(argv + ["--out", str(serial)]) == 0
+    pipes, forks = [], []
+    pipe, fork = os.pipe, os.fork
+
+    def recorded_pipe():
+        pipes.extend(pipe())
+        return pipes[-2:]
+
+    def flaky_fork():
+        forks.append(None)
+        if len(forks) == failed_call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    _set_cores(monkeypatch, 3)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", flaky_fork)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    _assert_no_child_left()
+    assert len(forks) == failed_call and len(pipes) == 2 * failed_call
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    lines = out.read_text().splitlines()
+    assert f"# workers = {failed_call}" in lines
+    assert ([ln for ln in lines if not ln.startswith("# workers")]
+            == [ln for ln in serial.read_text().splitlines()
+                if not ln.startswith("# workers")])
