@@ -64,11 +64,17 @@ def fmt(x) -> str:
 
 
 def write_csv(out: str | None, columns: Sequence[str],
-              rows: Iterable[Sequence], meta: dict) -> None:
+              rows: Iterable[Sequence] | np.ndarray, meta: dict) -> None:
+    """Write the header lines, the column row and ``rows``.  A 2-D float64
+    array goes through one ``%.9g`` template per row, which gives ``fmt``'s
+    text for every float (nan, inf and -0 included)."""
     lines = [f"# {k} = {fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        template = ",".join(["%.9g"] * rows.shape[1])
+        lines += [template % row for row in map(tuple, rows.tolist())]
+    else:
+        lines += [",".join(fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -182,11 +188,14 @@ def build_scenario(args, keys: Sequence[str] = CONFIG_KEYS) -> ScenarioConfig:
                              kappa=num("kappa"), sigma=num("sigma", 0.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    run = {"t_end": num("t_end", 200.0), "step": num("step", DEFAULT_STEP)}
+    for key, value in run.items():
+        if not 0 < value < math.inf:    # NaN fails every comparison
+            raise ConfigError(f"--{key.replace('_', '-')} (config key "
+                              f"{key}) = {value} must be finite and > 0")
     return ScenarioConfig(params=params, i0=num("i0", 1e-3),
                           q0=num("q0", 0.0), e0=num("e0", 0.0),
-                          t_end=num("t_end", 200.0),
-                          step=num("step", DEFAULT_STEP),
-                          out=values.get("out"))
+                          out=values.get("out"), **run)
 
 
 def params_meta(params: ModelParams, **extra) -> dict:
@@ -280,6 +289,8 @@ def cmd_critical(args) -> Artifact:
 
 
 def cmd_simulate(args) -> Artifact:
+    if args.every is not None and args.every < 1:
+        raise ConfigError(f"--every = {args.every} must be >= 1")
     sc = build_scenario(args)
     hist = outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
     traj = simulate(sc.params, hist, sc.t_end, sc.step)
@@ -311,8 +322,7 @@ def cmd_simulate(args) -> Artifact:
         idx = np.append(idx, traj.n_nodes - 1)
     cols = ["t", "S", "I", "Q", "E"] if seiq else ["t", "S", "I", "Q"]
     order = [0, 2, 3, 1] if seiq else [0, 1, 2]   # file order: S,I,Q[,E]
-    rows = [[t] + row for t, row in zip((idx * traj.step).tolist(),
-                                        traj.states[idx][:, order].tolist())]
+    rows = np.column_stack([idx * traj.step, traj.states[idx][:, order]])
     return sc.out, cols, rows, meta
 
 
@@ -478,9 +488,19 @@ def _fan_out(fn, items: list) -> tuple[list, int]:
 
 
 def cmd_ipeak(args) -> Artifact:
+    if not 0 <= args.settle < math.inf:
+        raise ConfigError(f"--settle = {args.settle} must be finite and >= 0")
     sc = build_scenario(args)
-    kappas = [math.inf if tok.strip() in ("inf", "Inf") else float(tok)
-              for tok in args.kappas.split(",")]
+    # built only to reject bad outbreak data before any fork
+    outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
+    try:
+        kappas = [float(tok) for tok in args.kappas.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--kappas = {args.kappas!r}: {exc}") from exc
+    for kap in kappas:
+        if not kap >= 0:                # NaN fails every comparison
+            raise ConfigError(f"--kappas entry {kap} must be >= 0 "
+                              "(inf: permanent isolation)")
 
     def peak_and_steps(kap):
         params = replace(sc.params, kappa=0.0 if math.isinf(kap) else kap)
@@ -490,7 +510,7 @@ def cmd_ipeak(args) -> Artifact:
         return i_peak(traj, settle=args.settle), traj.n_nodes - 1
 
     runs, workers = _fan_out(peak_and_steps, kappas)
-    rows = [(kap, peak) for kap, (peak, _) in zip(kappas, runs)]
+    rows = np.array([(kap, peak) for kap, (peak, _) in zip(kappas, runs)])
     meta = params_meta(sc.params, i0=sc.i0, q0=sc.q0, e0=sc.e0,
                        t_end=sc.t_end, step=sc.step, settle=args.settle,
                        workers=workers, steps=sum(n for _, n in runs))
@@ -539,7 +559,7 @@ def cmd_network(args) -> Artifact:
             "workers": workers, "base_seed": args.seed,
             "net_seed": args.net_seed, "initial_infected": n_init,
             "r_mean_field": mf.r, **asdict(avg.stats)}
-    rows = zip(avg.t_days, avg.s_frac, avg.i_frac, avg.q_frac)
+    rows = np.column_stack([avg.t_days, avg.s_frac, avg.i_frac, avg.q_frac])
     return args.out, ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta
 
 

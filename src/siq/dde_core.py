@@ -17,6 +17,14 @@ order, which gives exactly the trajectory of a loop over all four states.
 SIQ is the same loop at sigma = 0, where the zero lag reads the stage
 flux; kappa = inf drops the return term.
 
+The loop does little interpreted work per step.  The flux buffer and the
+states are allocated in full before it, and it walks the node's slot in
+each beside the three lag read positions.  It forms each lagged product
+(eps*Phi(t - sigma - tau), eps_kappa*Phi(t - sigma - tau - kappa)) once
+per read and selects the zero-lag terms inside each rate.  It tests no
+state: float operations never raise, so a run that blows up goes on to
+t_end, and the rebuild raises NonFiniteState at its first non-finite node.
+
 Each lag is rounded to a multiple of the step, so every method-of-steps
 breakpoint lands on a grid node and the RK4 stages read the buffer only at
 nodes and exact cell midpoints.  A history jump at theta makes the solution
@@ -214,12 +222,13 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
 
     Raises DelayTooSmall for lags in (0, step), JumpOffGrid for a history
     jump off the step grid, OutOfRange for a history shorter than the
-    longest lag, and NonFiniteState if the state stops being finite.
+    longest lag, NonFiniteState if the state stops being finite, and
+    ValueError for a step or t_end that is not finite and positive.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step = {step!r} must be finite and positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end = {t_end!r} must be finite and positive")
     h = float(step)
     y0 = history.value(0.0)
     dim = len(y0)
@@ -248,14 +257,14 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         return r * y[0] * y[ii]
 
     # Phi on the half-step grid: node i at 2*(i + m), the midpoint of cell
-    # [i, i+1] at 2*(i + m) + 1; the history part is sampled exactly.
-    phi = array("d")
+    # [i, i+1] at 2*(i + m) + 1; the history part is sampled exactly, the
+    # loop fills the rest.
+    phi = array("d", [0.0]) * (2 * (m + n) + 1)
     for i in range(-m, 0):
-        phi.append(flux(i * h))
-        phi.append(flux((i + 0.5) * h))
+        phi[2 * (i + m)] = flux(i * h)
+        phi[2 * (i + m) + 1] = flux((i + 0.5) * h)
     s, i_ = y0[0], y0[ii]
-    f = r * s * i_
-    phi.append(f)
+    f = phi[2 * m] = r * s * i_
 
     # kink node -> jump of the k4 read (left minus right limit), summed
     # over the lags, as its effect (dS, dE, dI, dQ) on the derivative
@@ -278,86 +287,76 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
                 acc = kink_jumps.setdefault(j + lag, [0.0, 0.0, 0.0, 0.0])
                 for c in range(4):
                     acc[c] += weights[c] * delta
-    kink_at = sorted(kink_jumps, reverse=True)
-    next_kink = 2 * kink_at.pop() if kink_at else -1
+    # phi slots of the kink nodes, next first
+    kink_at = sorted((2 * (k + m) for k in kink_jumps), reverse=True)
+    next_kink = kink_at.pop() if kink_at else -1
 
-    # buffer offsets: node j - lag sits at 2*j - o, its cell midpoint before
-    # it at 2*j - o - 1; a zero lag reads (unused) lag-1 slots
+    # a lag L reads node j - L at phi slot 2*(j + m) - 2*L and the cell
+    # midpoint before it one slot lower; a zero lag reads (unused) lag-1
+    # slots
     zs, zt, zk = ls == 0, lt == 0, lk == 0
-    os_, ot, ok = (2 * (max(L, 1) - m) for L in (ls, lt, lk))
-    gs = f if zs else phi[-os_]
-    gt = f if zt else phi[-ot]
-    gk = f if zk else phi[-ok]
-    ds = -f + i_ + ek * gk
-    di = gs - i_ - e * gt
+    ls2, lt2, lk2 = (2 * max(L, 1) for L in (ls, lt, lk))
+    p = 2 * m                         # phi slot of node 0
+    ds = i_ - f + (ek * f if zk else ek * phi[p - lk2])
+    di = ((f if zs else phi[p - ls2]) - i_) - (e * f if zt
+                                               else e * phi[p - lt2])
     df = r * (ds * i_ + s * di)
 
-    # S and I go into their columns; the E and Q slots hold 0.0 until
+    # S and I go into their columns; the E and Q slots hold y0's until
     # _rebuild fills them
-    states = array("d", y0)
-    put_y, put_phi = states.append, phi.append
-    seiq = dim == 4
+    states = array("d", y0) * (n + 1)
     h2, h6, h8 = 0.5 * h, h / 6.0, 0.125 * h
-    inf = math.inf
+    first, end = p + 2, 2 * (m + n) + 1
 
-    for j2 in range(2, 2 * n + 1, 2):
-        ms, mt, mk = phi[j2 - os_ - 1], phi[j2 - ot - 1], phi[j2 - ok - 1]
+    # p: phi slot of the cell's right node; a_s, a_t, a_k: the node slot
+    # each lag reads there; y: the node's S slot in states
+    for p, a_s, a_t, a_k, y in zip(range(first, end, 2),
+                                   range(first - ls2, end - ls2, 2),
+                                   range(first - lt2, end - lt2, 2),
+                                   range(first - lk2, end - lk2, 2),
+                                   range(dim, dim * (n + 1), dim)):
+        ms, mt, mk = phi[a_s - 1], phi[a_t - 1], phi[a_k - 1]
+        emt, ekmk = e * mt, ek * mk
         # k2
         s2 = s + h2 * ds
         i2 = i_ + h2 * di
         f2 = r * s2 * i2
-        gs = f2 if zs else ms
-        gt = f2 if zt else mt
-        gk = f2 if zk else mk
-        ds2 = -f2 + i2 + ek * gk
-        di2 = gs - i2 - e * gt
+        ds2 = i2 - f2 + (ek * f2 if zk else ekmk)
+        di2 = ((f2 if zs else ms) - i2) - (e * f2 if zt else emt)
         # k3
         s3 = s + h2 * ds2
         i3 = i_ + h2 * di2
         f3 = r * s3 * i3
-        gs = f3 if zs else ms
-        gt = f3 if zt else mt
-        gk = f3 if zk else mk
-        ds3 = -f3 + i3 + ek * gk
-        di3 = gs - i3 - e * gt
+        ds3 = i3 - f3 + (ek * f3 if zk else ekmk)
+        di3 = ((f3 if zs else ms) - i3) - (e * f3 if zt else emt)
         # k4, reading the node values (right limits)
-        ns, nt, nk = phi[j2 - os_], phi[j2 - ot], phi[j2 - ok]
+        ns = phi[a_s]
+        ent, eknk = e * phi[a_t], ek * phi[a_k]
         s4 = s + h * ds3
         i4 = i_ + h * di3
         f4 = r * s4 * i4
-        gs = f4 if zs else ns
-        gt = f4 if zt else nt
-        gk = f4 if zk else nk
-        ds4 = -f4 + i4 + ek * gk
-        di4 = gs - i4 - e * gt
-        if j2 == next_kink:           # k4 ends at the kink: left limits
-            jump = kink_jumps[j2 >> 1]
+        ds4 = i4 - f4 + (ek * f4 if zk else eknk)
+        di4 = ((f4 if zs else ns) - i4) - (e * f4 if zt else ent)
+        if p == next_kink:            # k4 ends at the kink: left limits
+            jump = kink_jumps[(p >> 1) - m]
             ds4 += jump[0]
             di4 += jump[2]
         s += h6 * (ds + 2.0 * (ds2 + ds3) + ds4)
         i_ += h6 * (di + 2.0 * (di2 + di3) + di4)
-        put_y(s)
-        if seiq:
-            put_y(0.0)
-        put_y(i_)
-        put_y(0.0)
-        if not -inf < s + i_ < inf:
-            break                     # _rebuild raises at the first bad node
+        states[y] = s
+        states[y + ii] = i_
         # node derivative, right limits
         f_prev, df_prev = f, df
         f = r * s * i_
-        gs = f if zs else ns
-        gt = f if zt else nt
-        gk = f if zk else nk
-        ds = -f + i_ + ek * gk
-        di = gs - i_ - e * gt
+        ds = i_ - f + (ek * f if zk else eknk)
+        di = ((f if zs else ns) - i_) - (e * f if zt else ent)
         df = r * (ds * i_ + s * di)
         mid = 0.5 * (f_prev + f) + h8 * (df_prev - df)
-        if j2 == next_kink:           # the cell's Hermite: left derivative
+        if p == next_kink:            # the cell's Hermite: left derivative
             mid -= h8 * r * (jump[0] * i_ + s * jump[2])
-            next_kink = 2 * kink_at.pop() if kink_at else -1
-        put_phi(mid)
-        put_phi(f)
+            next_kink = kink_at.pop() if kink_at else -1
+        phi[p - 1] = mid
+        phi[p] = f
 
     states = np.frombuffer(states).reshape(-1, dim)
     derivs, kinks = _rebuild(states, np.frombuffer(phi), m=m,
@@ -384,8 +383,9 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
     operations in the loop's order, and ``np.add.accumulate``, which adds
     left to right, repeats its running sums: the result is the one a loop
     over all four states gives, bit for bit.  Raises NonFiniteState at the
-    first node whose state sum is not finite (the loop stops at the node
-    where S + I is not).
+    first node whose state sum is not finite: float operations never
+    raise, so a loop that blows up runs on to t_end, and the nodes before
+    the first bad one are those of a loop that stopped there.
     """
     dim = states.shape[1]
     seiq = dim == 4
@@ -409,11 +409,11 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
     def rates(f, i, gs, gt, gk):
         """Derivative of each state column at flux f and infectives i."""
         gs = f if zs else gs
-        gt = f if zt else gt
-        gk = f if zk else gk
-        ds = -f + i + ek * gk
-        di = gs - i - e * gt
-        dq = e * gt - ek * gk
+        egt = e * f if zt else e * gt
+        ekgk = ek * f if zk else ek * gk
+        ds = i - f + ekgk
+        di = (gs - i) - egt
+        dq = egt - ekgk
         return (ds, f - gs, di, dq) if seiq else (ds, di, dq)
 
     def node_rates(a, b):

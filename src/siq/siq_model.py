@@ -74,8 +74,9 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
     or e0 > 0) and can be forced with ``seiq``.
     """
     for name, v in (("i0", i0), ("q0", q0), ("e0", e0)):
-        if v < 0:
-            raise InvalidFractions(f"{name} must be nonnegative, got {v!r}")
+        if not 0 <= v < math.inf:       # NaN fails every comparison
+            raise InvalidFractions(f"{name} must be finite and nonnegative, "
+                                   f"got {v!r}")
     if i0 <= 0:
         raise InvalidFractions("an outbreak needs i0 > 0")
     if i0 + q0 + e0 > 1.0 + SIMPLEX_TOL:

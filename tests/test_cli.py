@@ -15,7 +15,8 @@ import pytest
 
 from siq import __version__
 from siq.cli import (_fan_out, build_parser, build_scenario, critical_rows,
-                     i_peak, main, parse_config_file, read_csv)
+                     fmt, i_peak, main, parse_config_file, read_csv,
+                     write_csv)
 from siq.equilibria import (endemic_point, predict_endemic_from_history,
                             seiq_endemic_point)
 from siq.errors import ConfigError, HorizonTooShort, NumericalError
@@ -604,6 +605,79 @@ def test_scenario_commands_reject_flags_they_do_not_read(command, flag,
     assert main([command, "--r", "2.5", "--p", "0.5", "--tau", "0",
                  "--kappa", "10", "--q", "0", flag, "1"]) == 1
     assert flag in capsys.readouterr().err
+
+
+SCENARIO = ["--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+            "--i0", "0.01", "--t-end", "5", "--step", "0.01"]
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    # --every -5 integrated the run and then died on an empty index, and
+    # --every 0 meant the default stride
+    ("simulate", "--every", "0", "--every = 0 must be >= 1"),
+    ("simulate", "--every", "-5", "--every = -5 must be >= 1"),
+    # an infinite horizon overflowed the step count, a NaN one could not
+    # be converted to it, NaN fractions ran into a numerical failure, and
+    # a NaN or negative --settle switched the horizon check off
+    ("simulate", "--t-end", "inf", "--t-end (config key t_end) = inf"),
+    ("simulate", "--t-end", "nan", "--t-end (config key t_end) = nan"),
+    ("simulate", "--t-end", "0", "--t-end (config key t_end) = 0.0"),
+    ("simulate", "--step", "nan", "--step (config key step) = nan"),
+    ("simulate", "--step", "-0.01", "--step (config key step) = -0.01"),
+    ("simulate", "--i0", "nan", "i0 must be finite and nonnegative"),
+    ("simulate", "--q0", "nan", "q0 must be finite and nonnegative"),
+    ("simulate", "--q0", "inf", "q0 must be finite and nonnegative"),
+    ("ipeak", "--t-end", "inf", "--t-end (config key t_end) = inf"),
+    ("ipeak", "--step", "nan", "--step (config key step) = nan"),
+    ("ipeak", "--i0", "nan", "i0 must be finite and nonnegative"),
+    ("ipeak", "--e0", "nan", "e0 must be finite and nonnegative"),
+    ("ipeak", "--settle", "nan", "--settle = nan must be finite and >= 0"),
+    ("ipeak", "--settle", "-5", "--settle = -5.0 must be finite and >= 0"),
+    ("ipeak", "--settle", "inf", "--settle = inf must be finite and >= 0"),
+    # a negative or NaN kappa failed in a worker after the other kappas
+    # ran, without naming the flag
+    ("ipeak", "--kappas", "1,-2", "--kappas entry -2.0 must be >= 0"),
+    ("ipeak", "--kappas", "nan,1", "--kappas entry nan must be >= 0"),
+    ("ipeak", "--kappas", "2,-inf", "--kappas entry -inf must be >= 0"),
+    ("ipeak", "--kappas", "5,abc", "--kappas = '5,abc': could not convert")])
+def test_cli_rejects_nonfinite_run_numbers_before_integrating(
+        monkeypatch, capsys, command, flag, value, named):
+    import siq.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
+    _set_cores(monkeypatch, 1)
+    extra = (["--kappas", "1,inf"] if command == "ipeak" and flag != "--kappas"
+             else [])
+    assert main([command, *SCENARIO, *extra, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_cli_simulate_every_one_writes_every_node(tmp_path):
+    out = tmp_path / "every.csv"
+    assert main(["simulate", *SCENARIO, "--every", "1", "--out",
+                 str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert meta["output_stride"] == "1" and len(rows) == 501
+
+
+def test_write_csv_float_array_matches_generic_rows(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22,
+              0.1 + 0.2, 1 / 3, -2.5, 1e-300, 123456789.5]
+    rows = [values[k:k + 4] for k in range(0, len(values), 4)]
+    meta = {"x": 0.1 + 0.2, "n": 3}
+    generic, array_ = tmp_path / "generic.csv", tmp_path / "array.csv"
+    write_csv(str(generic), ["a", "b", "c", "d"], rows, meta)
+    write_csv(str(array_), ["a", "b", "c", "d"], np.array(rows), meta)
+    text = array_.read_text()
+    assert text == generic.read_text()
+    assert text.splitlines()[-3] == ",".join(fmt(v) for v in values[:4])
+    assert text.splitlines()[-3:] == [
+        "nan,inf,-inf,-0", "0,4.94065646e-324,1e+22,0.3",
+        "0.333333333,-2.5,1e-300,123456790"]
 
 
 # ---------------------------------------------------------------------------

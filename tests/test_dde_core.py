@@ -132,6 +132,15 @@ def test_nonfinite_state_detected():
         simulate(ps, hist, 2.0, 1e-3)
 
 
+def test_nonfinite_step_and_horizon_rejected():
+    hist = constant_history([0.99, 0.01, 0.0], 1.0)
+    for t_end, step in ((math.inf, 0.01), (math.nan, 0.01), (5.0, math.nan),
+                        (5.0, math.inf), (5.0, 0.0), (-1.0, 0.01)):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            dde_core.integrate(hist, t_end, step, r=2.5, eps=0.5, tau=0.5,
+                               kappa=0.5)
+
+
 def test_sample_out_of_range():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     traj = simulate(ps, outbreak_history(ps, 0.01), 1.0, 1e-3)
@@ -357,3 +366,40 @@ def test_nonfinite_state_raised_where_the_four_state_loop_raises(state, kw):
     for step in (1e-3, 0.01):
         t = _nonfinite_t(dde_core.integrate, hist, step, **kw)
         assert t == _nonfinite_t(flux_integrate, hist, step, **kw)
+
+
+#: (sigma, tau, kappa): sigma, tau and kappa each zero or not, and kappa = inf
+LAG_PATTERNS = [(sigma, tau, kappa) for sigma in (0.0, 0.3)
+                for tau in (0.0, 0.2) for kappa in (0.0, 0.5, math.inf)]
+
+
+def _corner_history(kind, seiq, span):
+    """Signed-zero corners of the rates: I == +0 or -0 (the flux is a
+    signed zero), and r*S = 1 at r = 2 (the flux equals I, so I - Phi
+    is an exact zero); the last two jump at 0."""
+    def state(s, i, q):
+        return (s, 0.0, i, q) if seiq else (s, i, q)
+
+    if kind == "I=+0":
+        return constant_history(state(1.0, 0.0, 0.0), span)
+    if kind == "I=-0":
+        return constant_history(state(1.0, -0.0, -0.0), span)
+    pre, at0 = state(0.5, 0.25, 0.25), state(0.5, 0.3, 0.2)
+    return History(span=span, fn=lambda theta: at0 if theta >= 0.0 else pre,
+                   jumps=(0.0,))
+
+
+@pytest.mark.parametrize("sigma, tau, kappa", LAG_PATTERNS)
+@pytest.mark.parametrize("eps", [0.5, 0.0, -0.0])
+@pytest.mark.parametrize("kind", ["I=+0", "I=-0", "rS=1"])
+def test_kernel_matches_four_state_loop_bitwise_at_corners(kind, eps, sigma,
+                                                           tau, kappa):
+    step = 0.05
+    span = sigma + tau + (0.0 if math.isinf(kappa) else kappa) + step
+    hist = _corner_history(kind, sigma > 0, span)
+    kw = dict(r=2.0, eps=eps, sigma=sigma, tau=tau, kappa=kappa)
+    got = dde_core.integrate(hist, 3.0, step, **kw)
+    want = flux_integrate(hist, 3.0, step, **kw)
+    for name in ("states", "derivs", "kink_nodes", "kink_derivs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
