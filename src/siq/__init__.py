@@ -10,7 +10,7 @@ from .equilibria import (EndemicPoint, Thresholds, critical_identification_time,
                          critical_probability, critical_time_days,
                          effective_R, endemic_point,
                          predict_endemic_from_history, q_critical, reachable,
-                         seiq_endemic_point, tau_critical_at_q, thresholds)
+                         tau_critical_at_q, thresholds)
 from .errors import SiqError
 from .net_sim import (MeanFieldMap, Network, NetworkSeries, SimConfig,
                       average_runs, complete_network, erdos_renyi_network,

@@ -26,10 +26,11 @@ from . import __version__
 from .dde_core import DEFAULT_STEP, Trajectory
 from .equilibria import (critical_identification_time, critical_probability,
                          critical_time_days, endemic_point,
-                         predict_endemic_from_history, q_critical,
-                         seiq_endemic_point)
+                         predict_endemic_from_history, q_critical)
 from .errors import (ConfigError, FileParse, HorizonTooShort, NumericalError,
-                     SiqError)
+                     OutOfDomain, SiqError, count, finite_nonnegative,
+                     fraction, nonnegative, positive, positive_fraction,
+                     probability)
 from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
                       mean_field_params, network_from_edge_list,
                       simulate_network)
@@ -124,19 +125,26 @@ CONFIG_KEYS = PARAM_KEYS + OUTBREAK_KEYS + ("t_end", "step", "out")
 #: (spectrum, endemic --q) reads LEAF_KEYS.
 ENDEMIC_KEYS = PARAM_KEYS + OUTBREAK_KEYS + ("out",)
 LEAF_KEYS = PARAM_KEYS + ("out",)
+#: The domain rule of each numeric scenario key, for its flag and its
+#: config-file value alike.
+SCENARIO_RULES = {"r": positive, "p": probability, "tau": finite_nonnegative,
+                  "kappa": finite_nonnegative, "sigma": finite_nonnegative,
+                  "i0": positive_fraction, "q0": fraction, "e0": fraction,
+                  "t_end": positive, "step": positive}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated simulation scenario (model params + initial data + run)."""
+    """Validated simulation scenario (model params + initial data + run),
+    with the defaults of the optional keys."""
 
     params: ModelParams
-    i0: float
-    q0: float
-    e0: float
-    t_end: float
-    step: float
-    out: str | None
+    i0: float = 1e-3
+    q0: float = 0.0
+    e0: float = 0.0
+    t_end: float = 200.0
+    step: float = DEFAULT_STEP
+    out: str | None = None
 
 
 def parse_config_file(path: str) -> dict:
@@ -172,30 +180,15 @@ def build_scenario(args, keys: Sequence[str] = CONFIG_KEYS) -> ScenarioConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    def num(key, default=None):
-        if key in values:
-            try:
-                return float(values[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key} = {values[key]!r} "
-                                  "is not a number") from exc
-        if default is None:
+    for key in PARAM_KEYS[:4]:
+        if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
-        return default
-
-    try:
-        params = ModelParams(r=num("r"), p=num("p"), tau=num("tau"),
-                             kappa=num("kappa"), sigma=num("sigma", 0.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    run = {"t_end": num("t_end", 200.0), "step": num("step", DEFAULT_STEP)}
-    for key, value in run.items():
-        if not 0 < value < math.inf:    # NaN fails every comparison
-            raise ConfigError(f"--{key.replace('_', '-')} (config key "
-                              f"{key}) = {value} must be finite and > 0")
-    return ScenarioConfig(params=params, i0=num("i0", 1e-3),
-                          q0=num("q0", 0.0), e0=num("e0", 0.0),
-                          out=values.get("out"), **run)
+    # flags passed their rules when parsed: a failure names a file key
+    values = {key: SCENARIO_RULES[key](value, f"config key {key}")
+              if key in SCENARIO_RULES else value
+              for key, value in values.items()}
+    params = {key: values.pop(key) for key in PARAM_KEYS if key in values}
+    return ScenarioConfig(ModelParams(**params), **values)
 
 
 def params_meta(params: ModelParams, **extra) -> dict:
@@ -289,8 +282,6 @@ def cmd_critical(args) -> Artifact:
 
 
 def cmd_simulate(args) -> Artifact:
-    if args.every is not None and args.every < 1:
-        raise ConfigError(f"--every = {args.every} must be >= 1")
     sc = build_scenario(args)
     hist = outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
     traj = simulate(sc.params, hist, sc.t_end, sc.step)
@@ -344,10 +335,7 @@ def cmd_endemic(args) -> Artifact:
         outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
         q, eta = sc.q0, sc.e0 or None
     params = sc.params
-    if params.sigma > 0 or eta is not None:
-        pt = seiq_endemic_point(params, eta or 0.0, q)
-    else:
-        pt = endemic_point(params, q)
+    pt = endemic_point(params, q, eta)
     cols = ["leaf_q", "leaf_eta", "v_S", "v_E", "v_I", "v_Q", "reachable"]
     row = [pt.q, pt.eta if pt.eta is not None else "",
            pt.v_S, pt.v_E if pt.v_E is not None else "",
@@ -372,13 +360,6 @@ def cmd_spectrum(args) -> Artifact:
 
 
 def cmd_stability_map(args) -> Artifact:
-    for flag, steps in (("--q-steps", args.q_steps),
-                        ("--kappa-steps", args.kappa_steps)):
-        if steps < 1:
-            raise ConfigError(f"{flag} = {steps} must be >= 1")
-    # q_critical reads eps = p e^{-tau}: validate (r, p, tau) first, so an
-    # invalid tau is named as such
-    ModelParams(r=args.r, p=args.p, tau=args.tau, kappa=0.0)
     qc = q_critical(args.r, args.p, args.tau)
     q_hi = args.q_max if args.q_max is not None else qc * 0.98
     qs = np.linspace(args.q_min, q_hi, args.q_steps)
@@ -394,8 +375,6 @@ def cmd_stability_map(args) -> Artifact:
 
 
 def cmd_hopf(args) -> Artifact:
-    if args.m_max < 0:
-        raise ConfigError(f"--m-max = {args.m_max} must be >= 0")
     found = hopf_crossings(args.r, args.p, args.tau, args.q, args.kappa_max,
                            max_crossings=args.m_max + 1,
                            track_leaf=args.track_leaf)
@@ -488,19 +467,9 @@ def _fan_out(fn, items: list) -> tuple[list, int]:
 
 
 def cmd_ipeak(args) -> Artifact:
-    if not 0 <= args.settle < math.inf:
-        raise ConfigError(f"--settle = {args.settle} must be finite and >= 0")
     sc = build_scenario(args)
     # built only to reject bad outbreak data before any fork
     outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
-    try:
-        kappas = [float(tok) for tok in args.kappas.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--kappas = {args.kappas!r}: {exc}") from exc
-    for kap in kappas:
-        if not kap >= 0:                # NaN fails every comparison
-            raise ConfigError(f"--kappas entry {kap} must be >= 0 "
-                              "(inf: permanent isolation)")
 
     def peak_and_steps(kap):
         params = replace(sc.params, kappa=0.0 if math.isinf(kap) else kap)
@@ -509,8 +478,8 @@ def cmd_ipeak(args) -> Artifact:
                         kappa_inf=math.isinf(kap))
         return i_peak(traj, settle=args.settle), traj.n_nodes - 1
 
-    runs, workers = _fan_out(peak_and_steps, kappas)
-    rows = np.array([(kap, peak) for kap, (peak, _) in zip(kappas, runs)])
+    runs, workers = _fan_out(peak_and_steps, args.kappas)
+    rows = np.column_stack([args.kappas, [peak for peak, _ in runs]])
     meta = params_meta(sc.params, i0=sc.i0, q0=sc.q0, e0=sc.e0,
                        t_end=sc.t_end, step=sc.step, settle=args.settle,
                        workers=workers, steps=sum(n for _, n in runs))
@@ -518,25 +487,6 @@ def cmd_ipeak(args) -> Artifact:
 
 
 def cmd_network(args) -> Artifact:
-    if not 0.0 < args.i0_frac <= 1.0:
-        raise ConfigError(f"--i0-frac = {args.i0_frac} must lie in (0, 1]")
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds = {args.seeds} must be >= 1")
-    for flag, value, ok, rule in (
-            ("--n-out", args.n_out, args.n_out >= 2, ">= 2"),
-            ("--t-end-days", args.t_end_days,
-             0 < args.t_end_days < math.inf, "finite and > 0"),
-            ("--beta", args.beta, 0 <= args.beta < math.inf,
-             "finite and >= 0"),
-            ("--gamma", args.gamma, 0 < args.gamma < math.inf,
-             "finite and > 0"),
-            ("--tau-days", args.tau_days, args.tau_days >= 0, ">= 0"),
-            ("--kappa-days", args.kappa_days, args.kappa_days >= 0,
-             ">= 0 (inf: permanent isolation)"),
-            ("--seed", args.seed, args.seed >= 0, ">= 0"),
-            ("--net-seed", args.net_seed, args.net_seed >= 0, ">= 0")):
-        if not ok:                    # NaN fails every comparison
-            raise ConfigError(f"{flag} = {value} must be {rule}")
     if args.edge_list:
         net = network_from_edge_list(args.edge_list)
     else:
@@ -572,11 +522,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class Flag:
+    """A domain rule as an argparse ``type`` (with ``many``, of each entry
+    of a comma list).  argparse reports its ArgumentTypeError as "argument
+    --flag: <value> must be <rule>"; a ValueError would read "invalid"."""
+
+    def __init__(self, rule, many: bool = False):
+        self.rule, self.many = rule, many
+
+    def __call__(self, text: str):
+        try:
+            if self.many:
+                return [self.rule(tok) for tok in text.split(",")]
+            return self.rule(text)
+        except OutOfDomain as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_scenario_flags(sp, keys=CONFIG_KEYS):
     """--config plus one flag per config key the command reads."""
     sp.add_argument("--config", help="key = value scenario file")
     for key in keys:
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        rule = SCENARIO_RULES.get(key)
+        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
+                        type=rule and Flag(rule))
 
 
 @functools.cache
@@ -592,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("critical", help="critical thresholds per disease")
     sp.add_argument("--table", default=None, help="disease CSV (default: bundled)")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=Flag(probability), required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_critical)
 
@@ -602,46 +571,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="integrate a scenario to CSV")
     _add_scenario_flags(sp)
-    sp.add_argument("--every", type=int, default=None,
+    sp.add_argument("--every", type=Flag(count(1)), default=None,
                     help="output every N-th grid node (default: ~2000 rows)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("endemic", help="endemic point on a leaf")
     _add_scenario_flags(sp, ENDEMIC_KEYS)
-    sp.add_argument("--q", type=float, default=None, help="leaf label")
-    sp.add_argument("--eta", type=float, default=None, help="leaf label of E")
+    sp.add_argument("--q", type=Flag(fraction), default=None,
+                    help="leaf label")
+    sp.add_argument("--eta", type=Flag(fraction), default=None,
+                    help="leaf label of E")
     sp.set_defaults(func=cmd_endemic)
 
     sp = sub.add_parser("spectrum", help="count/locate unstable roots")
     _add_scenario_flags(sp, LEAF_KEYS)
     sp.add_argument("--equilibrium", choices=["disease-free", "endemic"],
                     default="disease-free")
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--eta", type=float, default=None)
+    sp.add_argument("--q", type=Flag(fraction), default=None)
+    sp.add_argument("--eta", type=Flag(fraction), default=None)
     sp.add_argument("--no-locate", action="store_true")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("stability-map", help="unstable counts over (q, kappa)")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--tau", type=float, default=0.0)
-    sp.add_argument("--q-min", type=float, default=0.0)
-    sp.add_argument("--q-max", type=float, default=None,
+    sp.add_argument("--r", type=Flag(positive), required=True)
+    sp.add_argument("--p", type=Flag(probability), required=True)
+    sp.add_argument("--tau", type=Flag(finite_nonnegative), default=0.0)
+    sp.add_argument("--q-min", type=Flag(fraction), default=0.0)
+    sp.add_argument("--q-max", type=Flag(fraction), default=None,
                     help="default: 0.98 q_c")
-    sp.add_argument("--q-steps", type=int, default=10)
-    sp.add_argument("--kappa-min", type=float, default=0.0)
-    sp.add_argument("--kappa-max", type=float, default=25.0)
-    sp.add_argument("--kappa-steps", type=int, default=26)
+    sp.add_argument("--q-steps", type=Flag(count(1)), default=10)
+    sp.add_argument("--kappa-min", type=Flag(finite_nonnegative), default=0.0)
+    sp.add_argument("--kappa-max", type=Flag(finite_nonnegative), default=25.0)
+    sp.add_argument("--kappa-steps", type=Flag(count(1)), default=26)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_stability_map)
 
     sp = sub.add_parser("hopf", help="first Hopf point and cascade in kappa")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--tau", type=float, default=0.0)
-    sp.add_argument("--q", type=float, default=0.0)
-    sp.add_argument("--kappa-max", type=float, default=25.0)
-    sp.add_argument("--m-max", type=int, default=3)
+    sp.add_argument("--r", type=Flag(positive), required=True)
+    sp.add_argument("--p", type=Flag(probability), required=True)
+    sp.add_argument("--tau", type=Flag(finite_nonnegative), default=0.0)
+    sp.add_argument("--q", type=Flag(fraction), default=0.0)
+    sp.add_argument("--kappa-max", type=Flag(finite_nonnegative), default=25.0)
+    sp.add_argument("--m-max", type=Flag(count(0)), default=3)
     sp.add_argument("--track-leaf", action="store_true",
                     help="re-read the equilibrium from the leaf at each kappa")
     sp.add_argument("--out", default=None)
@@ -649,26 +620,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ipeak", help="peak infectious fraction per kappa")
     _add_scenario_flags(sp)
-    sp.add_argument("--kappas", required=True,
+    sp.add_argument("--kappas", type=Flag(nonnegative, many=True),
+                    required=True,
                     help="comma list of kappa values; 'inf' allowed")
-    sp.add_argument("--settle", type=float, default=50.0)
+    sp.add_argument("--settle", type=Flag(finite_nonnegative), default=50.0)
     sp.set_defaults(func=cmd_ipeak)
 
     sp = sub.add_parser("network", help="stochastic network runs, averaged")
-    sp.add_argument("--n", type=int, default=10000)
-    sp.add_argument("--mean-degree", type=float, default=10.0)
+    sp.add_argument("--n", type=Flag(count(1)), default=10000)
+    sp.add_argument("--mean-degree", type=Flag(finite_nonnegative),
+                    default=10.0)
     sp.add_argument("--edge-list", default=None)
-    sp.add_argument("--net-seed", type=int, default=1)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--gamma", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--tau-days", type=float, required=True)
-    sp.add_argument("--kappa-days", type=float, required=True)
-    sp.add_argument("--t-end-days", type=float, default=20.0)
-    sp.add_argument("--i0-frac", type=float, default=0.001)
-    sp.add_argument("--seeds", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=12345)
-    sp.add_argument("--n-out", type=int, default=201)
+    sp.add_argument("--net-seed", type=Flag(count(0)), default=1)
+    sp.add_argument("--beta", type=Flag(finite_nonnegative), required=True)
+    sp.add_argument("--gamma", type=Flag(positive), required=True)
+    sp.add_argument("--p", type=Flag(probability), required=True)
+    sp.add_argument("--tau-days", type=Flag(nonnegative), required=True)
+    sp.add_argument("--kappa-days", type=Flag(nonnegative), required=True)
+    sp.add_argument("--t-end-days", type=Flag(positive), default=20.0)
+    sp.add_argument("--i0-frac", type=Flag(positive_fraction), default=0.001)
+    sp.add_argument("--seeds", type=Flag(count(1)), default=1)
+    sp.add_argument("--seed", type=Flag(count(0)), default=12345)
+    sp.add_argument("--n-out", type=Flag(count(2)), default=201)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_network)
 

@@ -48,7 +48,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DelayTooSmall, JumpOffGrid, NonFiniteState, OutOfRange
+from .errors import (DelayTooSmall, JumpOffGrid, NonFiniteState, OutOfRange,
+                     positive)
 
 Vector = tuple[float, ...]
 
@@ -223,13 +224,11 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
     Raises DelayTooSmall for lags in (0, step), JumpOffGrid for a history
     jump off the step grid, OutOfRange for a history shorter than the
     longest lag, NonFiniteState if the state stops being finite, and
-    ValueError for a step or t_end that is not finite and positive.
+    OutOfDomain (a ValueError) for a step or t_end that is not finite and
+    positive.
     """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step = {step!r} must be finite and positive")
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end = {t_end!r} must be finite and positive")
-    h = float(step)
+    h = positive(step, "step")
+    positive(t_end, "t_end")
     y0 = history.value(0.0)
     dim = len(y0)
     if dim not in (3, 4):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dde_core import History, Trajectory
-from .errors import AlwaysStable, EpsNotBelowOne, SubcriticalP
+from .errors import (AlwaysStable, EpsNotBelowOne, SubcriticalP, positive,
+                     probability)
 from .siq_model import (DiseaseSpec, ModelParams, conserved_H_star,
                         conserved_q)
 
@@ -58,8 +59,7 @@ class EndemicPoint:
 
 def critical_probability(r: float) -> float:
     """Minimum identification probability p_c = 1 - 1/r."""
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r!r}")
+    positive(r, "r")
     return 1.0 - 1.0 / r
 
 
@@ -70,6 +70,7 @@ def critical_identification_time(r: float, p: float) -> float:
     infinite.  Raises SubcriticalP when p <= p_c: no identification speed
     can compensate for insufficient coverage.
     """
+    probability(p, "p")
     pc = critical_probability(r)
     if p <= pc:
         raise SubcriticalP(f"p = {p!r} <= p_c = {pc!r}: uncontrollable at any speed")
@@ -85,9 +86,7 @@ def critical_time_days(disease: DiseaseSpec, p: float) -> float:
 
 def q_critical(r: float, p: float, tau: float) -> float:
     """Stability boundary q_c = 1 - (1/r) / (1 - eps), eps = p*exp(-tau)."""
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r!r}")
-    eps = p * math.exp(-tau)
+    eps = ModelParams(r, p, tau, 0.0).eps
     if eps >= 1.0:
         raise EpsNotBelowOne(f"eps = {eps!r} must be < 1")
     return 1.0 - (1.0 / r) / (1.0 - eps)
@@ -100,6 +99,8 @@ def tau_critical_at_q(r: float, p: float, q: float) -> float:
     Raises AlwaysStable when r(1-q) <= 1 (every tau is stable) and
     SubcriticalP when p <= 1 - 1/(r(1-q)).
     """
+    positive(r, "r")
+    probability(p, "p")
     rq = r * (1.0 - q)
     if rq <= 1.0:
         raise AlwaysStable(f"r(1-q) = {rq!r} <= 1: stable for every tau")
@@ -111,7 +112,7 @@ def tau_critical_at_q(r: float, p: float, q: float) -> float:
 
 def effective_R(r: float, p: float, tau: float, q: float = 0.0) -> float:
     """Effective reproductive number (1-q)(1-eps)r."""
-    return (1.0 - q) * (1.0 - p * math.exp(-tau)) * r
+    return (1.0 - q) * (1.0 - ModelParams(r, p, tau, 0.0).eps) * r
 
 
 def thresholds(r: float, p: float, tau: float, q: float = 0.0) -> Thresholds:
@@ -125,38 +126,30 @@ def thresholds(r: float, p: float, tau: float, q: float = 0.0) -> Thresholds:
                       r_eff=effective_R(r, p, tau, q))
 
 
-def seiq_endemic_point(params: ModelParams, eta: float, q: float) -> EndemicPoint:
-    """Endemic equilibrium on the SEIQ leaf (eta, q).
+def endemic_point(params: ModelParams, q: float,
+                  eta: float | None = None) -> EndemicPoint:
+    """Endemic equilibrium on the leaf q: the SEIQ point on the leaf
+    (eta, q) when sigma > 0 or ``eta`` is given, else the SIQ point.
 
     v_S = 1/(r(1-eps)) and, with D = 1 - eps + sigma + eps*kappa and
     m = q_c - q - eta:
         v_E = sigma*m/D + eta,  v_I = (1-eps)*m/D,  v_Q = eps*kappa*m/D + q.
-    The leaf offsets (+eta, +q) keep the components summing to 1.
+    The leaf offsets (+eta, +q) keep the components summing to 1, so H on
+    the constant point returns q.  The labels are not checked: labels read
+    off a flow may lie a rounding error below 0.
     """
+    seiq = params.sigma > 0 or eta is not None
+    eta = 0.0 if eta is None else eta
     eps = params.eps
-    if eps >= 1.0:
-        raise EpsNotBelowOne(f"eps = {eps!r} must be < 1")
-    qc = q_critical(params.r, params.p, params.tau)
-    m = qc - q - eta
+    m = q_critical(params.r, params.p, params.tau) - q - eta
     denom = 1.0 - eps + params.sigma + eps * params.kappa
     v_s = 1.0 / (params.r * (1.0 - eps))
-    v_e = params.sigma * m / denom + eta
     v_i = (1.0 - eps) * m / denom
     v_q = eps * params.kappa * m / denom + q
-    return EndemicPoint(v_S=v_s, v_I=v_i, v_Q=v_q, q=q, v_E=v_e, eta=eta)
-
-
-def endemic_point(params: ModelParams, q: float) -> EndemicPoint:
-    """Endemic equilibrium on the SIQ leaf q (requires sigma = 0).
-
-    Note: v_Q carries the leaf offset "+q" so that v_S + v_I + v_Q = 1 and
-    H evaluated on the constant point returns q.
-    """
-    if params.sigma != 0.0:
-        raise ValueError("endemic_point requires sigma = 0; "
-                         "use seiq_endemic_point")
-    p4 = seiq_endemic_point(params, 0.0, q)
-    return EndemicPoint(v_S=p4.v_S, v_I=p4.v_I, v_Q=p4.v_Q, q=q)
+    if not seiq:
+        return EndemicPoint(v_S=v_s, v_I=v_i, v_Q=v_q, q=q)
+    return EndemicPoint(v_S=v_s, v_I=v_i, v_Q=v_q, q=q,
+                        v_E=params.sigma * m / denom + eta, eta=eta)
 
 
 def reachable(params: ModelParams, q: float) -> bool:
@@ -176,16 +169,13 @@ def predict_endemic_from_history(params: ModelParams,
     unreachable leaf (check ``.reachable``).
     """
     dim = len(phi.value(0.0)) if isinstance(phi, History) else phi.dimension
-    q_label = conserved_q(params, phi, t)
-    if dim == 4:
-        _, eta_label = conserved_H_star(params, phi, t)
-        return seiq_endemic_point(params, eta_label, q_label)
-    return endemic_point(params, q_label)
+    eta = conserved_H_star(params, phi, t)[1] if dim == 4 else None
+    return endemic_point(params, conserved_q(params, phi, t), eta)
 
 
 __all__ = [
     "Thresholds", "EndemicPoint", "critical_probability",
     "critical_identification_time", "critical_time_days", "q_critical",
     "tau_critical_at_q", "effective_R", "thresholds", "endemic_point",
-    "seiq_endemic_point", "reachable", "predict_endemic_from_history",
+    "reachable", "predict_endemic_from_history",
 ]

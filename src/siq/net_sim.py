@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadDegree, FileParse
+from .errors import (BadDegree, FileParse, count, finite_nonnegative,
+                     nonnegative, positive, probability)
 from .siq_model import ModelParams
 
 
@@ -87,8 +88,7 @@ class Network:
 
 def complete_network(n: int) -> Network:
     """Complete graph on n nodes."""
-    if n < 1:
-        raise BadDegree("need at least one node")
+    count(1)(n, "n")
     i, j = np.triu_indices(n, k=1)
     return Network(n=n, edges=np.column_stack([i, j]))
 
@@ -114,8 +114,7 @@ def erdos_renyi_network(n: int, mean_degree: float, seed: int) -> Network:
     Sampled by geometric skipping over the n*(n-1)/2 pair slots (PCG64),
     so generation is O(edges) and reproducible from the seed.
     """
-    if n < 1:
-        raise BadDegree("need at least one node")
+    count(1)(n, "n")
     if not 0 <= mean_degree < n:
         raise BadDegree(f"mean degree {mean_degree!r} infeasible for n={n}")
     p = mean_degree / (n - 1) if n > 1 else 0.0
@@ -178,19 +177,14 @@ class SimConfig:
     n_out: int = 201
 
     def __post_init__(self):
-        # a run at beta = inf never ends; kappa_days = inf stays legal
-        for name, ok, rule in (
-                ("beta", 0.0 <= self.beta < math.inf, "finite and >= 0"),
-                ("gamma", self.gamma >= 0.0, ">= 0"),
-                ("tau_days", self.tau_days >= 0.0, ">= 0"),
-                ("kappa_days", self.kappa_days >= 0.0, ">= 0"),
-                ("p", 0.0 <= self.p <= 1.0, "in [0, 1]"),
-                ("t_end_days", 0.0 < self.t_end_days < math.inf,
-                 "finite and > 0"),
-                ("n_out", self.n_out >= 2, ">= 2")):
-            if not ok:                    # NaN fails every comparison
-                raise ValueError(f"{name} = {getattr(self, name)!r} must "
-                                 f"be {rule}")
+        # a run at beta = inf never ends; tau_days = inf (never identified)
+        # and kappa_days = inf (permanent isolation) stay legal
+        for name, rule in (("beta", finite_nonnegative),
+                           ("gamma", finite_nonnegative),
+                           ("tau_days", nonnegative),
+                           ("kappa_days", nonnegative), ("p", probability),
+                           ("t_end_days", positive), ("n_out", count(2))):
+            rule(getattr(self, name), name)
         object.__setattr__(self, "initial_infected",
                            tuple(int(u) for u in self.initial_infected))
 
@@ -387,8 +381,7 @@ class MeanFieldMap:
 def mean_field_params(beta: float, mean_degree: float,
                       gamma: float) -> MeanFieldMap:
     """Mean-field reduction of the network rates."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    positive(gamma, "gamma")
     return MeanFieldMap(r=beta * mean_degree / gamma, gamma=gamma)
 
 

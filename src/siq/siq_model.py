@@ -21,7 +21,9 @@ import numpy as np
 
 from .dde_core import (DEFAULT_STEP, History, Trajectory, constant_history,
                        integrate)
-from .errors import (FileParse, InvalidFractions, NotInSimplex, SpanTooShort)
+from .errors import (FileParse, InvalidFractions, NotInSimplex, SpanTooShort,
+                     finite_nonnegative, fraction, positive,
+                     positive_fraction, probability)
 
 SIMPLEX_TOL = 1e-12
 
@@ -30,11 +32,11 @@ SIMPLEX_TOL = 1e-12
 class ModelParams:
     """Model parameters (r, p, tau, kappa, sigma); eps = p*exp(-tau) derived.
 
-    r      rescaled reproductive number (> 0)
+    r      rescaled reproductive number (finite, > 0)
     p      identification probability, in [0, 1]
-    tau    identification time, units of the infectious period (>= 0)
-    kappa  isolation time (>= 0)
-    sigma  latency period (>= 0; 0 selects the SIQ model)
+    tau    identification time, units of the infectious period (finite, >= 0)
+    kappa  isolation time (finite, >= 0)
+    sigma  latency period (finite, >= 0; 0 selects the SIQ model)
     """
 
     r: float
@@ -44,14 +46,10 @@ class ModelParams:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
+        positive(self.r, "r")
+        probability(self.p, "p")
         for name in ("tau", "kappa", "sigma"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            finite_nonnegative(getattr(self, name), name)
 
     @property
     def eps(self) -> float:
@@ -73,12 +71,9 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
     theta = 0.  The dimension is 4 when the SEIQ model is implied (sigma > 0
     or e0 > 0) and can be forced with ``seiq``.
     """
-    for name, v in (("i0", i0), ("q0", q0), ("e0", e0)):
-        if not 0 <= v < math.inf:       # NaN fails every comparison
-            raise InvalidFractions(f"{name} must be finite and nonnegative, "
-                                   f"got {v!r}")
-    if i0 <= 0:
-        raise InvalidFractions("an outbreak needs i0 > 0")
+    positive_fraction(i0, "i0")
+    fraction(q0, "q0")
+    fraction(e0, "e0")
     if i0 + q0 + e0 > 1.0 + SIMPLEX_TOL:
         raise InvalidFractions(f"i0 + q0 + e0 = {i0 + q0 + e0!r} exceeds 1")
     if seiq is None:
@@ -333,8 +328,8 @@ class DiseaseSpec:
     source: str = ""
 
     def __post_init__(self):
-        if not (self.r > 0 and self.infectious_period_days > 0):
-            raise ValueError("r and infectious_period_days must be positive")
+        positive(self.r, "r")
+        positive(self.infectious_period_days, "infectious_period_days")
 
 
 def load_disease_table(path: str | None = None) -> list[DiseaseSpec]:

@@ -26,7 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidFractions, NumericalError
+from .errors import (InvalidFractions, NumericalError, finite_nonnegative,
+                     fractions)
 from .equilibria import endemic_point, q_critical
 from .siq_model import ModelParams
 
@@ -74,21 +75,12 @@ class CharEq:
         return lam * lin + self.r * self.w_i * (du + self.eps * uv * dk)
 
 
-def _check_fractions(**labels: float) -> None:
-    """Leaf labels are compartment fractions: each >= 0, their sum <= 1."""
-    if not (all(v >= 0.0 for v in labels.values())
-            and sum(labels.values()) <= 1.0):
-        raise InvalidFractions(
-            "leaf labels must be >= 0 with sum <= 1, got "
-            + ", ".join(f"{k} = {v!r}" for k, v in labels.items()))
-
-
 def disease_free_chareq(params: ModelParams, q: float,
                         eta: float = 0.0) -> CharEq:
     """Linearization at the disease-free point with E-component eta and
     Q-component q: (1-eta-q, eta, 0, q), the SIQ point (1-q, 0, q) at
     sigma = 0 and eta = 0."""
-    _check_fractions(eta=eta, q=q)
+    fractions(eta=eta, q=q)
     return CharEq(r=params.r, eps=params.eps, tau=params.tau,
                   kappa=params.kappa, w_s=1.0 - eta - q, w_i=0.0,
                   sigma=params.sigma)
@@ -99,7 +91,7 @@ def endemic_chareq(params: ModelParams, q: float, eta: float = 0.0) -> CharEq:
     Q-component q: (1 - q_c, eta, q_c - q - eta, q), the SIQ point
     (1 - q_c, q_c - q, q) at sigma = 0 and eta = 0.  It needs q, eta >= 0
     and q + eta < q_c (w_I > 0)."""
-    _check_fractions(eta=eta, q=q)
+    fractions(eta=eta, q=q)
     qc = q_critical(params.r, params.p, params.tau)
     if not q + eta < qc:
         raise InvalidFractions(f"endemic leaf q = {q!r}, eta = {eta!r} must "
@@ -502,9 +494,7 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
     when |chi(i omega)| > 1e-10 at a crossing, ValueError unless
     kappa_max is finite and >= 0.
     """
-    if not (math.isfinite(kappa_max) and kappa_max >= 0.0):
-        raise ValueError(f"kappa_max must be finite and >= 0, "
-                         f"got {kappa_max!r}")
+    finite_nonnegative(kappa_max, "kappa_max")
     solve = functools.lru_cache(maxsize=None)(_axis_branches)
 
     def sample(kappa: float) -> _Sample:
@@ -569,14 +559,11 @@ def stability_map(r: float, p: float, tau: float,
     half-plane only across the imaginary axis as kappa grows).  Invalid
     (r, p, tau) raise ValueError; a q-row whose count fails numerically
     is recorded in ``errors``."""
-    ModelParams(r=r, p=p, tau=tau, kappa=0.0)
+    params = ModelParams(r=r, p=p, tau=tau, kappa=0.0)
     qs = [float(v) for v in q_grid]
-    ks = [float(v) for v in kappa_grid]
-    if not all(math.isfinite(k) and k >= 0.0 for k in ks):
-        raise ValueError("kappa grid values must be finite and >= 0")
+    ks = [finite_nonnegative(v, "kappa") for v in kappa_grid]
     # every leaf is checked before any row is counted
-    bases = [_base_count(endemic_chareq(ModelParams(r, p, tau, 0.0), q))
-             for q in qs]
+    bases = [_base_count(endemic_chareq(params, q)) for q in qs]
     counts = np.full((len(qs), len(ks)), -1, dtype=int)
     errors: list[tuple[int, str]] = []
     for i, (q, base) in enumerate(zip(qs, bases)):

@@ -15,7 +15,7 @@ import pytest
 from conftest import smooth_simplex_history
 from siq.cli import critical_rows, i_peak
 from siq.equilibria import (endemic_point, predict_endemic_from_history,
-                            q_critical, seiq_endemic_point)
+                            q_critical)
 from siq.net_sim import (SimConfig, Network, average_runs,
                          erdos_renyi_network, simulate_network)
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
@@ -355,7 +355,7 @@ def test_criterion_08_seiq_threshold_invariance():
         flip_ok = all(abs(f - qc) <= 1e-6 for f in flips)
 
         ps0 = ModelParams(r=r, p=p, tau=tau, kappa=0.7, sigma=0.0)
-        a = seiq_endemic_point(ps0, 0.0, 0.05)
+        a = endemic_point(ps0, 0.05, 0.0)
         b = endemic_point(ModelParams(r=r, p=p, tau=tau, kappa=0.7), 0.05)
         reduce_ok = (a.v_S, a.v_I, a.v_Q) == (b.v_S, b.v_I, b.v_Q)
     ok = flip_ok and reduce_ok

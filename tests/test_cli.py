@@ -3,11 +3,14 @@ round-trips."""
 
 import argparse
 import errno
+import importlib
 import math
 import os
 import pathlib
+import random
 import re
 import shlex
+import sys
 import warnings
 
 import numpy as np
@@ -17,8 +20,7 @@ from siq import __version__
 from siq.cli import (_fan_out, build_parser, build_scenario, critical_rows,
                      fmt, i_peak, main, parse_config_file, read_csv,
                      write_csv)
-from siq.equilibria import (endemic_point, predict_endemic_from_history,
-                            seiq_endemic_point)
+from siq.equilibria import endemic_point, predict_endemic_from_history
 from siq.errors import ConfigError, HorizonTooShort, NumericalError
 from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
                            simulate)
@@ -238,6 +240,77 @@ def test_every_subcommand_writes_one_stamped_artifact(tmp_path, capsys):
         assert head == ["# tool = siq", f"# version = {__version__}"]
 
 
+def test_every_numeric_flag_rejects_values_outside_its_domain(
+        tmp_path, capsys, monkeypatch):
+    # every flag typed by a domain rule, including any added later: NaN
+    # and a value outside the rule exit 1 naming the flag, before any
+    # integration, solve, graph or fork, and no artifact is written
+    import siq.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("simulate", "stability_map", "hopf_crossings",
+                 "simulate_network", "erdos_renyi_network"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(os, "fork", never)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = tmp_path / "out.csv"
+    checked = 0
+    for command, sp in sub.choices.items():
+        for action in sp._actions:
+            # every typed flag, and every flag with a numeric default, is
+            # typed by a domain rule
+            if action.type is None and type(action.default) not in (int,
+                                                                     float):
+                continue
+            assert isinstance(action.type, cli.Flag), (command, action.dest)
+            flag = action.option_strings[0]
+            outside = next(v for v in ("0", "1", "-1")
+                           if _rejects(action.type, v))
+            for value in ("nan", outside):
+                argv = [command, *SMALL_CALLS[command], flag, value,
+                        "--out", str(out)]
+                assert main(argv) == 1, argv
+                assert f"error: argument {flag}: " in capsys.readouterr().err
+                assert not out.exists(), argv
+                checked += 1
+    assert checked == 2 * 69
+    # a config-file value is named by its key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 2.5\np = 0.5\ntau = 0.5\nkappa = nan\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: config key kappa = nan must be "
+                                       "finite and >= 0\n")
+    assert not out.exists()
+
+
+def _rejects(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except argparse.ArgumentTypeError:
+        return True
+    return False
+
+
+def test_benchmark_calls_parse(monkeypatch):
+    # every call the benchmark makes (the warm-ups and one round of each
+    # workload) parses, so a flag rule that refuses a benchmark input
+    # fails here; perfbench/ is read, and no bytecode is written there
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    parser = build_parser()
+    calls = 0
+    for warm_up, build in workloads.WORKLOADS.values():
+        for job in [warm_up, *build(random.Random(0))]:
+            parser.parse_args(list(job.argv))
+            calls += 1
+    assert calls == 4 + 5 + 5 + 5 + 3
+
+
 # ---------------------------------------------------------------------------
 # simulate / endemic / spectrum artifacts
 # ---------------------------------------------------------------------------
@@ -402,7 +475,8 @@ def test_cli_stability_map_rejects_invalid_model_parameters(tmp_path,
     assert main(["stability-map", "--r", "2.5", "--p", "1.5", "--tau", "1",
                  "--q-steps", "2", "--kappa-steps", "3",
                  "--out", str(out)]) == 1
-    assert "p must lie in [0, 1]" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: argument --p: 1.5 must be in "
+                                       "[0, 1]\n")
     assert not out.exists()
 
 
@@ -475,7 +549,8 @@ def test_cli_hopf_rejects_negative_m_max(tmp_path, capsys):
     out = tmp_path / "hopf.csv"
     assert main(["hopf", "--r", "2.5", "--p", "0.5", "--m-max", "-1",
                  "--out", str(out)]) == 1
-    assert "--m-max = -1" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: argument --m-max: -1 must be "
+                                       "an integer >= 0\n")
     assert not out.exists()
 
 
@@ -490,7 +565,8 @@ def test_cli_hopf_rejects_kappa_max_outside_domain(tmp_path, capsys, flags):
         assert main(["hopf", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
                      "--kappa-max", *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"kappa_max must be finite and >= 0, got {float(flags[0])}" in err
+    assert err == (f"error: argument --kappa-max: {float(flags[0])} must be "
+                   "finite and >= 0\n")
     assert not out.exists()
 
 
@@ -501,7 +577,8 @@ def test_cli_stability_map_names_invalid_tau(tmp_path, capsys):
     assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "-1",
                  "--q-steps", "2", "--kappa-steps", "2",
                  "--out", str(out)]) == 1
-    assert "tau must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: argument --tau: -1.0 must be "
+                                       "finite and >= 0\n")
     assert not out.exists()
 
 
@@ -521,7 +598,8 @@ def test_cli_stability_map_rejects_empty_grids(tmp_path, capsys, monkeypatch,
     out = tmp_path / "map.csv"
     assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
                  flag, value, "--out", str(out)]) == 1
-    assert f"{flag} = {value} must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: argument {flag}: {value} "
+                                       "must be an integer >= 1\n")
     assert not out.exists()
 
 
@@ -531,7 +609,8 @@ def test_cli_rejects_nonpositive_r(tmp_path, capsys, r):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--r", r, "--p", "0.5",
                      "--out", str(out)]) == 1
-        assert "r must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: argument --r: {float(r)} "
+                                           "must be finite and > 0\n")
         assert not out.exists()
 
 
@@ -561,7 +640,7 @@ def test_cli_endemic_reads_the_outbreak_leaf(sigma, e0, q0):
     _, _, rows, _ = args.func(args)
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=sigma)
     if sigma:
-        pt = seiq_endemic_point(ps, e0, q0)
+        pt = endemic_point(ps, q0, e0)
         want = [q0, e0, pt.v_S, pt.v_E, pt.v_I, pt.v_Q, 1]
     else:
         pt = endemic_point(ps, q0)
@@ -611,37 +690,100 @@ SCENARIO = ["--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
             "--i0", "0.01", "--t-end", "5", "--step", "0.01"]
 
 
-@pytest.mark.parametrize("command, flag, value, named", [
+def _rejected(*args, message, was=None):
+    """One rejection case: the arguments, the expected message after
+    "argument --flag: ", and, for a case older than the domain rules, the
+    message it pinned then, which stays in the case id."""
+    return pytest.param(*args, message,
+                        id="-".join([*args, was]) if was else None)
+
+
+#: Base calls: each case appends one bad flag; argparse rejects it while
+#: parsing, so the valid value of the same flag in the base never counts.
+REJECTION_BASES = {
+    "simulate": SCENARIO, "ipeak": SCENARIO + ["--kappas", "1,inf"],
+    "critical": [],
+    "endemic": ["--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+                "--q", "0"]}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
     # --every -5 integrated the run and then died on an empty index, and
     # --every 0 meant the default stride
-    ("simulate", "--every", "0", "--every = 0 must be >= 1"),
-    ("simulate", "--every", "-5", "--every = -5 must be >= 1"),
+    _rejected("simulate", "--every", "0", was="--every = 0 must be >= 1",
+              message="0 must be an integer >= 1"),
+    _rejected("simulate", "--every", "-5", was="--every = -5 must be >= 1",
+              message="-5 must be an integer >= 1"),
     # an infinite horizon overflowed the step count, a NaN one could not
     # be converted to it, NaN fractions ran into a numerical failure, and
     # a NaN or negative --settle switched the horizon check off
-    ("simulate", "--t-end", "inf", "--t-end (config key t_end) = inf"),
-    ("simulate", "--t-end", "nan", "--t-end (config key t_end) = nan"),
-    ("simulate", "--t-end", "0", "--t-end (config key t_end) = 0.0"),
-    ("simulate", "--step", "nan", "--step (config key step) = nan"),
-    ("simulate", "--step", "-0.01", "--step (config key step) = -0.01"),
-    ("simulate", "--i0", "nan", "i0 must be finite and nonnegative"),
-    ("simulate", "--q0", "nan", "q0 must be finite and nonnegative"),
-    ("simulate", "--q0", "inf", "q0 must be finite and nonnegative"),
-    ("ipeak", "--t-end", "inf", "--t-end (config key t_end) = inf"),
-    ("ipeak", "--step", "nan", "--step (config key step) = nan"),
-    ("ipeak", "--i0", "nan", "i0 must be finite and nonnegative"),
-    ("ipeak", "--e0", "nan", "e0 must be finite and nonnegative"),
-    ("ipeak", "--settle", "nan", "--settle = nan must be finite and >= 0"),
-    ("ipeak", "--settle", "-5", "--settle = -5.0 must be finite and >= 0"),
-    ("ipeak", "--settle", "inf", "--settle = inf must be finite and >= 0"),
+    _rejected("simulate", "--t-end", "inf",
+              was="--t-end (config key t_end) = inf",
+              message="inf must be finite and > 0"),
+    _rejected("simulate", "--t-end", "nan",
+              was="--t-end (config key t_end) = nan",
+              message="nan must be finite and > 0"),
+    _rejected("simulate", "--t-end", "0",
+              was="--t-end (config key t_end) = 0.0",
+              message="0.0 must be finite and > 0"),
+    _rejected("simulate", "--step", "nan",
+              was="--step (config key step) = nan",
+              message="nan must be finite and > 0"),
+    _rejected("simulate", "--step", "-0.01",
+              was="--step (config key step) = -0.01",
+              message="-0.01 must be finite and > 0"),
+    _rejected("simulate", "--i0", "nan",
+              was="i0 must be finite and nonnegative",
+              message="nan must be in (0, 1]"),
+    _rejected("simulate", "--q0", "nan",
+              was="q0 must be finite and nonnegative",
+              message="nan must be in [0, 1]"),
+    _rejected("simulate", "--q0", "inf",
+              was="q0 must be finite and nonnegative",
+              message="inf must be in [0, 1]"),
+    _rejected("ipeak", "--t-end", "inf",
+              was="--t-end (config key t_end) = inf",
+              message="inf must be finite and > 0"),
+    _rejected("ipeak", "--step", "nan", was="--step (config key step) = nan",
+              message="nan must be finite and > 0"),
+    _rejected("ipeak", "--i0", "nan", was="i0 must be finite and nonnegative",
+              message="nan must be in (0, 1]"),
+    _rejected("ipeak", "--e0", "nan", was="e0 must be finite and nonnegative",
+              message="nan must be in [0, 1]"),
+    _rejected("ipeak", "--settle", "nan",
+              was="--settle = nan must be finite and >= 0",
+              message="nan must be finite and >= 0"),
+    _rejected("ipeak", "--settle", "-5",
+              was="--settle = -5.0 must be finite and >= 0",
+              message="-5.0 must be finite and >= 0"),
+    _rejected("ipeak", "--settle", "inf",
+              was="--settle = inf must be finite and >= 0",
+              message="inf must be finite and >= 0"),
     # a negative or NaN kappa failed in a worker after the other kappas
     # ran, without naming the flag
-    ("ipeak", "--kappas", "1,-2", "--kappas entry -2.0 must be >= 0"),
-    ("ipeak", "--kappas", "nan,1", "--kappas entry nan must be >= 0"),
-    ("ipeak", "--kappas", "2,-inf", "--kappas entry -inf must be >= 0"),
-    ("ipeak", "--kappas", "5,abc", "--kappas = '5,abc': could not convert")])
+    _rejected("ipeak", "--kappas", "1,-2",
+              was="--kappas entry -2.0 must be >= 0",
+              message="-2.0 must be in [0, inf]"),
+    _rejected("ipeak", "--kappas", "nan,1",
+              was="--kappas entry nan must be >= 0",
+              message="nan must be in [0, inf]"),
+    _rejected("ipeak", "--kappas", "2,-inf",
+              was="--kappas entry -inf must be >= 0",
+              message="-inf must be in [0, inf]"),
+    _rejected("ipeak", "--kappas", "5,abc",
+              was="--kappas = '5,abc': could not convert",
+              message="'abc' must be in [0, inf]"),
+    # p is a probability and q, eta are compartment fractions: each of
+    # these wrote finite or NaN numbers with exit 0
+    _rejected("critical", "--p", "2", message="2.0 must be in [0, 1]"),
+    _rejected("critical", "--p", "nan", message="nan must be in [0, 1]"),
+    _rejected("critical", "--p", "-1", message="-1.0 must be in [0, 1]"),
+    _rejected("endemic", "--q", "-0.5", message="-0.5 must be in [0, 1]"),
+    _rejected("endemic", "--q", "5", message="5.0 must be in [0, 1]"),
+    _rejected("endemic", "--q", "nan", message="nan must be in [0, 1]"),
+    _rejected("endemic", "--eta", "-0.1", message="-0.1 must be in [0, 1]")])
 def test_cli_rejects_nonfinite_run_numbers_before_integrating(
-        monkeypatch, capsys, command, flag, value, named):
+        monkeypatch, capsys, command, flag, value, message):
     import siq.cli as cli
 
     def no_run(*args, **kwargs):
@@ -649,11 +791,9 @@ def test_cli_rejects_nonfinite_run_numbers_before_integrating(
 
     monkeypatch.setattr(cli, "simulate", no_run)
     _set_cores(monkeypatch, 1)
-    extra = (["--kappas", "1,inf"] if command == "ipeak" and flag != "--kappas"
-             else [])
-    assert main([command, *SCENARIO, *extra, flag, value]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert main([command, *REJECTION_BASES[command], flag, value]) == 1
+    assert capsys.readouterr().err == (f"error: argument {flag}: "
+                                       f"{message}\n")
 
 
 def test_cli_simulate_every_one_writes_every_node(tmp_path):
@@ -909,28 +1049,55 @@ def test_cli_network_accepts_permanent_isolation(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--i0-frac", "-0.5", "--i0-frac = -0.5 must lie in (0, 1]"),
-    ("--i0-frac", "0", "--i0-frac = 0.0 must lie in (0, 1]"),
-    ("--i0-frac", "2", "--i0-frac = 2.0 must lie in (0, 1]"),
-    ("--seeds", "0", "--seeds = 0 must be >= 1"),
-    ("--seeds", "-1", "--seeds = -1 must be >= 1"),
-    ("--n-out", "1", "--n-out = 1 must be >= 2"),
-    ("--t-end-days", "0", "--t-end-days = 0.0 must be finite and > 0"),
-    ("--t-end-days", "inf", "--t-end-days = inf must be finite and > 0"),
-    ("--t-end-days", "nan", "--t-end-days = nan must be finite and > 0"),
-    ("--beta", "-0.3", "--beta = -0.3 must be finite and >= 0"),
-    ("--beta", "nan", "--beta = nan must be finite and >= 0"),
-    ("--beta", "inf", "--beta = inf must be finite and >= 0"),
-    ("--gamma", "0", "--gamma = 0.0 must be finite and > 0"),
-    ("--gamma", "-1", "--gamma = -1.0 must be finite and > 0"),
-    ("--tau-days", "-0.5", "--tau-days = -0.5 must be >= 0"),
-    ("--tau-days", "nan", "--tau-days = nan must be >= 0"),
-    ("--kappa-days", "-2", "--kappa-days = -2.0 must be >= 0 "
-     "(inf: permanent isolation)"),
-    ("--kappa-days", "nan", "--kappa-days = nan must be >= 0 "
-     "(inf: permanent isolation)"),
-    ("--seed", "-1", "--seed = -1 must be >= 0"),
-    ("--net-seed", "-3", "--net-seed = -3 must be >= 0")])
+    _rejected("--i0-frac", "-0.5", was="--i0-frac = -0.5 must lie in (0, 1]",
+              message="-0.5 must be in (0, 1]"),
+    _rejected("--i0-frac", "0", was="--i0-frac = 0.0 must lie in (0, 1]",
+              message="0.0 must be in (0, 1]"),
+    _rejected("--i0-frac", "2", was="--i0-frac = 2.0 must lie in (0, 1]",
+              message="2.0 must be in (0, 1]"),
+    _rejected("--seeds", "0", was="--seeds = 0 must be >= 1",
+              message="0 must be an integer >= 1"),
+    _rejected("--seeds", "-1", was="--seeds = -1 must be >= 1",
+              message="-1 must be an integer >= 1"),
+    _rejected("--n-out", "1", was="--n-out = 1 must be >= 2",
+              message="1 must be an integer >= 2"),
+    _rejected("--t-end-days", "0",
+              was="--t-end-days = 0.0 must be finite and > 0",
+              message="0.0 must be finite and > 0"),
+    _rejected("--t-end-days", "inf",
+              was="--t-end-days = inf must be finite and > 0",
+              message="inf must be finite and > 0"),
+    _rejected("--t-end-days", "nan",
+              was="--t-end-days = nan must be finite and > 0",
+              message="nan must be finite and > 0"),
+    _rejected("--beta", "-0.3", was="--beta = -0.3 must be finite and >= 0",
+              message="-0.3 must be finite and >= 0"),
+    _rejected("--beta", "nan", was="--beta = nan must be finite and >= 0",
+              message="nan must be finite and >= 0"),
+    _rejected("--beta", "inf", was="--beta = inf must be finite and >= 0",
+              message="inf must be finite and >= 0"),
+    _rejected("--gamma", "0", was="--gamma = 0.0 must be finite and > 0",
+              message="0.0 must be finite and > 0"),
+    _rejected("--gamma", "-1", was="--gamma = -1.0 must be finite and > 0",
+              message="-1.0 must be finite and > 0"),
+    _rejected("--tau-days", "-0.5", was="--tau-days = -0.5 must be >= 0",
+              message="-0.5 must be in [0, inf]"),
+    _rejected("--tau-days", "nan", was="--tau-days = nan must be >= 0",
+              message="nan must be in [0, inf]"),
+    _rejected("--kappa-days", "-2", message="-2.0 must be in [0, inf]",
+              was="--kappa-days = -2.0 must be >= 0 "
+              "(inf: permanent isolation)"),
+    _rejected("--kappa-days", "nan", message="nan must be in [0, inf]",
+              was="--kappa-days = nan must be >= 0 "
+              "(inf: permanent isolation)"),
+    _rejected("--seed", "-1", was="--seed = -1 must be >= 0",
+              message="-1 must be an integer >= 0"),
+    _rejected("--net-seed", "-3", was="--net-seed = -3 must be >= 0",
+              message="-3 must be an integer >= 0"),
+    # "mean degree nan infeasible for n=200" and "need at least one node"
+    # named no flag
+    _rejected("--mean-degree", "nan", message="nan must be finite and >= 0"),
+    _rejected("--n", "-5", message="-5 must be an integer >= 1")])
 def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
                                             flag, value, message):
     # a negative --i0-frac seeded one node and exited 0, 2 listed every
@@ -950,7 +1117,8 @@ def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
                  "--beta", "0.3", "--gamma", "1", "--p", "0.5",
                  "--tau-days", "0.5", "--kappa-days", "2", flag, value,
                  "--out", str(out)]) == 1
-    assert f"error: {message}\n" == capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: argument {flag}: "
+                                       f"{message}\n")
     assert not out.exists()
 
 

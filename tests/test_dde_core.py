@@ -136,7 +136,7 @@ def test_nonfinite_step_and_horizon_rejected():
     hist = constant_history([0.99, 0.01, 0.0], 1.0)
     for t_end, step in ((math.inf, 0.01), (math.nan, 0.01), (5.0, math.nan),
                         (5.0, math.inf), (5.0, 0.0), (-1.0, 0.01)):
-        with pytest.raises(ValueError, match="must be finite and positive"):
+        with pytest.raises(ValueError, match="must be finite and > 0$"):
             dde_core.integrate(hist, t_end, step, r=2.5, eps=0.5, tau=0.5,
                                kappa=0.5)
 

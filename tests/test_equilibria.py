@@ -10,9 +10,9 @@ from siq.equilibria import (critical_identification_time,
                             critical_probability, critical_time_days,
                             effective_R, endemic_point,
                             predict_endemic_from_history, q_critical,
-                            reachable, seiq_endemic_point, tau_critical_at_q,
+                            reachable, tau_critical_at_q,
                             thresholds)
-from siq.errors import AlwaysStable, EpsNotBelowOne, SubcriticalP
+from siq.errors import AlwaysStable, EpsNotBelowOne, OutOfDomain, SubcriticalP
 from siq.siq_model import (DiseaseSpec, ModelParams, outbreak_history,
                            simulate)
 
@@ -44,6 +44,21 @@ def test_critical_identification_time_errors():
         critical_identification_time(2.5, 0.2)
     # r <= 1: no outbreak at all, any response suffices
     assert critical_identification_time(0.9, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("call, args, message", [
+    # p is a probability: each of these returned a number
+    (critical_identification_time, (2.5, 2.0), "p = 2.0 must be in [0, 1]"),
+    (q_critical, (2.5, math.nan, 0.5), "p = nan must be in [0, 1]"),
+    (thresholds, (2.5, -1, 0.5), "p = -1.0 must be in [0, 1]"),
+    (tau_critical_at_q, (2.5, 1.5, 0.1), "p = 1.5 must be in [0, 1]"),
+    (effective_R, (2.5, 0.5, -1.0), "tau = -1.0 must be finite and >= 0"),
+    (critical_probability, (math.inf,), "r = inf must be finite and > 0")])
+def test_threshold_functions_reject_inputs_outside_domain(call, args,
+                                                          message):
+    with pytest.raises(OutOfDomain) as err:
+        call(*args)
+    assert str(err.value) == message
 
 
 def test_critical_time_days_table_values():
@@ -171,7 +186,7 @@ def test_endemic_monotone_in_kappa_and_limit():
 
 def test_seiq_endemic_point_reduces_and_conserves_mass():
     ps0 = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=0.0)
-    a = seiq_endemic_point(ps0, 0.0, 0.03)
+    a = endemic_point(ps0, 0.03, 0.0)
     b = endemic_point(ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5), 0.03)
     assert (a.v_S, a.v_I, a.v_Q) == (b.v_S, b.v_I, b.v_Q)
 
@@ -180,13 +195,14 @@ def test_seiq_endemic_point_reduces_and_conserves_mass():
         ps = ModelParams(r=rng.uniform(1.2, 5), p=rng.uniform(0.05, 0.95),
                          tau=rng.uniform(0, 1.5), kappa=rng.uniform(0, 8),
                          sigma=rng.uniform(0, 2))
-        v = seiq_endemic_point(ps, rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        eta = rng.uniform(0, 0.3)
+        v = endemic_point(ps, rng.uniform(0, 0.3), eta)
         assert v.v_S + v.v_E + v.v_I + v.v_Q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_seiq_endemic_point_value():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=1.0)
-    v = seiq_endemic_point(ps, 0.0, 0.0)
+    v = endemic_point(ps, 0.0)
     eps = ps.eps
     qc = q_critical(2.5, 0.5, 0.5)
     expected = (1 - eps) * qc / (1 - eps + 1.0 + eps * 0.5)

@@ -700,7 +700,7 @@ def test_stability_map_reports_failed_rows(monkeypatch):
             stability_map(2.5, 0.5, 0.0, [0.0], [bad, 1.0])
     # only numerical failures become rows: p = 1.5 used to be recorded as
     # a failed row per q, not rejected
-    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"^p = 1.5 must be in \[0, 1\]$"):
         stability_map(2.5, 1.5, 1.0, [0.0, 0.1], [1.0])
 
 
