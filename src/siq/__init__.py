@@ -9,18 +9,17 @@ from .dde_core import (DEFAULT_STEP, History, Trajectory, constant_history,
 from .equilibria import (EndemicPoint, Thresholds, critical_identification_time,
                          critical_probability, critical_time_days,
                          effective_R, endemic_point,
-                         predict_endemic_from_history, q_critical, reachable,
+                         predict_endemic_from_history, q_critical,
                          tau_critical_at_q, thresholds)
 from .errors import SiqError
-from .net_sim import (MeanFieldMap, Network, NetworkSeries, SimConfig,
-                      average_runs, complete_network, erdos_renyi_network,
-                      mean_field_params, network_from_edge_list,
-                      simulate_network)
+from .net_sim import (MeanFieldMap, Network, NetworkSeries, NetworkStats,
+                      SimConfig, average_runs, complete_network,
+                      erdos_renyi_network, mean_field_params,
+                      network_from_edge_list, simulate_network)
 from .siq_model import (DiseaseSpec, ModelParams, ValidationReport,
                         conserved_H, conserved_H_star, conserved_q,
                         load_disease_table, outbreak_history, simulate,
                         validate_history)
 from .spectral import (CharEq, HopfData, SpectralReport, StabilityMap,
                        axis_crossings, count_unstable, disease_free_chareq,
-                       endemic_chareq, hopf_crossings, hopf_kappa0,
-                       stability_map)
+                       endemic_chareq, hopf_crossings, stability_map)

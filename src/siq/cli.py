@@ -29,8 +29,8 @@ from .equilibria import (critical_identification_time, critical_probability,
                          predict_endemic_from_history, q_critical)
 from .errors import (ConfigError, FileParse, HorizonTooShort, NumericalError,
                      OutOfDomain, SiqError, count, finite_nonnegative,
-                     fraction, nonnegative, positive, positive_fraction,
-                     probability)
+                     fraction, fractions, nonnegative, positive,
+                     positive_fraction, probability)
 from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
                       mean_field_params, network_from_edge_list,
                       simulate_network)
@@ -218,16 +218,19 @@ def _cubic_critical_points(y) -> list[float]:
     return [u for u in roots if 0.0 < u < 3.0]
 
 
-def i_peak(traj: Trajectory, settle: float = 50.0,
-           rel_tol: float = 1e-9) -> float:
+#: Relative rise of I's running maximum that counts as movement for i_peak.
+PEAK_MOVE_TOL = 1e-9
+
+
+def i_peak(traj: Trajectory, settle: float = 50.0) -> float:
     """Peak of the dense infectious fraction (SIQ or SEIQ trajectory).
 
     The horizon must extend ``settle`` time units past the last relative
-    movement (> rel_tol) of I's running maximum, otherwise HorizonTooShort
-    is raised; the tolerance makes the detector terminate for trajectories
-    that creep monotonically into their plateau.  The dense maximum is
-    that of the Hermite cubics in the two cells next to the largest node
-    value, at the roots of their quadratic derivatives.
+    movement (> PEAK_MOVE_TOL) of I's running maximum, otherwise
+    HorizonTooShort is raised; the tolerance makes the detector terminate
+    for trajectories that creep monotonically into their plateau.  The
+    dense maximum is that of the Hermite cubics in the two cells next to
+    the largest node value, at the roots of their quadratic derivatives.
     """
     i_index = 2 if traj.dimension == 4 else 1
     vals = traj.states[:, i_index]
@@ -239,7 +242,7 @@ def i_peak(traj: Trajectory, settle: float = 50.0,
             peak = max(peak, float(traj.evaluate(
                 [(cell + u / 3.0) * traj.step], columns=[i_index])[0, 0]))
     running = np.maximum.accumulate(vals)
-    moved = np.diff(running) > rel_tol * running[1:]
+    moved = np.diff(running) > PEAK_MOVE_TOL * running[1:]
     last_move = int(np.nonzero(moved)[0][-1]) + 1 if moved.any() else 0
     t_move = last_move * traj.step
     if traj.t_end - t_move < settle:
@@ -325,6 +328,8 @@ def cmd_endemic(args) -> Artifact:
                                   "--q replaces")
         sc = build_scenario(args, LEAF_KEYS)
         q, eta = args.q, args.eta
+        # endemic_point trusts labels read off a flow; check the given ones
+        fractions(q=q, eta=eta or 0.0)
     elif args.eta is not None:
         raise ConfigError("--eta labels a leaf given by --q; outbreak data "
                           "sit on the leaf (q0, e0)")

@@ -35,23 +35,23 @@ the node derivative (the next cell's k1 and the stored ``derivs``) keeps
 the right limit.  With these one-sided values the method keeps fourth
 order on outbreak data.
 
-Dense output (``History.evaluate``, ``Trajectory.evaluate``) returns state
-values only; the window functionals integrate those values.
+Initial data and solutions are read the same way: a ``History`` and a
+``Trajectory`` each have a ``dimension`` and an ``evaluate(ts)`` that
+returns state values only, one row per time; the window functionals
+integrate those values.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (DelayTooSmall, JumpOffGrid, NonFiniteState, OutOfRange,
                      positive)
-
-Vector = tuple[float, ...]
 
 #: Default integration step, in model time units.  CLI-overridable.
 DEFAULT_STEP = 1e-3
@@ -63,21 +63,19 @@ class History:
 
     ``fn`` maps theta in [-span, 0] to a state tuple; at each of its
     ``jumps`` (and at theta = 0) it must return the right limit.
-    Elsewhere it is assumed piecewise smooth.
+    Elsewhere it is assumed piecewise smooth.  ``dimension``, the number
+    of states, is read from ``fn(0.0)``.
     """
 
     span: float
     fn: Callable[[float], Sequence[float]]
     jumps: tuple[float, ...] = ()
+    dimension: int = field(init=False)
 
     def __post_init__(self):
         if self.span <= 0:
             raise ValueError("history span must be positive")
-
-    def value(self, theta: float) -> Vector:
-        if theta < -self.span - 1e-12 or theta > 1e-12:
-            raise OutOfRange(f"history evaluated at theta={theta!r}, span={self.span!r}")
-        return tuple(self.fn(min(0.0, max(theta, -self.span))))
+        object.__setattr__(self, "dimension", len(self.fn(0.0)))
 
     @property
     def breaks(self) -> tuple[float, ...]:
@@ -85,7 +83,7 @@ class History:
         return self.jumps
 
     def evaluate(self, ts) -> np.ndarray:
-        """Values at times ``ts``, shape (len(ts), dim)."""
+        """Values at times ``ts``, shape (len(ts), dimension)."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         out = (ts < -self.span - 1e-12) | (ts > 1e-12)
         if out.any():
@@ -93,7 +91,7 @@ class History:
                              f"span={self.span!r}")
         fn = self.fn
         return np.array([fn(t) for t in np.clip(ts, -self.span, 0.0).tolist()],
-                        dtype=float)
+                        dtype=float).reshape(-1, self.dimension)
 
 
 def constant_history(value: Sequence[float], span: float) -> History:
@@ -196,10 +194,6 @@ class Trajectory:
             vals[on_node] = states[node[on_node]]
         return vals
 
-    def sample(self, t: float) -> np.ndarray:
-        """State at time ``t``; exact at grid nodes."""
-        return self.evaluate([t])[0]
-
 
 def _snap(delay: float, step: float) -> int:
     """Integer lag (multiple of step) of one delay; validates its size."""
@@ -229,8 +223,9 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
     """
     h = positive(step, "step")
     positive(t_end, "t_end")
-    y0 = history.value(0.0)
-    dim = len(y0)
+    # Python floats: numpy scalars would slow every operation of the loop
+    y0 = history.evaluate([0.0])[0].tolist()
+    dim = history.dimension
     if dim not in (3, 4):
         raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
     if dim == 3 and sigma != 0.0:
@@ -251,17 +246,14 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
     lk = lt if permanent else lags[2]
     m = max(lags)
 
-    def flux(theta):
-        y = history.value(max(theta, -history.span))
-        return r * y[0] * y[ii]
-
     # Phi on the half-step grid: node i at 2*(i + m), the midpoint of cell
-    # [i, i+1] at 2*(i + m) + 1; the history part is sampled exactly, the
-    # loop fills the rest.
+    # [i, i+1] at 2*(i + m) + 1; one call samples the history part exactly
+    # (products overflow quietly, as in the loop); the loop fills the rest.
+    past = history.evaluate(np.maximum(np.arange(-2 * m, 0) / 2 * h,
+                                       -history.span))
     phi = array("d", [0.0]) * (2 * (m + n) + 1)
-    for i in range(-m, 0):
-        phi[2 * (i + m)] = flux(i * h)
-        phi[2 * (i + m) + 1] = flux((i + 0.5) * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi[:2 * m] = array("d", (r * past[:, 0] * past[:, ii]).tobytes())
     s, i_ = y0[0], y0[ii]
     f = phi[2 * m] = r * s * i_
 
@@ -462,3 +454,7 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
                       for c, d in enumerate(derivs[k].tolist()))
              for k, jump in kink_jumps.items()}
     return derivs, kinks
+
+
+__all__ = ["DEFAULT_STEP", "History", "Trajectory", "constant_history",
+           "integrate"]

@@ -152,12 +152,6 @@ def endemic_point(params: ModelParams, q: float,
                         v_E=params.sigma * m / denom + eta, eta=eta)
 
 
-def reachable(params: ModelParams, q: float) -> bool:
-    """Whether the SIQ leaf q holds a biologically reachable endemic point."""
-    qc = q_critical(params.r, params.p, params.tau)
-    return 0.0 <= q <= 1.0 and q < qc
-
-
 def predict_endemic_from_history(params: ModelParams,
                                  phi: History | Trajectory,
                                  t: float | None = None) -> EndemicPoint:
@@ -168,8 +162,7 @@ def predict_endemic_from_history(params: ModelParams,
     that leaf.  A label at or beyond q_c yields v_I <= 0, i.e. an
     unreachable leaf (check ``.reachable``).
     """
-    dim = len(phi.value(0.0)) if isinstance(phi, History) else phi.dimension
-    eta = conserved_H_star(params, phi, t)[1] if dim == 4 else None
+    eta = conserved_H_star(params, phi, t)[1] if phi.dimension == 4 else None
     return endemic_point(params, conserved_q(params, phi, t), eta)
 
 
@@ -177,5 +170,5 @@ __all__ = [
     "Thresholds", "EndemicPoint", "critical_probability",
     "critical_identification_time", "critical_time_days", "q_critical",
     "tau_critical_at_q", "effective_R", "thresholds", "endemic_point",
-    "reachable", "predict_endemic_from_history",
+    "predict_endemic_from_history",
 ]

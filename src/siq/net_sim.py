@@ -116,7 +116,8 @@ def erdos_renyi_network(n: int, mean_degree: float, seed: int) -> Network:
     """
     count(1)(n, "n")
     if not 0 <= mean_degree < n:
-        raise BadDegree(f"mean degree {mean_degree!r} infeasible for n={n}")
+        raise BadDegree(f"mean_degree = {mean_degree!r} must be >= 0 and "
+                        f"< n = {n}")
     p = mean_degree / (n - 1) if n > 1 else 0.0
     total = n * (n - 1) // 2
     if p <= 0.0 or total == 0:

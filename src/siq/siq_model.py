@@ -63,25 +63,21 @@ class ModelParams:
 
 
 def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
-                     e0: float = 0.0, *, seiq: bool | None = None) -> History:
+                     e0: float = 0.0) -> History:
     """History for a sudden outbreak at t = 0.
 
     psi(theta) = (1, 0, 0[, 0]) for theta < 0 and
     psi(0) = (1 - i0 - q0 - e0, [e0,] i0, q0), with the jump recorded at
-    theta = 0.  The dimension is 4 when the SEIQ model is implied (sigma > 0
-    or e0 > 0) and can be forced with ``seiq``.
+    theta = 0.  The dimension is 4, the SEIQ model, when sigma > 0 or
+    e0 > 0.
     """
     positive_fraction(i0, "i0")
     fraction(q0, "q0")
     fraction(e0, "e0")
     if i0 + q0 + e0 > 1.0 + SIMPLEX_TOL:
         raise InvalidFractions(f"i0 + q0 + e0 = {i0 + q0 + e0!r} exceeds 1")
-    if seiq is None:
-        seiq = params.sigma > 0 or e0 > 0
-    if not seiq and e0 > 0:
-        raise InvalidFractions("e0 > 0 requires the SEIQ model")
     span = max(params.span, DEFAULT_STEP)
-    if seiq:
+    if params.sigma > 0 or e0 > 0:
         pre = (1.0, 0.0, 0.0, 0.0)
         at0 = (1.0 - i0 - q0 - e0, e0, i0, q0)
     else:
@@ -155,13 +151,12 @@ def _window(phi: History | Trajectory, t: float | None, step: float | None,
         if t is not None:
             raise ValueError("evaluation time applies to trajectories only")
         anchor, avail, grid = 0.0, phi.span, DEFAULT_STEP
-        have = len(phi.value(0.0))
     else:
         anchor = phi.t_end if t is None else float(t)
-        avail, grid, have = anchor + phi.history.span, phi.step, phi.dimension
-    if dim is not None and have != dim:
-        raise ValueError(f"window has {have} states, this functional "
-                         f"needs {dim}")
+        avail, grid = anchor + phi.history.span, phi.step
+    if dim is not None and phi.dimension != dim:
+        raise ValueError(f"window has {phi.dimension} states, this "
+                         f"functional needs {dim}")
     if avail + 1e-12 < need:
         raise SpanTooShort(f"window must span [-{reach}, 0]; need {need!r}, "
                            f"available {avail!r}")
@@ -278,8 +273,7 @@ def validate_history(params: ModelParams, psi: History,
     their (S, I, Q) components.
     """
     h = step or DEFAULT_STEP
-    dim = len(psi.value(0.0))
-    i_idx, q_idx = (2, 3) if dim == 4 else (1, 2)
+    i_idx, q_idx = (2, 3) if psi.dimension == 4 else (1, 2)
     if psi.span + 1e-12 < params.tau + params.kappa:
         raise SpanTooShort(
             f"history span {psi.span!r} shorter than tau+kappa "
@@ -292,7 +286,7 @@ def validate_history(params: ModelParams, psi: History,
         bad = grid[int(np.argmin(vals.min(axis=1)))]
         raise NotInSimplex(f"history leaves the simplex near theta={bad!r}")
 
-    at0 = psi.value(0.0)
+    at0 = psi.evaluate([0.0])[0].tolist()
     i_bound = params.r * params.p * _window_integral(
         psi, -params.tau, 0.0, h,
         lambda ts, v: np.exp(ts) * v[:, 0] * v[:, i_idx])

@@ -497,7 +497,7 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
     finite_nonnegative(kappa_max, "kappa_max")
     solve = functools.lru_cache(maxsize=None)(_axis_branches)
 
-    def sample(kappa: float) -> _Sample:
+    def at_kappa(kappa: float) -> _Sample:
         params = ModelParams(r=r, p=p, tau=tau, kappa=float(kappa))
         chi = endemic_chareq(params, q)
         if track_leaf:
@@ -505,9 +505,9 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
         return _Sample(float(kappa), chi, *solve(_legs(chi)[0]))
 
     steps = max(1, math.ceil(kappa_max / 0.25)) if track_leaf else 1
-    samples = [sample(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
+    samples = [at_kappa(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
     return sorted((c for s0, s1 in zip(samples, samples[1:])
-                   for c in _interval_crossings(sample, s0, s1)),
+                   for c in _interval_crossings(at_kappa, s0, s1)),
                   key=lambda c: c.kappa_0)
 
 
@@ -522,14 +522,6 @@ def hopf_crossings(r: float, p: float, tau: float, q: float,
     return [c for c in axis_crossings(r, p, tau, q, kappa_max,
                                       track_leaf=track_leaf)
             if c.direction > 0][:max_crossings]
-
-
-def hopf_kappa0(r: float, p: float, tau: float, q: float, kappa_max: float,
-                *, track_leaf: bool = False) -> HopfData | None:
-    """First Hopf point kappa_0(q) with its frequency Omega(q), or None if
-    the equilibrium stays stable for kappa up to kappa_max."""
-    found = hopf_crossings(r, p, tau, q, kappa_max, track_leaf=track_leaf)
-    return found[0] if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +575,6 @@ def stability_map(r: float, p: float, tau: float,
 __all__ = [
     "CharEq", "disease_free_chareq", "endemic_chareq", "SpectralReport",
     "count_unstable", "HopfData",
-    "axis_crossings", "hopf_crossings", "hopf_kappa0",
+    "axis_crossings", "hopf_crossings",
     "StabilityMap", "stability_map",
 ]

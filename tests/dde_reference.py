@@ -100,9 +100,9 @@ def integrate(field: FieldFn, delays: DelaySpec, history: History,
     node_vals: list[Vector] = []   # python-level mirrors for cheap tuple reads
     node_ders: list[Vector] = []
 
-    def hist_value(theta, _value=history.value, _lo=-history.span):
+    def hist_value(theta, _fn=history.fn, _lo=-history.span):
         # snapping may push a delay at most step/2 past the span: clamp
-        return _value(theta if theta >= _lo else _lo)
+        return tuple(_fn(min(0.0, theta if theta >= _lo else _lo)))
     y = hist_value(0.0)
     if len(y) != dim:
         raise ValueError("history dimension does not match the delay spec")
@@ -263,7 +263,7 @@ def reference_simulate(params: ModelParams, history: History, t_end: float,
                        step: float = DEFAULT_STEP, *,
                        kappa_inf: bool = False) -> Trajectory:
     """Integrate the model matching the history's dimension (3: SIQ, 4: SEIQ)."""
-    dim = len(history.value(0.0))
+    dim = len(history.fn(0.0))
     if kappa_inf:
         field = siq_field_kappa_inf(params)
     elif dim == 3:
@@ -290,7 +290,7 @@ def flux_integrate(history: History, t_end: float,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     h = float(step)
-    y0 = history.value(0.0)
+    y0 = tuple(history.fn(0.0))
     dim = len(y0)
     if dim not in (3, 4):
         raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
@@ -313,7 +313,7 @@ def flux_integrate(history: History, t_end: float,
     m = max(lags)
 
     def flux(theta):
-        y = history.value(max(theta, -history.span))
+        y = history.fn(max(theta, -history.span))
         return r * y[0] * y[ii]
 
     # Phi on the half-step grid: node i at 2*(i + m), the midpoint of cell

@@ -21,7 +21,7 @@ from siq.net_sim import (SimConfig, Network, average_runs,
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
                            load_disease_table, outbreak_history, simulate)
 from siq.spectral import (count_unstable, disease_free_chareq,
-                          endemic_chareq, hopf_crossings, hopf_kappa0)
+                          endemic_chareq, hopf_crossings)
 
 STEP = 1e-3
 
@@ -111,7 +111,7 @@ def test_criterion_02_endemic_formula_and_convergence():
         hist = outbreak_history(ps, 0.001)
         pred = predict_endemic_from_history(ps, hist)
         traj = simulate(ps, hist, 200.0, STEP)
-        final = traj.sample(200.0)
+        final = traj.evaluate([200.0])[0]
         dist = float(np.max(np.abs(final - pred.state())))
         converged_ok = dist <= 1e-3
     ok = formula_ok and converged_ok
@@ -280,8 +280,7 @@ def test_criterion_06_destabilization_scenario():
         leaf_dist = float(np.max(np.abs(traj5.states[-1] - reached.state())))
         leaf_ok = leaf_dist <= 1e-6
 
-        scan = hopf_kappa0(2.5, 0.5, 0.5, 0.0, 16.0, track_leaf=True)
-        assert scan is not None
+        [scan] = hopf_crossings(2.5, 0.5, 0.5, 0.0, 16.0, track_leaf=True)
         bracket_ok = 5.0 < scan.kappa_0 < 15.0
         below = decay_ratio(scan.kappa_0 - 1.0)
         above = decay_ratio(scan.kappa_0 + 1.0)
@@ -409,7 +408,7 @@ def test_criterion_09_network_oracle():
         avg = average_runs(runs)
         ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=5.0)
         traj = simulate(ps, outbreak_history(ps, n_init / net.n), 20.0, STEP)
-        i_dde = np.array([traj.sample(float(t))[1] for t in avg.t_days])
+        i_dde = traj.evaluate(avg.t_days)[:, 1]
         sup = float(np.max(np.abs(avg.i_frac - i_dde)))
         sup_ok = sup <= 0.05
     ok = death_ok and sup_ok

@@ -420,6 +420,18 @@ def test_cli_rejects_endemic_leaf_beyond_qc(tmp_path, capsys):
                  "--q-max", "0.5", "--q-steps", "3", "--kappa-steps", "2",
                  "--out", str(tmp_path / "map.csv")]) == 1
     assert not (tmp_path / "map.csv").exists()
+    capsys.readouterr()
+    # endemic writes the unreachable leaf as a row, but labels that sum
+    # past 1 label no leaf: they wrote v_I = -0.539 with exit 0
+    base = ["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+            "--kappa", "1", "--q", "0.6"]
+    out = tmp_path / "endemic.csv"
+    assert main(base + ["--eta", "0.6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: q + eta = 1.2 must be <= 1\n"
+    assert not out.exists()
+    assert main(base + ["--out", str(out)]) == 0
+    _, cols, rows = read_csv(str(out))
+    assert rows[0][cols.index("reachable")] == "0"
 
 
 def test_cli_spectrum_rejects_eta_without_latent_point(tmp_path, capsys):
@@ -696,6 +708,14 @@ def _rejected(*args, message, was=None):
     message it pinned then, which stays in the case id."""
     return pytest.param(*args, message,
                         id="-".join([*args, was]) if was else None)
+
+
+def _joint(*args, message):
+    """A case that passes every flag rule and fails a joint constraint at
+    the library boundary, which names the quantities, not a flag: its
+    message is the whole error line."""
+    return pytest.param(*args, f"error: {message}",
+                        id="-".join([*args, "joint"]))
 
 
 #: Base calls: each case appends one bad flag; argparse rejects it while
@@ -1097,7 +1117,11 @@ def test_cli_network_accepts_permanent_isolation(tmp_path):
     # "mean degree nan infeasible for n=200" and "need at least one node"
     # named no flag
     _rejected("--mean-degree", "nan", message="nan must be finite and >= 0"),
-    _rejected("--n", "-5", message="-5 must be an integer >= 1")])
+    _rejected("--n", "-5", message="-5 must be an integer >= 1"),
+    # a joint constraint, checked where the graph is built: "mean degree
+    # 300.0 infeasible for n=200" named neither quantity
+    _joint("--mean-degree", "300",
+           message="mean_degree = 300.0 must be >= 0 and < n = 200")])
 def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
                                             flag, value, message):
     # a negative --i0-frac seeded one node and exited 0, 2 listed every
@@ -1110,15 +1134,20 @@ def test_cli_network_rejects_invalid_counts(tmp_path, capsys, monkeypatch,
     def no_run(*args):
         raise AssertionError("simulate_network called")
 
+    def no_graph(*args, build=cli.erdos_renyi_network):
+        build(*args)                    # may reject its input first
+        raise AssertionError("erdos_renyi_network built a graph")
+
     monkeypatch.setattr(cli, "simulate_network", no_run)
-    monkeypatch.setattr(cli, "erdos_renyi_network", no_run)
+    monkeypatch.setattr(cli, "erdos_renyi_network", no_graph)
     out = tmp_path / "net.csv"
     assert main(["network", "--n", "200", "--mean-degree", "6",
                  "--beta", "0.3", "--gamma", "1", "--p", "0.5",
                  "--tau-days", "0.5", "--kappa-days", "2", flag, value,
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (f"error: argument {flag}: "
-                                       f"{message}\n")
+    assert capsys.readouterr().err == (
+        message if message.startswith("error: ")
+        else f"error: argument {flag}: {message}") + "\n"
     assert not out.exists()
 
 

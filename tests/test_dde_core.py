@@ -57,21 +57,21 @@ UNIT_HISTORY = constant_history([1.0], 1.0)
 
 def test_delayed_decay_first_interval_is_linear():
     traj = integrate(decay_field, DECAY_SPEC, UNIT_HISTORY, 1.0, 1e-3)
-    assert abs(traj.sample(1.0)[0] - 0.0) <= 1e-9
-    assert abs(traj.sample(0.5)[0] - 0.5) <= 1e-9
+    assert abs(traj.evaluate([1.0])[0, 0] - 0.0) <= 1e-9
+    assert abs(traj.evaluate([0.5])[0, 0] - 0.5) <= 1e-9
 
 
 def test_delayed_decay_matches_polynomial_oracle_far_out():
     traj = integrate(decay_field, DECAY_SPEC, UNIT_HISTORY, 6.0, 1e-3)
     for t in (1.5, 2.0, 3.25, 4.75, 6.0):
-        assert abs(traj.sample(t)[0] - delayed_decay_exact(t)) <= 1e-10
+        assert abs(traj.evaluate([t])[0, 0] - delayed_decay_exact(t)) <= 1e-10
 
 
 def test_zero_field_is_constant():
     hist = constant_history([0.7, 0.3], 2.0)
     traj = integrate(lambda t, y, z: (0.0, 0.0), DelaySpec((2.0,), 2),
                      hist, 5.0, 1e-3)
-    assert np.allclose(traj.sample(5.0), [0.7, 0.3], atol=0)
+    assert np.allclose(traj.evaluate([5.0])[0], [0.7, 0.3], atol=0)
     assert np.allclose(traj.states, [0.7, 0.3])
 
 
@@ -80,7 +80,7 @@ def test_zero_delay_reads_current_state():
     hist = constant_history([1.0], 1.0)
     traj = integrate(lambda t, y, z: (-z[0][0],), DelaySpec((0.0,), 1),
                      hist, 1.0, 1e-3)
-    assert abs(traj.sample(1.0)[0] - math.exp(-1.0)) <= 1e-7
+    assert abs(traj.evaluate([1.0])[0, 0] - math.exp(-1.0)) <= 1e-7
 
 
 def test_interpolation_anchored_at_nodes():
@@ -88,7 +88,7 @@ def test_interpolation_anchored_at_nodes():
     traj = simulate(ps, outbreak_history(ps, 0.01), 2.0, 1e-3)
     for i in (0, 1, 499, 500, 517, 1000, 1500, 1999, 2000):
         t = i * traj.step
-        assert np.array_equal(traj.sample(t), traj.states[i])
+        assert np.array_equal(traj.evaluate([t])[0], traj.states[i])
 
 
 def test_convergence_order_at_least_four():
@@ -99,7 +99,7 @@ def test_convergence_order_at_least_four():
     errs = []
     for h in (0.02, 0.01):
         traj = integrate(decay_field, DECAY_SPEC, UNIT_HISTORY, 5.0, h)
-        errs.append(abs(traj.sample(5.0)[0] - exact))
+        errs.append(abs(traj.evaluate([5.0])[0, 0] - exact))
     assert errs[0] / errs[1] >= 8.0
 
 
@@ -145,17 +145,29 @@ def test_sample_out_of_range():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     traj = simulate(ps, outbreak_history(ps, 0.01), 1.0, 1e-3)
     with pytest.raises(OutOfRange):
-        traj.sample(1.5)
+        traj.evaluate([1.5])
     with pytest.raises(OutOfRange):
-        traj.sample(-2.5)
+        traj.evaluate([-2.5])
     # inside the prepended history is fine
-    assert tuple(traj.sample(-0.25)) == (1.0, 0.0, 0.0)
+    assert tuple(traj.evaluate([-0.25])[0]) == (1.0, 0.0, 0.0)
 
 
 def test_sample_inside_segment_matches_oracle():
     traj = integrate(decay_field, DECAY_SPEC, UNIT_HISTORY, 2.0, 1e-3)
     for t in (0.12345, 1.000495, 1.77777):
-        assert abs(traj.sample(t)[0] - delayed_decay_exact(t)) <= 1e-9
+        assert abs(traj.evaluate([t])[0, 0] - delayed_decay_exact(t)) <= 1e-9
+
+
+def test_history_and_trajectory_share_one_reader():
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
+    hist = outbreak_history(ps, 0.01)
+    assert hist.dimension == 3
+    assert hist.evaluate([]).shape == (0, 3)
+    assert constant_history([0.25] * 4, 1.0).evaluate([]).shape == (0, 4)
+    traj = simulate(ps, hist, 1.0, 1e-2)
+    assert traj.dimension == hist.dimension
+    ts = [-0.5, -0.25, 0.0]
+    assert traj.evaluate(ts).tolist() == hist.evaluate(ts).tolist()
 
 
 def test_history_validation():
@@ -246,8 +258,8 @@ def test_isolation_starts_from_zero_on_outbreak_data():
 def test_kernel_fourth_order_on_outbreak_data(sigma):
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=sigma)
     hist = outbreak_history(ps, 0.01)
-    exact = simulate(ps, hist, 4.0, 1.25e-3).sample(4.0)
-    errs = [np.abs(simulate(ps, hist, 4.0, h).sample(4.0) - exact).max()
+    exact = simulate(ps, hist, 4.0, 1.25e-3).evaluate([4.0])[0]
+    errs = [np.abs(simulate(ps, hist, 4.0, h).evaluate([4.0])[0] - exact).max()
             for h in (0.02, 0.01, 0.005)]
     assert errs[0] / errs[1] >= 12.0
     assert errs[1] / errs[2] >= 12.0

@@ -10,8 +10,7 @@ from siq.equilibria import (critical_identification_time,
                             critical_probability, critical_time_days,
                             effective_R, endemic_point,
                             predict_endemic_from_history, q_critical,
-                            reachable, tau_critical_at_q,
-                            thresholds)
+                            tau_critical_at_q, thresholds)
 from siq.errors import AlwaysStable, EpsNotBelowOne, OutOfDomain, SubcriticalP
 from siq.siq_model import (DiseaseSpec, ModelParams, outbreak_history,
                            simulate)
@@ -217,10 +216,10 @@ def test_seiq_endemic_point_value():
 def test_reachable_predicate():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
     qc = q_critical(2.5, 0.5, 0.5)
-    assert reachable(ps, 0.0)
-    assert not reachable(ps, qc)
-    assert not reachable(ps, -0.1)
-    assert not reachable(ps, 1.1)
+    assert endemic_point(ps, 0.0).reachable
+    assert not endemic_point(ps, qc).reachable
+    assert not endemic_point(ps, -0.1).reachable
+    assert not endemic_point(ps, 1.1).reachable
 
 
 def test_predict_endemic_from_outbreak():
@@ -240,7 +239,7 @@ def test_predict_outbreak_matches_reached_state():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     hist = outbreak_history(ps, 0.001)
     v = predict_endemic_from_history(ps, hist)
-    final = simulate(ps, hist, 200.0, 1e-3).sample(200.0)
+    final = simulate(ps, hist, 200.0, 1e-3).evaluate([200.0])[0]
     assert np.abs(final - v.state()).max() <= 1e-9
 
 

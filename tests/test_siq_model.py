@@ -85,12 +85,14 @@ def test_seiq_sigma_zero_matches_siq_trajectory():
     ps3 = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     ps4 = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=0.0)
     h3 = outbreak_history(ps3, 0.01)
-    h4 = outbreak_history(ps4, 0.01, seiq=True)
+    h4 = History(span=h3.span, jumps=(0.0,),
+                 fn=lambda th: ((1.0 - 0.01, 0.0, 0.01, 0.0) if th >= 0.0
+                                else (1.0, 0.0, 0.0, 0.0)))
     t3 = simulate(ps3, h3, 10.0, 1e-3)
     t4 = simulate(ps4, h4, 10.0, 1e-3)
     for t in (1.0, 5.0, 10.0):
-        s3 = t3.sample(t)
-        s4 = t4.sample(t)
+        s3 = t3.evaluate([t])[0]
+        s4 = t4.evaluate([t])[0]
         assert abs(s4[1]) <= 1e-12                      # E stays empty
         assert np.max(np.abs(s4[[0, 2, 3]] - s3)) <= 1e-9
 
@@ -102,11 +104,11 @@ def test_seiq_sigma_zero_matches_siq_trajectory():
 def test_outbreak_history_values():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     h = outbreak_history(ps, 0.001)
-    assert h.value(0.0) == (0.999, 0.001, 0.0)
-    assert h.value(-0.3) == (1.0, 0.0, 0.0)
+    assert h.evaluate([0.0, -0.3]).tolist() == [[0.999, 0.001, 0.0],
+                                                 [1.0, 0.0, 0.0]]
     assert h.jumps == (0.0,)
     h2 = outbreak_history(ps, 0.01)
-    assert h2.value(0.0) == (0.99, 0.01, 0.0)
+    assert h2.evaluate([0.0]).tolist() == [[0.99, 0.01, 0.0]]
 
 
 def test_outbreak_history_errors():
@@ -115,17 +117,15 @@ def test_outbreak_history_errors():
         outbreak_history(ps, 0.0)
     with pytest.raises(InvalidFractions):
         outbreak_history(ps, 0.6, 0.6)
-    with pytest.raises(InvalidFractions):
-        # e0 > 0 needs the 4-state model; forcing 3 states must fail
-        outbreak_history(ps, 0.01, e0=0.01, seiq=False)
-    # without forcing, e0 > 0 selects the 4-state variant
-    assert len(outbreak_history(ps, 0.01, e0=0.01).value(0.0)) == 4
+    # e0 > 0 selects the 4-state variant
+    assert outbreak_history(ps, 0.01, e0=0.01).dimension == 4
 
 
 def test_outbreak_history_seiq_slot():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=1.0)
     h = outbreak_history(ps, 0.01, q0=0.02, e0=0.03)
-    assert h.value(0.0) == (1.0 - 0.01 - 0.02 - 0.03, 0.03, 0.01, 0.02)
+    assert h.evaluate([0.0]).tolist() == [[1.0 - 0.01 - 0.02 - 0.03, 0.03,
+                                           0.01, 0.02]]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def test_mass_conservation_and_positivity():
 def test_sis_reduction_limit():
     ps = ModelParams(r=2.5, p=0.0, tau=0.0, kappa=0.0)
     traj = simulate(ps, outbreak_history(ps, 0.001), 100.0, 1e-3)
-    s, i, q = traj.sample(100.0)
+    s, i, q = traj.evaluate([100.0])[0]
     assert abs(i - (1.0 - 1.0 / ps.r)) <= 1e-6
     assert abs(q) <= 1e-12
 
@@ -336,7 +336,7 @@ def test_kappa_inf_field_accumulates_Q():
     traj = simulate(ps, hist, 60.0, 1e-3, kappa_inf=True)
     q = traj.states[:, 2]
     assert np.all(np.diff(q) >= -1e-14)       # monotone, no release flow
-    s, i, qf = traj.sample(60.0)
+    s, i, qf = traj.evaluate([60.0])[0]
     assert i <= 1e-3                          # infection dies out
 
 

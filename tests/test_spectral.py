@@ -18,7 +18,7 @@ from siq.dde_core import History
 from siq.siq_model import ModelParams, simulate
 from siq.spectral import (CharEq, axis_crossings, count_unstable,
                           disease_free_chareq, endemic_chareq, hopf_crossings,
-                          hopf_kappa0, stability_map)
+                          stability_map)
 from spectral_reference import (Box, ContourThroughZero, axis_roots,
                                 default_box, kappa_leg_g, winding_count)
 
@@ -524,11 +524,11 @@ def test_large_delay_spectrum_tends_to_max_gamma(tau, q, unstable):
 
 def test_hopf_kappa0_closed_form_values():
     # D-subdivision values at tau = 0 (ROADMAP's crossing-solve figures)
-    h = hopf_kappa0(2.5, 0.5, 0.0, 0.0, 25.0)
+    [h] = hopf_crossings(2.5, 0.5, 0.0, 0.0, 25.0)
     assert h.kappa_0 == pytest.approx(8.948101278054, abs=1e-9)
     assert h.omega == pytest.approx(0.5590169944, abs=1e-9)
     assert h.direction == 1 and h.residual <= 1e-10
-    h = hopf_kappa0(2.5, 0.5, 0.0, 0.1, 25.0)
+    [h] = hopf_crossings(2.5, 0.5, 0.0, 0.1, 25.0)
     assert h.kappa_0 == pytest.approx(10.0501776, abs=1e-7)
 
 
@@ -597,8 +597,7 @@ def test_axis_crossings_residuals_and_cascade():
 def test_hopf_cascade_tau0():
     # regression numbers computed by this machinery and cross-validated by
     # direct perturbation integration of the flow
-    first = hopf_kappa0(2.5, 0.5, 0.0, 0.0, 25.0)
-    assert first is not None
+    [first] = hopf_crossings(2.5, 0.5, 0.0, 0.0, 25.0)
     assert first.kappa_0 == pytest.approx(8.948101, abs=1e-3)
     assert first.omega == pytest.approx(0.5590170, abs=1e-4)
     chi = endemic_chareq(ModelParams(r=2.5, p=0.5, tau=0.0,
@@ -625,12 +624,12 @@ def test_hopf_residual_at_cascade_members():
 
 def test_hopf_absent_when_scan_range_is_stable():
     # q = 0.18 destabilizes only past kappa ~ 19 for these parameters
-    assert hopf_kappa0(2.5, 0.5, 0.0, 0.18, 12.0) is None
+    assert hopf_crossings(2.5, 0.5, 0.0, 0.18, 12.0) == []
 
 
 def test_hopf_rejects_leaf_beyond_qc():
     with pytest.raises(InvalidFractions):
-        hopf_kappa0(2.5, 0.5, 0.0, 0.25, 10.0)    # q_c = 0.2
+        hopf_crossings(2.5, 0.5, 0.0, 0.25, 10.0)    # q_c = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -708,15 +707,14 @@ def test_hopf_tracked_leaf_regression():
     # outbreak-scenario destabilization (equilibrium re-read from leaf 0 at
     # each kappa): regression value cross-validated by long trajectory runs
     # (tails decay at kappa <= 13, steady oscillation at kappa = 14)
-    h = hopf_kappa0(2.5, 0.5, 0.5, 0.0, 14.5, track_leaf=True)
-    assert h is not None
+    [h] = hopf_crossings(2.5, 0.5, 0.5, 0.0, 14.5, track_leaf=True)
     assert h.kappa_0 == pytest.approx(13.538, abs=2e-2)
 
 
 def test_hopf_tracked_leaf_crossing_solve():
     # zeros of S_m(kappa) = kappa omega(kappa) - theta(kappa) - 2 pi m on
     # the leaf-0 branch; the collocation test below brackets it in (13, 14)
-    h = hopf_kappa0(2.5, 0.5, 0.5, 0.0, 16.0, track_leaf=True)
+    [h] = hopf_crossings(2.5, 0.5, 0.5, 0.0, 16.0, track_leaf=True)
     assert h.kappa_0 == pytest.approx(13.538045, abs=1e-6)
     assert h.direction == 1 and h.residual <= 1e-10
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=h.kappa_0)
