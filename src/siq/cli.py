@@ -17,7 +17,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,78 +117,36 @@ def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
 # scenario configuration
 # ---------------------------------------------------------------------------
 
-PARAM_KEYS = ("r", "p", "tau", "kappa", "sigma")
-OUTBREAK_KEYS = ("i0", "q0", "e0")
-CONFIG_KEYS = PARAM_KEYS + OUTBREAK_KEYS + ("t_end", "step", "out")
-#: The scenario keys each command reads; it registers a flag for each, and
-#: a config file may give only these.  A command given its leaf by --q
-#: (spectrum, endemic --q) reads LEAF_KEYS.
-ENDEMIC_KEYS = PARAM_KEYS + OUTBREAK_KEYS + ("out",)
-LEAF_KEYS = PARAM_KEYS + ("out",)
-#: The domain rule of each numeric scenario key, for its flag and its
-#: config-file value alike.
-SCENARIO_RULES = {"r": positive, "p": probability, "tau": finite_nonnegative,
-                  "kappa": finite_nonnegative, "sigma": finite_nonnegative,
-                  "i0": positive_fraction, "q0": fraction, "e0": fraction,
-                  "t_end": positive, "step": positive}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated simulation scenario (model params + initial data + run),
-    with the defaults of the optional keys."""
-
-    params: ModelParams
-    i0: float = 1e-3
-    q0: float = 0.0
-    e0: float = 0.0
-    t_end: float = 200.0
-    step: float = DEFAULT_STEP
-    out: str | None = None
-
-
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` file; keys restricted to CONFIG_KEYS."""
-    values: dict[str, str] = {}
+def config_flags(path: str) -> list[str]:
+    """The flags a config file names: each ``key = value`` line is
+    ``--key=value``, a ``_`` in the key read as ``-``; blank lines and
+    ``#`` comments are skipped."""
+    flags = []
     try:
         with open(path, encoding="utf-8") as fh:
             for ln_no, line in enumerate(fh, 1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
                     continue
-                if "=" not in stripped:
+                key, eq, value = stripped.partition("=")
+                if not eq:
                     raise ConfigError(f"{path}:{ln_no}: expected key = value")
-                key, _, value = stripped.partition("=")
-                key = key.strip()
-                if key not in CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
-                values[key] = value.strip()
+                key = key.strip().replace("_", "-")
+                flags.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return values
+    return flags
 
 
-def build_scenario(args, keys: Sequence[str] = CONFIG_KEYS) -> ScenarioConfig:
-    """Scenario from ``--config`` and the flags, flags over file values.
-    The file may give only ``keys``, the keys the command reads."""
-    values = parse_config_file(args.config) if args.config else {}
-    for key in values:
-        if key not in keys:
-            raise ConfigError(f"{args.config}: key {key!r} is not read by "
-                              f"this command (it reads {', '.join(keys)})")
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    for key in PARAM_KEYS[:4]:
-        if key not in values:
+def scenario_params(args) -> ModelParams:
+    """The model parameters of a scenario command, from its flags (a
+    config file is read as flags).  r, p, tau, kappa and ipeak's kappas
+    have no default; they are checked here, not by argparse, so that a
+    config file may give them."""
+    for key in ("r", "p", "tau", "kappa", "kappas"):
+        if getattr(args, key, ()) is None:
             raise ConfigError(f"missing required config key {key!r}")
-    # flags passed their rules when parsed: a failure names a file key
-    values = {key: SCENARIO_RULES[key](value, f"config key {key}")
-              if key in SCENARIO_RULES else value
-              for key, value in values.items()}
-    params = {key: values.pop(key) for key in PARAM_KEYS if key in values}
-    return ScenarioConfig(ModelParams(**params), **values)
+    return ModelParams(args.r, args.p, args.tau, args.kappa, args.sigma)
 
 
 def params_meta(params: ModelParams, **extra) -> dict:
@@ -285,23 +243,23 @@ def cmd_critical(args) -> Artifact:
 
 
 def cmd_simulate(args) -> Artifact:
-    sc = build_scenario(args)
-    hist = outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
-    traj = simulate(sc.params, hist, sc.t_end, sc.step)
+    params = scenario_params(args)
+    hist = outbreak_history(params, args.i0, args.q0, args.e0)
+    traj = simulate(params, hist, args.t_end, args.step)
     seiq = traj.dimension == 4
     # header functionals of the initial data, on the run's own grid
-    pred = predict_endemic_from_history(sc.params, traj, 0.0)
-    meta = params_meta(sc.params, step=traj.step, t_end=traj.t_end,
-                       i0=sc.i0, q0=sc.q0, e0=sc.e0,
+    pred = predict_endemic_from_history(params, traj, 0.0)
+    meta = params_meta(params, step=traj.step, t_end=traj.t_end,
+                       i0=args.i0, q0=args.q0, e0=args.e0,
                        predicted_v_S=pred.v_S, predicted_v_I=pred.v_I,
                        predicted_v_Q=pred.v_Q, leaf_q=pred.q,
                        reachable=pred.reachable)
     if seiq:
-        h1, h2 = conserved_H_star(sc.params, traj, 0.0)
+        h1, h2 = conserved_H_star(params, traj, 0.0)
         meta.update(H1_star=h1, H2_star=h2, predicted_v_E=pred.v_E,
                     leaf_eta=pred.eta)
     else:
-        meta.update(H=conserved_H(sc.params, traj, 0.0))
+        meta.update(H=conserved_H(params, traj, 0.0))
     # integrator counters over every node: the sum of the states is
     # conserved by the model, and no component may go negative
     drift = traj.states.sum(axis=1)
@@ -317,42 +275,25 @@ def cmd_simulate(args) -> Artifact:
     cols = ["t", "S", "I", "Q", "E"] if seiq else ["t", "S", "I", "Q"]
     order = [0, 2, 3, 1] if seiq else [0, 1, 2]   # file order: S,I,Q[,E]
     rows = np.column_stack([idx * traj.step, traj.states[idx][:, order]])
-    return sc.out, cols, rows, meta
+    return args.out, cols, rows, meta
 
 
 def cmd_endemic(args) -> Artifact:
-    if args.q is not None:
-        for key in OUTBREAK_KEYS:
-            if getattr(args, key) is not None:
-                raise ConfigError(f"--{key} gives outbreak data, whose leaf "
-                                  "--q replaces")
-        sc = build_scenario(args, LEAF_KEYS)
-        q, eta = args.q, args.eta
-        # endemic_point trusts labels read off a flow; check the given ones
-        fractions(q=q, eta=eta or 0.0)
-    elif args.eta is not None:
-        raise ConfigError("--eta labels a leaf given by --q; outbreak data "
-                          "sit on the leaf (q0, e0)")
-    else:
-        sc = build_scenario(args, ENDEMIC_KEYS)
-        # built only to reject bad outbreak data: I = 0 before t = 0, so
-        # valid data sit on the leaf (q0, e0) exactly
-        outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
-        q, eta = sc.q0, sc.e0 or None
-    params = sc.params
-    pt = endemic_point(params, q, eta)
+    params = scenario_params(args)
+    # endemic_point trusts labels read off a flow; check the given ones
+    fractions(q=args.q, eta=args.eta or 0.0)
+    pt = endemic_point(params, args.q, args.eta)
     cols = ["leaf_q", "leaf_eta", "v_S", "v_E", "v_I", "v_Q", "reachable"]
     row = [pt.q, pt.eta if pt.eta is not None else "",
            pt.v_S, pt.v_E if pt.v_E is not None else "",
            pt.v_I, pt.v_Q, int(pt.reachable)]
-    return (sc.out, cols, [row],
+    return (args.out, cols, [row],
             params_meta(params, q_c=q_critical(params.r, params.p, params.tau)))
 
 
 def cmd_spectrum(args) -> Artifact:
-    sc = build_scenario(args, LEAF_KEYS)
-    params = sc.params
-    q, eta = args.q or 0.0, args.eta or 0.0
+    params = scenario_params(args)
+    q, eta = args.q, args.eta
     chi = (disease_free_chareq if args.equilibrium == "disease-free"
            else endemic_chareq)(params, q, eta)
     rep = count_unstable(chi, locate=not args.no_locate)
@@ -361,7 +302,7 @@ def cmd_spectrum(args) -> Artifact:
                            "unstable_count", "classification", "base",
                            "crossings", "collocation_n", "max_residual")})
     rows = [(z.real, z.imag, res) for z, res in zip(rep.roots, rep.residuals)]
-    return sc.out, ["root_re", "root_im", "residual"], rows, meta
+    return args.out, ["root_re", "root_im", "residual"], rows, meta
 
 
 def cmd_stability_map(args) -> Artifact:
@@ -472,23 +413,23 @@ def _fan_out(fn, items: list) -> tuple[list, int]:
 
 
 def cmd_ipeak(args) -> Artifact:
-    sc = build_scenario(args)
+    params = scenario_params(args)
     # built only to reject bad outbreak data before any fork
-    outbreak_history(sc.params, sc.i0, sc.q0, sc.e0)
+    outbreak_history(params, args.i0, args.q0, args.e0)
 
     def peak_and_steps(kap):
-        params = replace(sc.params, kappa=0.0 if math.isinf(kap) else kap)
-        hist = outbreak_history(params, sc.i0, sc.q0, sc.e0)
-        traj = simulate(params, hist, sc.t_end, sc.step,
+        run = replace(params, kappa=0.0 if math.isinf(kap) else kap)
+        hist = outbreak_history(run, args.i0, args.q0, args.e0)
+        traj = simulate(run, hist, args.t_end, args.step,
                         kappa_inf=math.isinf(kap))
         return i_peak(traj, settle=args.settle), traj.n_nodes - 1
 
     runs, workers = _fan_out(peak_and_steps, args.kappas)
     rows = np.column_stack([args.kappas, [peak for peak, _ in runs]])
-    meta = params_meta(sc.params, i0=sc.i0, q0=sc.q0, e0=sc.e0,
-                       t_end=sc.t_end, step=sc.step, settle=args.settle,
+    meta = params_meta(params, i0=args.i0, q0=args.q0, e0=args.e0,
+                       t_end=args.t_end, step=args.step, settle=args.settle,
                        workers=workers, steps=sum(n for _, n in runs))
-    return sc.out, ["kappa", "I_peak"], rows, meta
+    return args.out, ["kappa", "I_peak"], rows, meta
 
 
 def cmd_network(args) -> Artifact:
@@ -544,13 +485,23 @@ class Flag:
             raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_scenario_flags(sp, keys=CONFIG_KEYS):
-    """--config plus one flag per config key the command reads."""
-    sp.add_argument("--config", help="key = value scenario file")
-    for key in keys:
-        rule = SCENARIO_RULES.get(key)
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
-                        type=rule and Flag(rule))
+def _add_scenario_flags(sp, outbreak: bool = True):
+    """--config, the model parameters and --out; with ``outbreak``, the
+    outbreak data and the run's horizon and step too."""
+    sp.add_argument("--config", help="file of key = value lines, read as "
+                    "--key=value flags before the command's own")
+    sp.add_argument("--r", type=Flag(positive))
+    sp.add_argument("--p", type=Flag(probability))
+    sp.add_argument("--tau", type=Flag(finite_nonnegative))
+    sp.add_argument("--kappa", type=Flag(finite_nonnegative))
+    sp.add_argument("--sigma", type=Flag(finite_nonnegative), default=0.0)
+    sp.add_argument("--out", default=None)
+    if outbreak:
+        sp.add_argument("--i0", type=Flag(positive_fraction), default=1e-3)
+        sp.add_argument("--q0", type=Flag(fraction), default=0.0)
+        sp.add_argument("--e0", type=Flag(fraction), default=0.0)
+        sp.add_argument("--t-end", type=Flag(positive), default=200.0)
+        sp.add_argument("--step", type=Flag(positive), default=DEFAULT_STEP)
 
 
 @functools.cache
@@ -581,19 +532,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("endemic", help="endemic point on a leaf")
-    _add_scenario_flags(sp, ENDEMIC_KEYS)
-    sp.add_argument("--q", type=Flag(fraction), default=None,
+    _add_scenario_flags(sp, outbreak=False)
+    sp.add_argument("--q", type=Flag(fraction), default=0.0,
                     help="leaf label")
     sp.add_argument("--eta", type=Flag(fraction), default=None,
                     help="leaf label of E")
     sp.set_defaults(func=cmd_endemic)
 
     sp = sub.add_parser("spectrum", help="count/locate unstable roots")
-    _add_scenario_flags(sp, LEAF_KEYS)
+    _add_scenario_flags(sp, outbreak=False)
     sp.add_argument("--equilibrium", choices=["disease-free", "endemic"],
                     default="disease-free")
-    sp.add_argument("--q", type=Flag(fraction), default=None)
-    sp.add_argument("--eta", type=Flag(fraction), default=None)
+    sp.add_argument("--q", type=Flag(fraction), default=0.0)
+    sp.add_argument("--eta", type=Flag(fraction), default=0.0)
     sp.add_argument("--no-locate", action="store_true")
     sp.set_defaults(func=cmd_spectrum)
 
@@ -626,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ipeak", help="peak infectious fraction per kappa")
     _add_scenario_flags(sp)
     sp.add_argument("--kappas", type=Flag(nonnegative, many=True),
-                    required=True,
                     help="comma list of kappa values; 'inf' allowed")
     sp.add_argument("--settle", type=Flag(finite_nonnegative), default=50.0)
     sp.set_defaults(func=cmd_ipeak)
@@ -657,20 +607,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # a config file is the flags it names, placed before the
+            # command's own, so an explicit flag wins on either side
+            argv = sys.argv[1:] if argv is None else list(argv)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + config_flags(args.config)
+                                     + argv[at:])
         out, columns, rows, meta = args.func(args)
         write_csv(out, columns, rows,
                   {"tool": "siq", "version": __version__, **meta})
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except SiqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SiqError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

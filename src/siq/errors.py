@@ -5,7 +5,7 @@ Each class corresponds to one failure mode named in the module contracts;
 the CLI maps ConfigError subclasses to exit code 1 and NumericalError
 subclasses to exit code 2.  Each domain rule checks one kind of quantity,
 wherever it enters: the library at its own boundary, the CLI as the
-argparse ``type`` of each numeric flag and on each config-file value.
+argparse ``type`` of each numeric flag (a config file is read as flags).
 """
 
 import math
@@ -133,9 +133,11 @@ def count(k: int) -> Domain:
 
 
 def fractions(**labels: float) -> None:
-    """Leaf labels: each a fraction, their sum <= 1."""
+    """Fractions of one population (leaf labels, initial data): each in
+    [0, 1], their sum <= 1 up to a rounding allowance of 1e-12, so that
+    0.33 + 0.56 + 0.11 = 1.0000000000000002 passes."""
     for name, value in labels.items():
         fraction(value, name)
     total = sum(labels.values())
-    if total > 1.0:
+    if total > 1.0 + 1e-12:
         raise InvalidFractions(f"{' + '.join(labels)} = {total!r} must be <= 1")

@@ -19,10 +19,9 @@ from importlib import resources
 
 import numpy as np
 
-from .dde_core import (DEFAULT_STEP, History, Trajectory, constant_history,
-                       integrate)
-from .errors import (FileParse, InvalidFractions, NotInSimplex, SpanTooShort,
-                     finite_nonnegative, fraction, positive,
+from .dde_core import DEFAULT_STEP, History, Trajectory, integrate
+from .errors import (FileParse, NotInSimplex, SpanTooShort,
+                     finite_nonnegative, fractions, positive,
                      positive_fraction, probability)
 
 SIMPLEX_TOL = 1e-12
@@ -72,10 +71,7 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
     e0 > 0.
     """
     positive_fraction(i0, "i0")
-    fraction(q0, "q0")
-    fraction(e0, "e0")
-    if i0 + q0 + e0 > 1.0 + SIMPLEX_TOL:
-        raise InvalidFractions(f"i0 + q0 + e0 = {i0 + q0 + e0!r} exceeds 1")
+    fractions(i0=i0, q0=q0, e0=e0)
     span = max(params.span, DEFAULT_STEP)
     if params.sigma > 0 or e0 > 0:
         pre = (1.0, 0.0, 0.0, 0.0)
@@ -145,8 +141,9 @@ def _window(phi: History | Trajectory, t: float | None, step: float | None,
     """Anchor time and quadrature step of a functional whose window reaches
     ``need`` (named ``reach``) back from the anchor: the right end of a
     History, or time ``t`` (default t_end) on a Trajectory, whose grid
-    gives the default step.  Raises ValueError if ``phi`` does not have
-    ``dim`` states (when given), SpanTooShort if it is shorter."""
+    gives the default step; a given step must be finite and > 0
+    (OutOfDomain).  Raises ValueError if ``phi`` does not have ``dim``
+    states (when given), SpanTooShort if it is shorter."""
     if isinstance(phi, History):
         if t is not None:
             raise ValueError("evaluation time applies to trajectories only")
@@ -160,7 +157,7 @@ def _window(phi: History | Trajectory, t: float | None, step: float | None,
     if avail + 1e-12 < need:
         raise SpanTooShort(f"window must span [-{reach}, 0]; need {need!r}, "
                            f"available {avail!r}")
-    return anchor, step or grid
+    return anchor, grid if step is None else positive(step, "step")
 
 
 def conserved_H(params: ModelParams, phi: History | Trajectory,
@@ -272,12 +269,9 @@ def validate_history(params: ModelParams, psi: History,
     (tolerance 1e-12).  SEIQ histories are checked with the same bounds on
     their (S, I, Q) components.
     """
-    h = step or DEFAULT_STEP
+    _, h = _window(psi, None, step, params.tau + params.kappa,
+                   "(tau+kappa)")
     i_idx, q_idx = (2, 3) if psi.dimension == 4 else (1, 2)
-    if psi.span + 1e-12 < params.tau + params.kappa:
-        raise SpanTooShort(
-            f"history span {psi.span!r} shorter than tau+kappa "
-            f"{params.tau + params.kappa!r}")
 
     n = max(2, int(math.ceil(psi.span / h)) + 1)
     grid = np.linspace(-psi.span, 0.0, n)
@@ -363,5 +357,4 @@ __all__ = [
     "ModelParams", "outbreak_history", "simulate",
     "conserved_H", "conserved_H_star", "conserved_q", "validate_history",
     "ValidationReport", "DiseaseSpec", "load_disease_table",
-    "constant_history",
 ]

@@ -17,10 +17,8 @@ import numpy as np
 import pytest
 
 from siq import __version__
-from siq.cli import (_fan_out, build_parser, build_scenario, critical_rows,
-                     fmt, i_peak, main, parse_config_file, read_csv,
-                     write_csv)
-from siq.equilibria import endemic_point, predict_endemic_from_history
+from siq.cli import (_fan_out, build_parser, config_flags, critical_rows, fmt,
+                     i_peak, main, read_csv, write_csv)
 from siq.errors import ConfigError, HorizonTooShort, NumericalError
 from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
                            simulate)
@@ -74,17 +72,21 @@ def test_cli_critical_roundtrip(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_config_file_parsing(tmp_path):
+    # a config file is the flags it names; which flags a command takes is
+    # argparse's to check
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("r = 2.5\np = 0.5\ntau = 0.5\nkappa = 0.5\n"
-                   "i0 = 0.001\nt_end = 10\n")
-    values = parse_config_file(str(cfg))
-    assert values["r"] == "2.5"
+    cfg.write_text("# a scenario\nr = 2.5\n\ni0 = 0.001\nt_end = 10\n"
+                   "bogus = 1\n")
+    assert config_flags(str(cfg)) == ["--r=2.5", "--i0=0.001", "--t-end=10",
+                                      "--bogus=1"]
 
     bad = tmp_path / "bad.cfg"
-    bad.write_text("r = 2.5\nbogus = 1\n")
+    bad.write_text("r = 2.5\nbogus\n")
     with pytest.raises(ConfigError) as err:
-        parse_config_file(str(bad))
-    assert "bogus" in str(err.value)
+        config_flags(str(bad))
+    assert str(err.value) == f"{bad}:2: expected key = value"
+    with pytest.raises(ConfigError, match="^cannot read config "):
+        config_flags(str(tmp_path / "absent.cfg"))
 
 
 def test_readme_commands_parse(tmp_path):
@@ -111,26 +113,16 @@ def test_readme_commands_parse(tmp_path):
 
 
 def test_cli_flag_overrides_config(tmp_path):
+    # the file's flags come before the command's own, so a flag wins
+    # whether it is written before or after --config
     cfg = tmp_path / "run.cfg"
     cfg.write_text("r = 2.5\np = 0.5\ntau = 0.5\nkappa = 0.5\n")
-
-    class Args:
-        config = str(cfg)
-        r = None
-        p = "0.7"
-        tau = None
-        kappa = None
-        sigma = None
-        i0 = None
-        q0 = None
-        e0 = None
-        t_end = None
-        step = None
-        out = None
-
-    sc = build_scenario(Args())
-    assert sc.params.p == 0.7
-    assert sc.params.r == 2.5
+    out = tmp_path / "out.csv"
+    for flags in (["--p", "0.7", "--config", str(cfg)],
+                  ["--config", str(cfg), "--p", "0.7"]):
+        assert main(["endemic", *flags, "--out", str(out)]) == 0
+        meta = read_csv(str(out))[0]
+        assert (meta["p"], meta["r"]) == ("0.7", "2.5"), flags
 
 
 def test_cli_missing_key_exit_code(tmp_path, capsys):
@@ -138,6 +130,10 @@ def test_cli_missing_key_exit_code(tmp_path, capsys):
     cfg.write_text("r = 2.5\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "missing required config key" in capsys.readouterr().err
+    # --kappas has no default either, and a config file may give it
+    assert main(["ipeak", *SCENARIO]) == 1
+    assert capsys.readouterr().err == ("error: missing required config key "
+                                       "'kappas'\n")
 
 
 def test_cli_unknown_key_exit_code(tmp_path, capsys):
@@ -178,7 +174,7 @@ def test_parser_is_built_once_and_keeps_no_call_state(tmp_path, capsys):
 
 
 def test_config_file_out_honoured_by_every_scenario_command(tmp_path, capsys):
-    # i0 is a flag: spectrum and endemic --q reject it in a config file
+    # i0 is a flag of simulate and ipeak alone, in a config file or not
     scenario = "r = 2.5\np = 0.5\ntau = 0.5\nkappa = 1\n"
     extra = {"simulate": ["--i0", "0.01", "--t-end", "1", "--step", "0.01"],
              "endemic": ["--q", "0"],
@@ -240,6 +236,30 @@ def test_every_subcommand_writes_one_stamped_artifact(tmp_path, capsys):
         assert head == ["# tool = siq", f"# version = {__version__}"]
 
 
+def test_config_file_gives_the_artifact_of_the_same_flags(tmp_path):
+    # a file's value is parsed as its flag is, default and type included
+    model = ["--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+             "--sigma", "0.5"]
+    calls = {"simulate": SMALL_CALLS["simulate"] + ["--q0", "0.02", "--e0",
+                                                    "0.01", "--sigma", "0.5"],
+             "ipeak": SMALL_CALLS["ipeak"] + ["--settle", "20", "--e0",
+                                              "0.01"],
+             "spectrum": model + ["--q", "0.1", "--eta", "0.05",
+                                  "--equilibrium", "endemic"],
+             "endemic": model + ["--q", "0.1", "--eta", "0.05"]}
+    for command, flags in calls.items():
+        by_flags = tmp_path / f"{command}-flags.csv"
+        by_file = tmp_path / f"{command}-file.csv"
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("".join(f"{flags[k][2:].replace('-', '_')} = "
+                               f"{flags[k + 1]}\n"
+                               for k in range(0, len(flags), 2))
+                       + f"out = {by_file}\n")
+        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        assert main([command, "--config", str(cfg)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes(), command
+
+
 def test_every_numeric_flag_rejects_values_outside_its_domain(
         tmp_path, capsys, monkeypatch):
     # every flag typed by a domain rule, including any added later: NaN
@@ -257,7 +277,8 @@ def test_every_numeric_flag_rejects_values_outside_its_domain(
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     out = tmp_path / "out.csv"
-    checked = 0
+    cfg = tmp_path / "run.cfg"
+    checked = via_file = 0
     for command, sp in sub.choices.items():
         for action in sp._actions:
             # every typed flag, and every flag with a numeric default, is
@@ -276,12 +297,23 @@ def test_every_numeric_flag_rejects_values_outside_its_domain(
                 assert f"error: argument {flag}: " in capsys.readouterr().err
                 assert not out.exists(), argv
                 checked += 1
-    assert checked == 2 * 69
-    # a config-file value is named by its key
-    cfg = tmp_path / "run.cfg"
+            # a config file is read as flags: its value is named by the
+            # flag too
+            if "config" not in {a.dest for a in sp._actions}:
+                continue
+            for value in ("nan", outside):
+                cfg.write_text(f"{action.dest} = {value}\n")
+                argv = [command, "--config", str(cfg), *SMALL_CALLS[command],
+                        "--out", str(out)]
+                assert main(argv) == 1, (argv, value)
+                assert f"error: argument {flag}: " in capsys.readouterr().err
+                assert not out.exists(), (argv, value)
+                via_file += 1
+    assert checked == 2 * 66
+    assert via_file == 2 * (11 + 7 + 7 + 12)
     cfg.write_text("r = 2.5\np = 0.5\ntau = 0.5\nkappa = nan\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: config key kappa = nan must be "
+    assert capsys.readouterr().err == ("error: argument --kappa: nan must be "
                                        "finite and >= 0\n")
     assert not out.exists()
 
@@ -640,38 +672,13 @@ def test_cli_spectrum_counts_endemic_sigma(tmp_path):
     assert counts == [("0", 0), ("2", 2)]
 
 
-@pytest.mark.parametrize("sigma, e0, q0", [(0.0, 0.0, 0.05),
-                                           (0.5, 0.05, 0.02)])
-def test_cli_endemic_reads_the_outbreak_leaf(sigma, e0, q0):
-    # I = 0 before t = 0, so outbreak data sit on the leaf (q0, e0) exactly:
-    # the row is the library point there, and the window quadrature agrees
-    argv = ["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
-            "--kappa", "2", "--sigma", str(sigma), "--i0", "0.01",
-            "--q0", str(q0), "--e0", str(e0)]
-    args = build_parser().parse_args(argv)
-    _, _, rows, _ = args.func(args)
-    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=sigma)
-    if sigma:
-        pt = endemic_point(ps, q0, e0)
-        want = [q0, e0, pt.v_S, pt.v_E, pt.v_I, pt.v_Q, 1]
-    else:
-        pt = endemic_point(ps, q0)
-        want = [q0, "", pt.v_S, "", pt.v_I, pt.v_Q, 1]
-    assert rows == [want]
-    old = predict_endemic_from_history(ps, outbreak_history(ps, 0.01, q0, e0))
-    for value, was in zip(rows[0], (old.q, old.eta, old.v_S, old.v_E,
-                                    old.v_I, old.v_Q)):
-        assert was is None if value == "" else abs(value - was) <= 1e-15
-    # bad outbreak data still fail, and --eta labels only a --q leaf
-    assert main(argv + ["--i0", "0.99"]) == 1
-    assert main(argv + ["--eta", "0.1"]) == 1
-
-
 @pytest.mark.parametrize("flag", ["--i0", "--q0", "--e0"])
 def test_cli_endemic_rejects_outbreak_data_with_q(flag, capsys):
+    # endemic takes its leaf by --q and --eta alone: outbreak data sit on
+    # the leaf (q0, e0), so --q q0 --eta e0 is their row
     assert main(["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0",
                  "--kappa", "1", "--q", "0", flag, "0.2"]) == 1
-    assert flag in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 0.2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flags, cfg, key", [
@@ -684,7 +691,8 @@ def test_config_file_keys_the_command_does_not_read(tmp_path, capsys,
     path.write_text(cfg)
     assert main([command, "--r", "2.5", "--p", "0.5", "--tau", "0",
                  "--kappa", "1", "--config", str(path), *flags]) == 1
-    assert repr(key) in capsys.readouterr().err
+    flag = key.replace("_", "-")
+    assert f"unrecognized arguments: --{flag}=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [

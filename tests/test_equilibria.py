@@ -270,3 +270,18 @@ def test_predict_seiq_from_history():
     assert v.q == pytest.approx(0.02, abs=1e-13)
     assert v.eta == pytest.approx(0.03, abs=1e-13)
     assert v.v_S + v.v_E + v.v_I + v.v_Q == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("sigma, e0, q0", [(0.0, 0.0, 0.05),
+                                           (0.5, 0.05, 0.02)])
+def test_outbreak_data_sit_on_their_leaf(sigma, e0, q0):
+    # I = 0 before t = 0, so outbreak data sit on the leaf (q0, e0)
+    # exactly: the window quadrature reads the closed-form point there,
+    # the row `siq endemic --q q0 --eta e0` writes
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=sigma)
+    want = endemic_point(ps, q0, e0 or None)
+    got = predict_endemic_from_history(ps, outbreak_history(ps, 0.01, q0, e0))
+    for name in ("q", "eta", "v_S", "v_E", "v_I", "v_Q"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert b is None if a is None else abs(a - b) <= 1e-15, name
+    assert got.reachable and want.reachable

@@ -2,6 +2,8 @@
 and the conserved quantities."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from scipy.integrate import quad
 from conftest import smooth_simplex_history
 from dde_reference import seiq_field, siq_field
 from siq.dde_core import History, constant_history
-from siq.errors import InvalidFractions, NotInSimplex, SpanTooShort
+from siq.errors import (InvalidFractions, NotInSimplex, OutOfDomain,
+                        SpanTooShort)
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
                            conserved_q, load_disease_table, outbreak_history,
                            simulate, validate_history)
@@ -121,6 +124,19 @@ def test_outbreak_history_errors():
     assert outbreak_history(ps, 0.01, e0=0.01).dimension == 4
 
 
+def test_outbreak_data_share_the_fractions_rule():
+    # outbreak data and leaf labels have one joint rule, which names the
+    # fractions and forgives the rounding of a sum that is 1 in decimal
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
+    with pytest.raises(InvalidFractions) as err:
+        outbreak_history(ps, 0.6, 0.44)
+    assert str(err.value) == "i0 + q0 + e0 = 1.04 must be <= 1"
+    assert 0.33 + 0.56 + 0.11 == 1.0000000000000002
+    h = outbreak_history(ps, 0.33, 0.56, 0.11)
+    assert h.evaluate([0.0]).tolist() == [[1.0 - 0.33 - 0.56 - 0.11, 0.11,
+                                           0.33, 0.56]]
+
+
 def test_outbreak_history_seiq_slot():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=1.0)
     h = outbreak_history(ps, 0.01, q0=0.02, e0=0.03)
@@ -202,6 +218,24 @@ def test_H_requires_span():
     ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=3.0)
     with pytest.raises(SpanTooShort):
         conserved_H(ps, constant_history([1.0, 0.0, 0.0], 1.0))
+
+
+@pytest.mark.parametrize("step", [-1.0, 0.0, math.nan, math.inf])
+def test_window_functionals_reject_a_step_outside_its_domain(step):
+    # a negative step returned a wrong number, nan raised a bare conversion
+    # error and 0 meant the default step
+    siq = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0)
+    seiq = replace(siq, sigma=0.5)
+    hist3 = outbreak_history(siq, 0.01)
+    traj3 = simulate(siq, hist3, 5.0, 0.01)
+    traj4 = simulate(seiq, outbreak_history(seiq, 0.01), 5.0, 0.01)
+    for call in (lambda: conserved_H(siq, traj3, None, step),
+                 lambda: conserved_H_star(seiq, traj4, None, step),
+                 lambda: conserved_q(siq, traj3, None, step),
+                 lambda: validate_history(siq, hist3, step)):
+        with pytest.raises(OutOfDomain, match=re.escape(
+                f"step = {step!r} must be finite and > 0")):
+            call()
 
 
 def test_window_functionals_reject_wrong_dimension():
