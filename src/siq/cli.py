@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
-Every subcommand returns its output path, columns, rows and metadata;
-``main`` stamps the tool and version and writes the CSV artifact (stdout by
+Every subcommand returns its columns, rows and metadata; ``main`` stamps
+the tool and version and routes the CSV artifact to ``--out`` (stdout by
 default) with a header of ``# key = value`` lines recording parameters,
 step sizes and seeds, so artifacts are self-describing and re-parseable by
 this module's own readers.
@@ -84,9 +84,9 @@ def write_csv(out: str | None, columns: Sequence[str],
             fh.write(text)
 
 
-#: What a subcommand hands to ``main``: output path (None or "-" for
-#: stdout), columns, rows and header metadata.
-Artifact = tuple[str | None, Sequence[str], Iterable[Sequence], dict]
+#: What a subcommand hands to ``main``: columns, rows and header metadata;
+#: ``main`` routes it to ``--out``.
+Artifact = tuple[Sequence[str], Iterable[Sequence], dict]
 
 
 def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
@@ -196,9 +196,9 @@ def i_peak(traj: Trajectory, settle: float = 50.0) -> float:
     peak = float(vals[top])
     for cell in range(max(top - 1, 0), min(top + 1, traj.n_nodes - 1)):
         for u in _cubic_critical_points(traj.evaluate(
-                (cell + np.arange(4) / 3.0) * traj.step, columns=[i_index])):
+                (cell + np.arange(4) / 3.0) * traj.step)[:, i_index]):
             peak = max(peak, float(traj.evaluate(
-                [(cell + u / 3.0) * traj.step], columns=[i_index])[0, 0]))
+                [(cell + u / 3.0) * traj.step])[0, i_index]))
     running = np.maximum.accumulate(vals)
     moved = np.diff(running) > PEAK_MOVE_TOL * running[1:]
     last_move = int(np.nonzero(moved)[0][-1]) + 1 if moved.any() else 0
@@ -238,7 +238,7 @@ def critical_rows(table, p: float):
 
 def cmd_critical(args) -> Artifact:
     rows = critical_rows(load_disease_table(args.table), args.p)
-    return (args.out, ["name", "p_c", "tau_c", "T_c_days", "flag"], rows,
+    return (["name", "p_c", "tau_c", "T_c_days", "flag"], rows,
             {"p": args.p, "table": args.table or "bundled"})
 
 
@@ -275,7 +275,7 @@ def cmd_simulate(args) -> Artifact:
     cols = ["t", "S", "I", "Q", "E"] if seiq else ["t", "S", "I", "Q"]
     order = [0, 2, 3, 1] if seiq else [0, 1, 2]   # file order: S,I,Q[,E]
     rows = np.column_stack([idx * traj.step, traj.states[idx][:, order]])
-    return args.out, cols, rows, meta
+    return cols, rows, meta
 
 
 def cmd_endemic(args) -> Artifact:
@@ -287,8 +287,8 @@ def cmd_endemic(args) -> Artifact:
     row = [pt.q, pt.eta if pt.eta is not None else "",
            pt.v_S, pt.v_E if pt.v_E is not None else "",
            pt.v_I, pt.v_Q, int(pt.reachable)]
-    return (args.out, cols, [row],
-            params_meta(params, q_c=q_critical(params.r, params.p, params.tau)))
+    return cols, [row], params_meta(
+        params, q_c=q_critical(params.r, params.p, params.tau))
 
 
 def cmd_spectrum(args) -> Artifact:
@@ -302,7 +302,7 @@ def cmd_spectrum(args) -> Artifact:
                            "unstable_count", "classification", "base",
                            "crossings", "collocation_n", "max_residual")})
     rows = [(z.real, z.imag, res) for z, res in zip(rep.roots, rep.residuals)]
-    return args.out, ["root_re", "root_im", "residual"], rows, meta
+    return ["root_re", "root_im", "residual"], rows, meta
 
 
 def cmd_stability_map(args) -> Artifact:
@@ -317,7 +317,7 @@ def cmd_stability_map(args) -> Artifact:
     meta = {"r": args.r, "p": args.p, "tau": args.tau, "q_c": qc,
             "unknown_cells": int(np.sum(result.counts < 0))}
     meta.update((f"error_{i}", " ".join(e.split())) for i, e in result.errors)
-    return args.out, ["q", "kappa", "unstable_count"], rows, meta
+    return ["q", "kappa", "unstable_count"], rows, meta
 
 
 def cmd_hopf(args) -> Artifact:
@@ -330,7 +330,7 @@ def cmd_hopf(args) -> Artifact:
     if found:
         meta.update(asdict(found[0]))  # kappa_0, omega, direction, residual
     rows = [(m, c.kappa_0) for m, c in enumerate(found)]
-    return args.out, ["m", "kappa_m"], rows, meta
+    return ["m", "kappa_m"], rows, meta
 
 
 def _fan_out(fn, items: list) -> tuple[list, int]:
@@ -429,7 +429,7 @@ def cmd_ipeak(args) -> Artifact:
     meta = params_meta(params, i0=args.i0, q0=args.q0, e0=args.e0,
                        t_end=args.t_end, step=args.step, settle=args.settle,
                        workers=workers, steps=sum(n for _, n in runs))
-    return args.out, ["kappa", "I_peak"], rows, meta
+    return ["kappa", "I_peak"], rows, meta
 
 
 def cmd_network(args) -> Artifact:
@@ -456,7 +456,7 @@ def cmd_network(args) -> Artifact:
             "net_seed": args.net_seed, "initial_infected": n_init,
             "r_mean_field": mf.r, **asdict(avg.stats)}
     rows = np.column_stack([avg.t_days, avg.s_frac, avg.i_frac, avg.q_frac])
-    return args.out, ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta
+    return ["t_days", "S_frac", "I_frac", "Q_frac"], rows, meta
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +464,12 @@ def cmd_network(args) -> Artifact:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    """A parser that raises ConfigError and takes no flag prefix: on the
+    command line and in a config file a flag is spelled in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):           # argparse default exits with 2
         raise ConfigError(message)
 
@@ -486,8 +492,8 @@ class Flag:
 
 
 def _add_scenario_flags(sp, outbreak: bool = True):
-    """--config, the model parameters and --out; with ``outbreak``, the
-    outbreak data and the run's horizon and step too."""
+    """--config and the model parameters; with ``outbreak``, the outbreak
+    data and the run's horizon and step too."""
     sp.add_argument("--config", help="file of key = value lines, read as "
                     "--key=value flags before the command's own")
     sp.add_argument("--r", type=Flag(positive))
@@ -495,7 +501,6 @@ def _add_scenario_flags(sp, outbreak: bool = True):
     sp.add_argument("--tau", type=Flag(finite_nonnegative))
     sp.add_argument("--kappa", type=Flag(finite_nonnegative))
     sp.add_argument("--sigma", type=Flag(finite_nonnegative), default=0.0)
-    sp.add_argument("--out", default=None)
     if outbreak:
         sp.add_argument("--i0", type=Flag(positive_fraction), default=1e-3)
         sp.add_argument("--q0", type=Flag(fraction), default=0.0)
@@ -518,11 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("critical", help="critical thresholds per disease")
     sp.add_argument("--table", default=None, help="disease CSV (default: bundled)")
     sp.add_argument("--p", type=Flag(probability), required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_critical)
 
     sp = sub.add_parser("table2", help="bundled disease table at p = 0.8")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_critical, table=None, p=0.8)
 
     sp = sub.add_parser("simulate", help="integrate a scenario to CSV")
@@ -559,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappa-min", type=Flag(finite_nonnegative), default=0.0)
     sp.add_argument("--kappa-max", type=Flag(finite_nonnegative), default=25.0)
     sp.add_argument("--kappa-steps", type=Flag(count(1)), default=26)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_stability_map)
 
     sp = sub.add_parser("hopf", help="first Hopf point and cascade in kappa")
@@ -571,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", type=Flag(count(0)), default=3)
     sp.add_argument("--track-leaf", action="store_true",
                     help="re-read the equilibrium from the leaf at each kappa")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_hopf)
 
     sp = sub.add_parser("ipeak", help="peak infectious fraction per kappa")
@@ -597,9 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=Flag(count(1)), default=1)
     sp.add_argument("--seed", type=Flag(count(0)), default=12345)
     sp.add_argument("--n-out", type=Flag(count(2)), default=201)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_network)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None,
+                        help="artifact path (default or '-': stdout)")
     return parser
 
 
@@ -614,8 +617,8 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + config_flags(args.config)
                                      + argv[at:])
-        out, columns, rows, meta = args.func(args)
-        write_csv(out, columns, rows,
+        columns, rows, meta = args.func(args)
+        write_csv(args.out, columns, rows,
                   {"tool": "siq", "version": __version__, **meta})
         return 0
     except NumericalError as exc:

@@ -73,8 +73,7 @@ class History:
     dimension: int = field(init=False)
 
     def __post_init__(self):
-        if self.span <= 0:
-            raise ValueError("history span must be positive")
+        positive(self.span, "span")
         object.__setattr__(self, "dimension", len(self.fn(0.0)))
 
     @property
@@ -83,11 +82,13 @@ class History:
         return self.jumps
 
     def evaluate(self, ts) -> np.ndarray:
-        """Values at times ``ts``, shape (len(ts), dimension)."""
+        """Values at times ``ts``, shape (len(ts), dimension); a time
+        outside [-span, 0], NaN included, raises OutOfRange."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        out = (ts < -self.span - 1e-12) | (ts > 1e-12)
+        out = ~((ts >= -self.span - 1e-12) & (ts <= 1e-12))
         if out.any():
-            raise OutOfRange(f"history evaluated at theta={ts[out][0]!r}, "
+            theta = float(ts[out][0])
+            raise OutOfRange(f"history evaluated at theta={theta!r}, "
                              f"span={self.span!r}")
         fn = self.fn
         return np.array([fn(t) for t in np.clip(ts, -self.span, 0.0).tolist()],
@@ -112,13 +113,12 @@ class Trajectory:
     concurrently.
     """
 
-    __slots__ = ("t0", "t_end", "step", "states", "derivs", "history",
+    __slots__ = ("t_end", "step", "states", "derivs", "history",
                  "snapped_delays", "requested_delays", "dimension",
                  "kink_nodes", "kink_derivs")
 
     def __init__(self, step, states, derivs, history, snapped_delays,
                  requested_delays, kinks=None):
-        self.t0 = 0.0
         self.step = float(step)
         self.states = states          # (n+1, dim), read-only
         self.derivs = derivs          # (n+1, dim)
@@ -145,35 +145,38 @@ class Trajectory:
         return tuple(sorted(set(self.history.jumps) | {0.0}
                             | set((self.kink_nodes * self.step).tolist())))
 
-    def evaluate(self, ts, columns=slice(None)) -> np.ndarray:
-        """States at times ``ts``, shape (len(ts), dim) or restricted to the
-        state ``columns`` (a list or slice).
+    def evaluate(self, ts) -> np.ndarray:
+        """States at times ``ts``, shape (len(ts), dim).
 
         Exact at grid nodes; inside a cell the cubic Hermite interpolant,
         built from the left derivative at a right end that is a kink.
-        Times before 0 read the history.
+        Times before 0 read the history.  A time past t_end, or NaN,
+        raises OutOfRange.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        if ts.size and ts.max() > self.t_end + 1e-9 * self.step:
-            raise OutOfRange(f"t={ts.max()!r} beyond trajectory end {self.t_end!r}")
-        neg = ts < self.t0
+        late = ~(ts <= self.t_end + 1e-9 * self.step)
+        if late.any():
+            t = float(ts[late].max())
+            raise OutOfRange(f"trajectory evaluated at t={t!r}, "
+                             f"t_end={self.t_end!r}")
+        neg = ts < 0.0
         if not neg.any():
-            return self._hermite(ts, columns)
-        vals = np.empty((ts.size, self.dimension))[:, columns]
-        vals[neg] = self.history.evaluate(ts[neg])[:, columns]
+            return self._hermite(ts)
+        vals = np.empty((ts.size, self.dimension))
+        vals[neg] = self.history.evaluate(ts[neg])
         pos = ~neg
         if pos.any():
-            vals[pos] = self._hermite(ts[pos], columns)
+            vals[pos] = self._hermite(ts[pos])
         return vals
 
-    def _hermite(self, ts: np.ndarray, columns) -> np.ndarray:
+    def _hermite(self, ts: np.ndarray) -> np.ndarray:
         h = self.step
         u = ts / h
         node = np.rint(u).astype(np.int64)
         on_node = np.abs(u - node) <= 1e-9
         i = np.clip(u.astype(np.int64), 0, self.n_nodes - 2)
         th = u - i
-        states, derivs = self.states[:, columns], self.derivs[:, columns]
+        states, derivs = self.states, self.derivs
         y0 = np.take(states, i, axis=0)
         dy = np.take(states, i + 1, axis=0) - y0
         f0 = np.take(derivs, i, axis=0)
@@ -181,7 +184,7 @@ class Trajectory:
         if self.kink_nodes.size:
             k = np.searchsorted(self.kink_nodes, i + 1)
             hit = self.kink_nodes[np.minimum(k, self.kink_nodes.size - 1)] == i + 1
-            f1[hit] = self.kink_derivs[:, columns][k[hit]]
+            f1[hit] = self.kink_derivs[k[hit]]
         t2 = th * th
         t3 = t2 * th
 

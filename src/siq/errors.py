@@ -132,12 +132,17 @@ def count(k: int) -> Domain:
                   lambda v: int(v) if isinstance(v, str) else operator.index(v))
 
 
+#: Rounding allowance of the probability simplex: how far a sum of
+#: fractions may pass 1, and a component fall below 0.
+SIMPLEX_TOL = 1e-12
+
+
 def fractions(**labels: float) -> None:
     """Fractions of one population (leaf labels, initial data): each in
-    [0, 1], their sum <= 1 up to a rounding allowance of 1e-12, so that
-    0.33 + 0.56 + 0.11 = 1.0000000000000002 passes."""
+    [0, 1], their sum <= 1 up to SIMPLEX_TOL, so that 0.33 + 0.56 + 0.11
+    = 1.0000000000000002 passes."""
     for name, value in labels.items():
         fraction(value, name)
     total = sum(labels.values())
-    if total > 1.0 + 1e-12:
+    if total > 1.0 + SIMPLEX_TOL:
         raise InvalidFractions(f"{' + '.join(labels)} = {total!r} must be <= 1")

@@ -94,17 +94,12 @@ def complete_network(n: int) -> Network:
 
 
 def _pair_from_index(idx: np.ndarray, n: int) -> np.ndarray:
-    """Map linear indices over the i<j pairs (row-major) to (i, j)."""
-    b = 2 * n - 1
-
-    def row_offset(i):
-        return i * (n - 1) - i * (i - 1) // 2
-
-    i = np.floor((b - np.sqrt(b * b - 8.0 * idx)) / 2.0).astype(np.int64)
-    # guard the float sqrt against off-by-one at row boundaries
-    i = np.where(row_offset(i) > idx, i - 1, i)
-    i = np.where(row_offset(i + 1) <= idx, i + 1, i)
-    j = idx - row_offset(i) + i + 1
+    """Map linear indices over the i<j pairs (row-major) to (i, j): row i
+    starts at the exact integer offset i*(n-1) - i*(i-1)//2."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    i = np.searchsorted(starts, idx, side="right") - 1
+    j = idx - starts[i] + i + 1
     return np.column_stack([i, j])
 
 
@@ -219,8 +214,6 @@ class NetworkSeries:
     s_frac: np.ndarray
     i_frac: np.ndarray
     q_frac: np.ndarray
-    seed: int
-    n: int
     stats: NetworkStats | None = None
 
 
@@ -334,7 +327,6 @@ def simulate_network(net: Network, cfg: SimConfig) -> NetworkSeries:
     return NetworkSeries(
         t_days=grid, s_frac=(net.n - i_count - q_count) * inv_n,
         i_frac=i_count * inv_n, q_frac=q_count * inv_n,
-        seed=cfg.seed, n=net.n,
         stats=NetworkStats(attempts, infections, recoveries, isolations,
                            releases, peak, stale))
 
@@ -354,7 +346,6 @@ def average_runs(runs: Sequence[NetworkSeries]) -> NetworkSeries:
         s_frac=np.mean([r.s_frac for r in runs], axis=0),
         i_frac=np.mean([r.i_frac for r in runs], axis=0),
         q_frac=np.mean([r.q_frac for r in runs], axis=0),
-        seed=runs[0].seed, n=runs[0].n,
         stats=None if None in stats else sum(stats[1:], stats[0]))
 
 
@@ -368,9 +359,6 @@ class MeanFieldMap:
 
     r: float
     gamma: float
-
-    def model_time(self, t_days: float) -> float:
-        return self.gamma * t_days
 
     def to_model_params(self, p: float, tau_days: float, kappa_days: float,
                         sigma_days: float = 0.0) -> ModelParams:

@@ -20,11 +20,9 @@ from importlib import resources
 import numpy as np
 
 from .dde_core import DEFAULT_STEP, History, Trajectory, integrate
-from .errors import (FileParse, NotInSimplex, SpanTooShort,
+from .errors import (SIMPLEX_TOL, FileParse, NotInSimplex, SpanTooShort,
                      finite_nonnegative, fractions, positive,
                      positive_fraction, probability)
-
-SIMPLEX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -265,9 +263,10 @@ def validate_history(params: ModelParams, psi: History,
       psi_I(0) >= r*p * int_{-tau}^{0} e^theta psi_S psi_I dtheta
       psi_Q(0) >= r*eps * int_{-tau-kappa}^{0} psi_S psi_I dtheta
 
-    Raises NotInSimplex if any sampled value leaves the simplex
-    (tolerance 1e-12).  SEIQ histories are checked with the same bounds on
-    their (S, I, Q) components.
+    Raises NotInSimplex if any sampled value leaves the simplex: a
+    component below -SIMPLEX_TOL, or a sum off 1 by more than 1e-9.  SEIQ
+    histories are checked with the same bounds on their (S, I, Q)
+    components.
     """
     _, h = _window(psi, None, step, params.tau + params.kappa,
                    "(tau+kappa)")

@@ -155,15 +155,10 @@ def _continuation(chareq: CharEq) -> tuple[int, int]:
     corners = (g0, g0 + r * w_i * eps * chareq.kappa,
                g0 + r * w_i * (chareq.sigma + eps * chareq.kappa))
     if len({c > 0.0 for c in corners}) > 1:
-        raise NumericalError(f"a real root crosses 0 at {_point(chareq)}")
+        raise NumericalError(f"a real root crosses 0 at {chareq}")
     return _base_count(chareq), sum(
         _signed_crossings(*_axis_branches(leg), top) for leg, top in zip(
             _legs(chareq), (chareq.kappa, chareq.sigma)) if top > 0.0)
-
-
-def _point(chareq: CharEq) -> str:
-    return ", ".join(f"{k}={getattr(chareq, k)!r}" for k in (
-        "r", "eps", "tau", "kappa", "w_s", "w_i", "sigma"))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ def _locate(chareq: CharEq, count: int) -> tuple[list[complex], int]:
         if span == 0.0 or n >= MAX_COLLOCATION_N:
             raise NumericalError(
                 f"collocation at N = {n} locates {len(roots)} roots with "
-                f"Re > 0, continuation counts {count}, at {_point(chareq)}")
+                f"Re > 0, continuation counts {count}, at {chareq}")
         n = min(2 * n, MAX_COLLOCATION_N)
 
 
@@ -276,7 +271,7 @@ def count_unstable(chareq: CharEq, *, locate: bool = True) -> SpectralReport:
     base, crossings = _continuation(chareq)
     count = base + 2 * crossings
     if count < 0:
-        raise NumericalError(f"negative count {count} at {_point(chareq)}")
+        raise NumericalError(f"negative count {count} at {chareq}")
     roots, n = _locate(chareq, count) if locate and count else ([], 0)
     residuals = tuple(float(abs(chareq(z))) for z in roots)
     if count == 0:
@@ -301,8 +296,8 @@ class HopfData:
 
     kappa_0: float
     omega: float
-    direction: int = 1
-    residual: float = math.nan
+    direction: int
+    residual: float
 
 
 def _axis_roots(g, w_hi: float, tau: float) -> tuple[np.ndarray, np.ndarray]:

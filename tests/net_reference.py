@@ -164,5 +164,4 @@ def simulate_network(net: Network, cfg: SimConfig) -> NetworkSeries:
     flush(math.inf)
     inv_n = 1.0 / net.n
     return NetworkSeries(t_days=times, s_frac=out_s * inv_n,
-                         i_frac=out_i * inv_n, q_frac=out_q * inv_n,
-                         seed=cfg.seed, n=net.n)
+                         i_frac=out_i * inv_n, q_frac=out_q * inv_n)

@@ -221,7 +221,6 @@ def test_pure_death_oracle():
 def test_mean_field_params():
     mf = mean_field_params(0.25, 10.0, 1.0)
     assert mf.r == pytest.approx(2.5, abs=1e-15)
-    assert mf.model_time(3.0) == 3.0
     ps = mf.to_model_params(p=0.5, tau_days=0.5, kappa_days=5.0)
     assert ps.tau == 0.5 and ps.kappa == 5.0
     assert ps.eps == pytest.approx(0.5 * math.exp(-0.5), abs=1e-15)

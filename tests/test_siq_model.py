@@ -13,7 +13,7 @@ from conftest import smooth_simplex_history
 from dde_reference import seiq_field, siq_field
 from siq.dde_core import History, constant_history
 from siq.errors import (InvalidFractions, NotInSimplex, OutOfDomain,
-                        SpanTooShort)
+                        OutOfRange, SpanTooShort)
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
                            conserved_q, load_disease_table, outbreak_history,
                            simulate, validate_history)
@@ -236,6 +236,31 @@ def test_window_functionals_reject_a_step_outside_its_domain(step):
         with pytest.raises(OutOfDomain, match=re.escape(
                 f"step = {step!r} must be finite and > 0")):
             call()
+
+
+_SIQ = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0)
+
+
+def _siq_run():
+    return simulate(_SIQ, outbreak_history(_SIQ, 0.01), 5.0, 0.01)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: History(span=math.nan, fn=lambda theta: (1.0, 0.0, 0.0)),
+     OutOfDomain, "span = nan must be finite and > 0"),
+    (lambda: outbreak_history(_SIQ, 0.01).evaluate([-1.0, math.nan]),
+     OutOfRange, "history evaluated at theta=nan"),
+    (lambda: _siq_run().evaluate([1.0, math.nan]),
+     OutOfRange, "trajectory evaluated at t=nan"),
+    (lambda: conserved_q(_SIQ, _siq_run(), t=math.nan),
+     OutOfRange, "trajectory evaluated at t=nan")],
+    ids=["history-span", "history-time", "trajectory-time", "window-time"])
+def test_readers_reject_a_nan_span_or_time(call, error, message):
+    # a NaN span was accepted, and at a NaN time the history returned its
+    # pre-jump state, the trajectory a NaN row (with two cast warnings)
+    # and conserved_q a bare "cannot convert float NaN to integer"
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_window_functionals_reject_wrong_dimension():

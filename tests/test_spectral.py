@@ -653,7 +653,7 @@ def test_stability_map_monotone_between_crossings():
         assert np.all(np.diff(valid) >= 0)
 
 
-def test_stability_map_thread_determinism():
+def test_stability_map_is_deterministic():
     # repeated calls agree exactly
     qs = [0.0, 0.1]
     ks = [0.5, 5.0, 12.0]
