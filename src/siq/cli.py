@@ -120,7 +120,8 @@ def read_csv(path: str) -> tuple[dict, list[str], list[list[str]]]:
 def config_flags(path: str) -> list[str]:
     """The flags a config file names: each ``key = value`` line is
     ``--key=value``, a ``_`` in the key read as ``-``; blank lines and
-    ``#`` comments are skipped."""
+    ``#`` comments are skipped.  A file cannot name ``config``: it is read
+    once, so another file it named would be dropped."""
     flags = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,6 +133,9 @@ def config_flags(path: str) -> list[str]:
                 if not eq:
                     raise ConfigError(f"{path}:{ln_no}: expected key = value")
                 key = key.strip().replace("_", "-")
+                if key == "config":
+                    raise ConfigError(f"{path}:{ln_no}: a config file "
+                                      f"cannot name --config")
                 flags.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
@@ -181,7 +185,7 @@ PEAK_MOVE_TOL = 1e-9
 
 
 def i_peak(traj: Trajectory, settle: float = 50.0) -> float:
-    """Peak of the dense infectious fraction (SIQ or SEIQ trajectory).
+    """Peak of the dense infectious fraction I, column 2 of the states.
 
     The horizon must extend ``settle`` time units past the last relative
     movement (> PEAK_MOVE_TOL) of I's running maximum, otherwise
@@ -190,15 +194,14 @@ def i_peak(traj: Trajectory, settle: float = 50.0) -> float:
     dense maximum is that of the Hermite cubics in the two cells next to
     the largest node value, at the roots of their quadratic derivatives.
     """
-    i_index = 2 if traj.dimension == 4 else 1
-    vals = traj.states[:, i_index]
+    vals = traj.states[:, 2]
     top = int(np.argmax(vals))
     peak = float(vals[top])
     for cell in range(max(top - 1, 0), min(top + 1, traj.n_nodes - 1)):
         for u in _cubic_critical_points(traj.evaluate(
-                (cell + np.arange(4) / 3.0) * traj.step)[:, i_index]):
+                (cell + np.arange(4) / 3.0) * traj.step)[:, 2]):
             peak = max(peak, float(traj.evaluate(
-                [(cell + u / 3.0) * traj.step])[0, i_index]))
+                [(cell + u / 3.0) * traj.step])[0, 2]))
     running = np.maximum.accumulate(vals)
     moved = np.diff(running) > PEAK_MOVE_TOL * running[1:]
     last_move = int(np.nonzero(moved)[0][-1]) + 1 if moved.any() else 0
@@ -246,7 +249,8 @@ def cmd_simulate(args) -> Artifact:
     params = scenario_params(args)
     hist = outbreak_history(params, args.i0, args.q0, args.e0)
     traj = simulate(params, hist, args.t_end, args.step)
-    seiq = traj.dimension == 4
+    # an SIQ run (E == 0 throughout) writes no E column or E labels
+    seiq = params.sigma > 0 or args.e0 > 0
     # header functionals of the initial data, on the run's own grid
     pred = predict_endemic_from_history(params, traj, 0.0)
     meta = params_meta(params, step=traj.step, t_end=traj.t_end,
@@ -260,20 +264,21 @@ def cmd_simulate(args) -> Artifact:
                     leaf_eta=pred.eta)
     else:
         meta.update(H=conserved_H(params, traj, 0.0))
+    order = [0, 2, 3, 1] if seiq else [0, 2, 3]   # file order: S,I,Q[,E]
     # integrator counters over every node: the sum of the states is
-    # conserved by the model, and no component may go negative
+    # conserved by the model, and no written component may go negative
     drift = traj.states.sum(axis=1)
     drift -= drift[0]
     meta.update(steps=traj.n_nodes - 1,
                 max_mass_drift=float(np.abs(drift, out=drift).max()),
-                min_component=float(traj.states.min()))
+                min_component=min(float(traj.states[:, c].min())
+                                  for c in order))
     every = args.every or max(1, traj.n_nodes // 2000)
     meta["output_stride"] = every
     idx = np.arange(0, traj.n_nodes, every)
     if idx[-1] != traj.n_nodes - 1:
         idx = np.append(idx, traj.n_nodes - 1)
     cols = ["t", "S", "I", "Q", "E"] if seiq else ["t", "S", "I", "Q"]
-    order = [0, 2, 3, 1] if seiq else [0, 1, 2]   # file order: S,I,Q[,E]
     rows = np.column_stack([idx * traj.step, traj.states[idx][:, order]])
     return cols, rows, meta
 
@@ -281,11 +286,13 @@ def cmd_simulate(args) -> Artifact:
 def cmd_endemic(args) -> Artifact:
     params = scenario_params(args)
     # endemic_point trusts labels read off a flow; check the given ones
-    fractions(q=args.q, eta=args.eta or 0.0)
-    pt = endemic_point(params, args.q, args.eta)
+    eta = args.eta or 0.0
+    fractions(q=args.q, eta=eta)
+    pt = endemic_point(params, args.q, eta)
+    # an SIQ leaf leaves the E cells blank
+    seiq = params.sigma > 0 or args.eta is not None
     cols = ["leaf_q", "leaf_eta", "v_S", "v_E", "v_I", "v_Q", "reachable"]
-    row = [pt.q, pt.eta if pt.eta is not None else "",
-           pt.v_S, pt.v_E if pt.v_E is not None else "",
+    row = [pt.q, pt.eta if seiq else "", pt.v_S, pt.v_E if seiq else "",
            pt.v_I, pt.v_Q, int(pt.reachable)]
     return cols, [row], params_meta(
         params, q_c=q_critical(params.r, params.p, params.tau))
@@ -624,7 +631,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (SiqError, ValueError) as exc:
+    except (SiqError, ValueError, OSError) as exc:
+        # OSError: a path given by the user cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Fixed-step method-of-steps RK4 kernel for the SIQ/SEIQ flux family.
 
-Every delayed term of the SIQ and SEIQ models is the infection flux
-Phi = r*S*I at a lag:
+Every state is (S, E, I, Q), and every delayed term of the model is the
+infection flux Phi = r*S*I at a lag:
 
     S' = -Phi + I + eps*Phi(t - sigma - tau - kappa)
     E' =  Phi - Phi(t - sigma)
@@ -15,7 +15,8 @@ part.  E and Q feed no right-hand side, so the step loop carries only
 derivatives block by block with the loop's own float operations in its
 order, which gives exactly the trajectory of a loop over all four states.
 SIQ is the same loop at sigma = 0, where the zero lag reads the stage
-flux; kappa = inf drops the return term.
+flux and E' = Phi - Phi(t - 0) = 0 keeps E at its initial value;
+kappa = inf drops the return term.
 
 The loop does little interpreted work per step.  The flux buffer and the
 states are allocated in full before it, and it walks the node's slot in
@@ -36,9 +37,8 @@ the right limit.  With these one-sided values the method keeps fourth
 order on outbreak data.
 
 Initial data and solutions are read the same way: a ``History`` and a
-``Trajectory`` each have a ``dimension`` and an ``evaluate(ts)`` that
-returns state values only, one row per time; the window functionals
-integrate those values.
+``Trajectory`` each have an ``evaluate(ts)`` that returns state values
+only, one row per time; the window functionals integrate those values.
 """
 
 from __future__ import annotations
@@ -114,25 +114,24 @@ class Trajectory:
     """
 
     __slots__ = ("t_end", "step", "states", "derivs", "history",
-                 "snapped_delays", "requested_delays", "dimension",
-                 "kink_nodes", "kink_derivs")
+                 "snapped_delays", "requested_delays", "kink_nodes",
+                 "kink_derivs")
 
     def __init__(self, step, states, derivs, history, snapped_delays,
                  requested_delays, kinks=None):
         self.step = float(step)
-        self.states = states          # (n+1, dim), read-only
-        self.derivs = derivs          # (n+1, dim)
+        self.states = states          # (n+1, 4): S, E, I, Q; read-only
+        self.derivs = derivs          # (n+1, 4)
         self.states.setflags(write=False)
         self.derivs.setflags(write=False)
         self.history = history
         self.snapped_delays = tuple(snapped_delays)
         self.requested_delays = tuple(requested_delays)
         self.t_end = (states.shape[0] - 1) * self.step
-        self.dimension = states.shape[1]
         kinks = kinks or {}
         self.kink_nodes = np.array(sorted(kinks), dtype=np.int64)
         self.kink_derivs = np.array([kinks[k] for k in sorted(kinks)],
-                                    dtype=float).reshape(-1, self.dimension)
+                                    dtype=float).reshape(-1, states.shape[1])
 
     @property
     def n_nodes(self) -> int:
@@ -146,7 +145,7 @@ class Trajectory:
                             | set((self.kink_nodes * self.step).tolist())))
 
     def evaluate(self, ts) -> np.ndarray:
-        """States at times ``ts``, shape (len(ts), dim).
+        """States at times ``ts``, one row per time.
 
         Exact at grid nodes; inside a cell the cubic Hermite interpolant,
         built from the left derivative at a right end that is a kink.
@@ -162,7 +161,7 @@ class Trajectory:
         neg = ts < 0.0
         if not neg.any():
             return self._hermite(ts)
-        vals = np.empty((ts.size, self.dimension))
+        vals = np.empty((ts.size, self.states.shape[1]))
         vals[neg] = self.history.evaluate(ts[neg])
         pos = ~neg
         if pos.any():
@@ -210,29 +209,28 @@ def _snap(delay: float, step: float) -> int:
 def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
               r: float, eps: float, sigma: float = 0.0, tau: float = 0.0,
               kappa: float = math.inf) -> Trajectory:
-    """Integrate the SIQ (3-state history: S, I, Q) or SEIQ (4-state: S, E,
-    I, Q) system from ``history`` on [0, t_end]; kappa = inf is permanent
+    """Integrate the model from a history of states (S, E, I, Q) on
+    [0, t_end]; sigma = 0 is the SIQ model, kappa = inf is permanent
     isolation.
 
     The lags sigma, sigma+tau and sigma+tau+kappa are each rounded to the
     nearest multiple of ``step`` (error <= step/2, recorded on the result
     as ``snapped_delays``); a zero lag reads the current stage flux.
 
-    Raises DelayTooSmall for lags in (0, step), JumpOffGrid for a history
-    jump off the step grid, OutOfRange for a history shorter than the
-    longest lag, NonFiniteState if the state stops being finite, and
-    OutOfDomain (a ValueError) for a step or t_end that is not finite and
-    positive.
+    Raises ValueError for a history that is not four-state, DelayTooSmall
+    for lags in (0, step), JumpOffGrid for a history jump off the step
+    grid, OutOfRange for a history shorter than the longest lag,
+    NonFiniteState if the state stops being finite, and OutOfDomain (a
+    ValueError) for a step or t_end that is not finite and positive.
     """
     h = positive(step, "step")
     positive(t_end, "t_end")
+    if history.dimension != 4:
+        raise ValueError(f"history has {history.dimension} states; the model "
+                         f"state is (S, E, I, Q), so write SIQ data as "
+                         f"(S, 0, I, Q)")
     # Python floats: numpy scalars would slow every operation of the loop
     y0 = history.evaluate([0.0])[0].tolist()
-    dim = history.dimension
-    if dim not in (3, 4):
-        raise ValueError(f"history dimension {dim} is not a SIQ/SEIQ state")
-    if dim == 3 and sigma != 0.0:
-        raise ValueError("the three-state model requires sigma = 0")
     permanent = math.isinf(kappa)
     requested = (sigma, sigma + tau) + (() if permanent else
                                         (sigma + tau + kappa,))
@@ -242,7 +240,6 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         raise OutOfRange(
             f"max snapped delay {max(snapped)!r} exceeds history span {history.span!r}")
     n = max(1, int(math.ceil(t_end / h - 1e-9)))
-    ii = dim - 2                      # index of I in the state tuple
     e = float(eps)
     ek = 0.0 if permanent else e      # weight of the return flow
     ls, lt = lags[0], lags[1]
@@ -256,8 +253,8 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
                                        -history.span))
     phi = array("d", [0.0]) * (2 * (m + n) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi[:2 * m] = array("d", (r * past[:, 0] * past[:, ii]).tobytes())
-    s, i_ = y0[0], y0[ii]
+        phi[:2 * m] = array("d", (r * past[:, 0] * past[:, 2]).tobytes())
+    s, i_ = y0[0], y0[2]
     f = phi[2 * m] = r * s * i_
 
     # kink node -> jump of the k4 read (left minus right limit), summed
@@ -273,7 +270,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         if j < -m:
             continue
         left = history.fn(math.nextafter(theta, -math.inf))
-        delta = r * left[0] * left[ii] - phi[2 * (j + m)]
+        delta = r * left[0] * left[2] - phi[2 * (j + m)]
         for lag, weights in ((ls, (0.0, -1.0, 1.0, 0.0)),
                              (lt, (0.0, 0.0, -e, e)),
                              (lk, (ek, 0.0, 0.0, -ek))):
@@ -308,7 +305,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
                                    range(first - ls2, end - ls2, 2),
                                    range(first - lt2, end - lt2, 2),
                                    range(first - lk2, end - lk2, 2),
-                                   range(dim, dim * (n + 1), dim)):
+                                   range(4, 4 * (n + 1), 4)):
         ms, mt, mk = phi[a_s - 1], phi[a_t - 1], phi[a_k - 1]
         emt, ekmk = e * mt, ek * mk
         # k2
@@ -338,7 +335,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         s += h6 * (ds + 2.0 * (ds2 + ds3) + ds4)
         i_ += h6 * (di + 2.0 * (di2 + di3) + di4)
         states[y] = s
-        states[y + ii] = i_
+        states[y + 2] = i_
         # node derivative, right limits
         f_prev, df_prev = f, df
         f = r * s * i_
@@ -352,7 +349,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         phi[p - 1] = mid
         phi[p] = f
 
-    states = np.frombuffer(states).reshape(-1, dim)
+    states = np.frombuffer(states).reshape(-1, 4)
     derivs, kinks = _rebuild(states, np.frombuffer(phi), m=m,
                              lags=(ls, lt, lk), r=r, e=e, ek=ek, h=h,
                              kink_jumps=kink_jumps)
@@ -381,11 +378,6 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
     raise, so a loop that blows up runs on to t_end, and the nodes before
     the first bad one are those of a loop that stopped there.
     """
-    dim = states.shape[1]
-    seiq = dim == 4
-    ii = dim - 2
-    jump_of = (0, 1, 2, 3) if seiq else (0, 2, 3)   # column -> (dS, dE, dI, dQ)
-    quad = (1, 3) if seiq else (2,)                  # the E and Q columns
     zeros = [L == 0 for L in lags]
     zs, zt, zk = zeros
     offsets = [2 * (max(L, 1) - m) for L in lags]
@@ -401,60 +393,54 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
                 for z, o in zip(zeros, offsets)]
 
     def rates(f, i, gs, gt, gk):
-        """Derivative of each state column at flux f and infectives i."""
+        """(S', E', I', Q') at flux f and infectives i."""
         gs = f if zs else gs
         egt = e * f if zt else e * gt
         ekgk = ek * f if zk else ek * gk
-        ds = i - f + ekgk
-        di = (gs - i) - egt
-        dq = egt - ekgk
-        return (ds, f - gs, di, dq) if seiq else (ds, di, dq)
+        return i - f + ekgk, f - gs, (gs - i) - egt, egt - ekgk
 
     def node_rates(a, b):
-        return rates(phi[2 * (a + m):2 * (b + m):2], states[a:b, ii],
+        return rates(phi[2 * (a + m):2 * (b + m):2], states[a:b, 2],
                      *lagged(a, b, 0))
 
     def stage(s, i, d, w, reads):
         s_ = s + w * d[0]
-        i_ = i + w * d[ii]
+        i_ = i + w * d[2]
         return rates(r * s_ * i_, i_, *reads)
 
     kink_nodes = sorted(kink_jumps)
-    names = ("S", "E", "I", "Q") if seiq else ("S", "I", "Q")
     with np.errstate(over="ignore", invalid="ignore"):
         block = max(_MIN_BLOCK, -(-n // _BLOCKS))
         for a in range(0, n, block):
             b = min(a + block, n)
             d1 = node_rates(a, b)
-            for c in range(dim):
+            for c in range(4):
                 derivs[a:b, c] = d1[c]
-            s, i = states[a:b, 0], states[a:b, ii]
+            s, i = states[a:b, 0], states[a:b, 2]
             mids = lagged(a, b, 1)
             d2 = stage(s, i, d1, h2, mids)
             d3 = stage(s, i, d2, h2, mids)
             d4 = stage(s, i, d3, h, lagged(a, b, 2))
             for k in kink_nodes:      # k4 ends at the kink: left limits
                 if a < k <= b:
-                    for c in quad:
-                        d4[c][k - 1 - a] += kink_jumps[k][jump_of[c]]
-            for c in quad:
+                    for c in (1, 3):
+                        d4[c][k - 1 - a] += kink_jumps[k][c]
+            for c in (1, 3):          # E and Q
                 run = h6 * (d1[c] + 2.0 * (d2[c] + d3[c]) + d4[c])
                 run[0] += states[a, c]
                 np.add.accumulate(run, out=states[a + 1:b + 1, c])
             new = states[a + 1:b + 1]
-            total = new[:, 0] + new[:, ii]      # in the loop's order S+I+E+Q
-            for c in quad:
-                total += new[:, c]
+            # in the loop's order S+I+E+Q
+            total = new[:, 0] + new[:, 2] + new[:, 1] + new[:, 3]
             bad = np.flatnonzero(~np.isfinite(total))
             if bad.size:
                 j = a + 1 + int(bad[0])
-                vals = ", ".join(f"{k}={v!r}" for k, v in
-                                 zip(names, states[j].tolist()))
+                s_j, e_j, i_j, q_j = states[j].tolist()
                 raise NonFiniteState(f"non-finite state at t={j * h!r}: "
-                                     f"{vals}")
+                                     f"S={s_j!r}, E={e_j!r}, I={i_j!r}, "
+                                     f"Q={q_j!r}")
         derivs[n] = [d[0] for d in node_rates(n, n + 1)]
-    kinks = {k: tuple(d + jump[jump_of[c]]
-                      for c, d in enumerate(derivs[k].tolist()))
+    kinks = {k: tuple(d + dj for d, dj in zip(derivs[k].tolist(), jump))
              for k, jump in kink_jumps.items()}
     return derivs, kinks
 

@@ -2,7 +2,7 @@
 prediction from initial data via the conserved quantities.
 
 Two equilibrium families exist (all states constant): disease-free points
-(1-q, 0, q) and endemic points with S = 1/(r(1-eps)).  A trajectory's leaf
+(1-q, 0, 0, q) and endemic points with S = 1/(r(1-eps)).  A trajectory's leaf
 labels, read off the conserved quantities, single out which endemic point
 it can reach.
 """
@@ -33,7 +33,8 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class EndemicPoint:
-    """An endemic equilibrium with its leaf label(s).
+    """An endemic equilibrium (S, E, I, Q) with its leaf labels (q, eta);
+    v_E and eta are 0 on an SIQ leaf.
 
     v_I < 0 signals that the leaf is unreachable (no biological endemic
     state on it); components still satisfy the defining algebra.
@@ -43,17 +44,15 @@ class EndemicPoint:
     v_I: float
     v_Q: float
     q: float
-    v_E: float | None = None
-    eta: float | None = None
+    v_E: float
+    eta: float
 
     @property
     def reachable(self) -> bool:
-        return self.v_I > 0 and 0.0 <= self.q <= 1.0 and (
-            self.eta is None or 0.0 <= self.eta <= 1.0)
+        return (self.v_I > 0 and 0.0 <= self.q <= 1.0
+                and 0.0 <= self.eta <= 1.0)
 
     def state(self) -> np.ndarray:
-        if self.v_E is None:
-            return np.array([self.v_S, self.v_I, self.v_Q])
         return np.array([self.v_S, self.v_E, self.v_I, self.v_Q])
 
 
@@ -127,9 +126,9 @@ def thresholds(r: float, p: float, tau: float, q: float = 0.0) -> Thresholds:
 
 
 def endemic_point(params: ModelParams, q: float,
-                  eta: float | None = None) -> EndemicPoint:
-    """Endemic equilibrium on the leaf q: the SEIQ point on the leaf
-    (eta, q) when sigma > 0 or ``eta`` is given, else the SIQ point.
+                  eta: float = 0.0) -> EndemicPoint:
+    """Endemic equilibrium on the leaf (q, eta); at sigma = 0 and eta = 0
+    the SIQ point, with v_E = 0.
 
     v_S = 1/(r(1-eps)) and, with D = 1 - eps + sigma + eps*kappa and
     m = q_c - q - eta:
@@ -138,16 +137,12 @@ def endemic_point(params: ModelParams, q: float,
     the constant point returns q.  The labels are not checked: labels read
     off a flow may lie a rounding error below 0.
     """
-    seiq = params.sigma > 0 or eta is not None
-    eta = 0.0 if eta is None else eta
     eps = params.eps
     m = q_critical(params.r, params.p, params.tau) - q - eta
     denom = 1.0 - eps + params.sigma + eps * params.kappa
     v_s = 1.0 / (params.r * (1.0 - eps))
     v_i = (1.0 - eps) * m / denom
     v_q = eps * params.kappa * m / denom + q
-    if not seiq:
-        return EndemicPoint(v_S=v_s, v_I=v_i, v_Q=v_q, q=q)
     return EndemicPoint(v_S=v_s, v_I=v_i, v_Q=v_q, q=q,
                         v_E=params.sigma * m / denom + eta, eta=eta)
 
@@ -158,11 +153,11 @@ def predict_endemic_from_history(params: ModelParams,
     """Endemic point a trajectory from ``phi`` can tend to.
 
     Reads the leaf label from the flow invariants: q = conserved_q(phi)
-    and, for SEIQ, eta = H2*(phi); then evaluates the endemic formulas on
+    and eta = H2*(phi); then evaluates the endemic formulas on
     that leaf.  A label at or beyond q_c yields v_I <= 0, i.e. an
     unreachable leaf (check ``.reachable``).
     """
-    eta = conserved_H_star(params, phi, t)[1] if phi.dimension == 4 else None
+    eta = conserved_H_star(params, phi, t)[1]
     return endemic_point(params, conserved_q(params, phi, t), eta)
 
 

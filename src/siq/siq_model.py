@@ -1,10 +1,10 @@
 """SIQ/SEIQ vector fields, parameter handling, initial data, and the
 conserved quantities that label the invariant foliation.
 
-Component conventions: SIQ states are (S, I, Q), SEIQ states are
-(S, E, I, Q).  All populations are fractions; validated initial data lives
-in the probability simplex.  Time is measured in units of the mean
-infectious period (recovery rate 1).
+Component conventions: every state is (S, E, I, Q); the SIQ model is the
+sigma = 0 case, where E keeps its initial value.  All populations are
+fractions; validated initial data lives in the probability simplex.  Time
+is measured in units of the mean infectious period (recovery rate 1).
 
 The conserved quantities are window integrals of I and S*I, computed from
 state values alone by composite Simpson on the integrator grid.
@@ -63,20 +63,15 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
                      e0: float = 0.0) -> History:
     """History for a sudden outbreak at t = 0.
 
-    psi(theta) = (1, 0, 0[, 0]) for theta < 0 and
-    psi(0) = (1 - i0 - q0 - e0, [e0,] i0, q0), with the jump recorded at
-    theta = 0.  The dimension is 4, the SEIQ model, when sigma > 0 or
-    e0 > 0.
+    psi(theta) = (1, 0, 0, 0) for theta < 0 and
+    psi(0) = (1 - i0 - q0 - e0, e0, i0, q0), with the jump recorded at
+    theta = 0.
     """
     positive_fraction(i0, "i0")
     fractions(i0=i0, q0=q0, e0=e0)
     span = max(params.span, DEFAULT_STEP)
-    if params.sigma > 0 or e0 > 0:
-        pre = (1.0, 0.0, 0.0, 0.0)
-        at0 = (1.0 - i0 - q0 - e0, e0, i0, q0)
-    else:
-        pre = (1.0, 0.0, 0.0)
-        at0 = (1.0 - i0 - q0 - e0, i0, q0)
+    pre = (1.0, 0.0, 0.0, 0.0)
+    at0 = (1.0 - i0 - q0 - e0, e0, i0, q0)
 
     def fn(theta):
         return at0 if theta >= 0.0 else pre
@@ -86,8 +81,8 @@ def outbreak_history(params: ModelParams, i0: float, q0: float = 0.0,
 
 def simulate(params: ModelParams, history: History, t_end: float,
              step: float = DEFAULT_STEP, *, kappa_inf: bool = False) -> Trajectory:
-    """Integrate the model matching the history's dimension (3: SIQ, 4: SEIQ);
-    ``kappa_inf`` makes isolation permanent (no return flow)."""
+    """Integrate the model from a history of states (S, E, I, Q), SIQ at
+    sigma = 0; ``kappa_inf`` makes isolation permanent (no return flow)."""
     return integrate(history, t_end, step, r=params.r, eps=params.eps,
                      sigma=params.sigma, tau=params.tau,
                      kappa=math.inf if kappa_inf else params.kappa)
@@ -134,24 +129,23 @@ def _window_integral(phi, lo: float, hi: float, h: float, u_fn) -> float:
 
 
 def _window(phi: History | Trajectory, t: float | None, step: float | None,
-            need: float, reach: str, dim: int | None = None
-            ) -> tuple[float, float]:
+            need: float, reach: str) -> tuple[float, float]:
     """Anchor time and quadrature step of a functional whose window reaches
     ``need`` (named ``reach``) back from the anchor: the right end of a
     History, or time ``t`` (default t_end) on a Trajectory, whose grid
     gives the default step; a given step must be finite and > 0
-    (OutOfDomain).  Raises ValueError if ``phi`` does not have ``dim``
-    states (when given), SpanTooShort if it is shorter."""
+    (OutOfDomain).  Raises ValueError for a History whose states are not
+    (S, E, I, Q), SpanTooShort for a window shorter than ``need``."""
     if isinstance(phi, History):
         if t is not None:
             raise ValueError("evaluation time applies to trajectories only")
+        if phi.dimension != 4:
+            raise ValueError(f"window has {phi.dimension} states; the model "
+                             f"state is (S, E, I, Q)")
         anchor, avail, grid = 0.0, phi.span, DEFAULT_STEP
     else:
         anchor = phi.t_end if t is None else float(t)
         avail, grid = anchor + phi.history.span, phi.step
-    if dim is not None and phi.dimension != dim:
-        raise ValueError(f"window has {phi.dimension} states, this "
-                         f"functional needs {dim}")
     if avail + 1e-12 < need:
         raise SpanTooShort(f"window must span [-{reach}, 0]; need {need!r}, "
                            f"available {avail!r}")
@@ -160,8 +154,8 @@ def _window(phi: History | Trajectory, t: float | None, step: float | None,
 
 def conserved_H(params: ModelParams, phi: History | Trajectory,
                 t: float | None = None, step: float | None = None) -> float:
-    """Conserved functional H of the SIQ flow, evaluated on a 3-state
-    window (ValueError otherwise).
+    """Conserved functional H of the SIQ flow (sigma = 0; ValueError
+    otherwise).
 
     H(phi) = 1 - phi_S(0) - phi_I(-kappa)
              + integral_{-kappa}^{0} (1 - r*phi_S(s)) * phi_I(s) ds.
@@ -172,29 +166,31 @@ def conserved_H(params: ModelParams, phi: History | Trajectory,
     presumes kappa commensurate with the step (integrate() snaps delays
     and records them).
     """
+    if params.sigma > 0:
+        raise ValueError(f"H is the SIQ functional; at sigma = "
+                         f"{params.sigma!r} > 0 use conserved_H_star")
     k, r = params.kappa, params.r
-    anchor, h = _window(phi, t, step, k, "kappa", dim=3)
+    anchor, h = _window(phi, t, step, k, "kappa")
     s_now, s_back = phi.evaluate([anchor, anchor - k])
     integral = _window_integral(phi, anchor - k, anchor, h,
-                                lambda ts, v: (1.0 - r * v[:, 0]) * v[:, 1])
-    return 1.0 - s_now[0] - s_back[1] + integral
+                                lambda ts, v: (1.0 - r * v[:, 0]) * v[:, 2])
+    return 1.0 - s_now[0] - s_back[2] + integral
 
 
 def conserved_H_star(params: ModelParams, phi: History | Trajectory,
                      t: float | None = None,
                      step: float | None = None) -> tuple[float, float]:
-    """Conserved pair (H1*, H2*) of the SEIQ flow on a 4-state window
-    (ValueError otherwise).
+    """Conserved pair (H1*, H2*) of the SEIQ flow.
 
     H1* = 1 - phi_S(0) - phi_E(0) - phi_I(-kappa)
           + int_{-kappa}^{0} phi_I ds
           - r * int_{-sigma-kappa}^{-sigma} phi_S phi_I ds
     H2* = phi_E(0) - r * int_{-sigma}^{0} phi_S phi_I ds
 
-    Reduces to (H, .) at sigma = 0 with phi_E(0) = 0.
+    Reduces to (H, phi_E(0)) at sigma = 0.
     """
     k, sg, r = params.kappa, params.sigma, params.r
-    anchor, h = _window(phi, t, step, sg + k, "(sigma+kappa)", dim=4)
+    anchor, h = _window(phi, t, step, sg + k, "(sigma+kappa)")
     s_now, s_back = phi.evaluate([anchor, anchor - k])
 
     def si_fn(ts, v):
@@ -210,7 +206,7 @@ def conserved_H_star(params: ModelParams, phi: History | Trajectory,
 
 def conserved_q(params: ModelParams, phi: History | Trajectory,
                 t: float | None = None, step: float | None = None) -> float:
-    """Leaf label q of the flow through ``phi``, SIQ or SEIQ.
+    """Leaf label q of the flow through ``phi``.
 
     q = 1 - phi_S(0) - phi_E(0) - phi_I(0)
         - r*eps * int_{-sigma-tau-kappa}^{-sigma-tau} phi_S phi_I ds:
@@ -224,11 +220,10 @@ def conserved_q(params: ModelParams, phi: History | Trajectory,
     """
     r, eps, lag, k = params.r, params.eps, params.sigma + params.tau, params.kappa
     anchor, h = _window(phi, t, step, lag + k, "(sigma+tau+kappa)")
-    now = phi.evaluate([anchor])[0]
-    ii = now.size - 2
+    s, e, i, _ = phi.evaluate([anchor])[0].tolist()
     committed = _window_integral(phi, anchor - lag - k, anchor - lag, h,
-                                 lambda ts, v: v[:, 0] * v[:, ii])
-    return 1.0 - float(now[:-1].sum()) - r * eps * committed
+                                 lambda ts, v: v[:, 0] * v[:, 2])
+    return 1.0 - (s + e + i) - r * eps * committed
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +259,11 @@ def validate_history(params: ModelParams, psi: History,
       psi_Q(0) >= r*eps * int_{-tau-kappa}^{0} psi_S psi_I dtheta
 
     Raises NotInSimplex if any sampled value leaves the simplex: a
-    component below -SIMPLEX_TOL, or a sum off 1 by more than 1e-9.  SEIQ
-    histories are checked with the same bounds on their (S, I, Q)
-    components.
+    component below -SIMPLEX_TOL, or a sum off 1 by more than 1e-9.  The
+    bounds read the (S, I, Q) components.
     """
     _, h = _window(psi, None, step, params.tau + params.kappa,
                    "(tau+kappa)")
-    i_idx, q_idx = (2, 3) if psi.dimension == 4 else (1, 2)
 
     n = max(2, int(math.ceil(psi.span / h)) + 1)
     grid = np.linspace(-psi.span, 0.0, n)
@@ -279,25 +272,25 @@ def validate_history(params: ModelParams, psi: History,
         bad = grid[int(np.argmin(vals.min(axis=1)))]
         raise NotInSimplex(f"history leaves the simplex near theta={bad!r}")
 
-    at0 = psi.evaluate([0.0])[0].tolist()
+    _, _, i_now, q_now = psi.evaluate([0.0])[0].tolist()
     i_bound = params.r * params.p * _window_integral(
         psi, -params.tau, 0.0, h,
-        lambda ts, v: np.exp(ts) * v[:, 0] * v[:, i_idx])
+        lambda ts, v: np.exp(ts) * v[:, 0] * v[:, 2])
     q_bound = params.r * params.eps * _window_integral(
         psi, -(params.tau + params.kappa), 0.0, h,
-        lambda ts, v: v[:, 0] * v[:, i_idx])
+        lambda ts, v: v[:, 0] * v[:, 2])
 
     violations = []
-    if at0[i_idx] < i_bound - 1e-12:
+    if i_now < i_bound - 1e-12:
         violations.append(
-            f"psi_I(0) = {at0[i_idx]:.9g} < bound {i_bound:.9g} "
-            f"(margin {at0[i_idx] - i_bound:.3g})")
-    if at0[q_idx] < q_bound - 1e-12:
+            f"psi_I(0) = {i_now:.9g} < bound {i_bound:.9g} "
+            f"(margin {i_now - i_bound:.3g})")
+    if q_now < q_bound - 1e-12:
         violations.append(
-            f"psi_Q(0) = {at0[q_idx]:.9g} < bound {q_bound:.9g} "
-            f"(margin {at0[q_idx] - q_bound:.3g})")
-    return ValidationReport(i_value=at0[i_idx], i_bound=i_bound,
-                            q_value=at0[q_idx], q_bound=q_bound,
+            f"psi_Q(0) = {q_now:.9g} < bound {q_bound:.9g} "
+            f"(margin {q_now - q_bound:.3g})")
+    return ValidationReport(i_value=i_now, i_bound=i_bound,
+                            q_value=q_now, q_bound=q_bound,
                             violations=tuple(violations))
 
 

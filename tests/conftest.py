@@ -1,5 +1,7 @@
 """Shared fixtures and helpers: smooth in-simplex histories, used wherever
-conserved-quantity accuracy matters."""
+conserved-quantity accuracy matters, and the maps between model data
+(S, E, I, Q) and the three-state (S, I, Q) data of the reference
+integrators."""
 
 import math
 
@@ -25,3 +27,26 @@ def smooth_simplex_history(span: float, seed: int, dim: int = 3) -> History:
         return tuple(v / total for v in f)
 
     return History(span=span, fn=fn, jumps=())
+
+
+def with_empty_e(hist: History) -> History:
+    """Three-state data (S, I, Q) as model data (S, E, I, Q) with E = 0."""
+    fn = hist.fn
+
+    def fn4(theta):
+        s, i, q = fn(theta)
+        return (s, 0.0, i, q)
+
+    return History(span=hist.span, fn=fn4, jumps=hist.jumps)
+
+
+def without_e(hist: History) -> History:
+    """The (S, I, Q) columns of model data, for the three-state oracles of
+    ``dde_reference``."""
+    fn = hist.fn
+
+    def fn3(theta):
+        s, _, i, q = fn(theta)
+        return (s, i, q)
+
+    return History(span=hist.span, fn=fn3, jumps=hist.jumps)

@@ -283,7 +283,9 @@ def flux_integrate(history: History, t_end: float,
     kink corrections and Hermite midpoints as ``siq.dde_core.integrate``,
     with E and Q (and every node derivative) carried through each step of
     the loop instead of rebuilt after it.  Same arguments, result and
-    errors.
+    errors; it also takes three-state SIQ data (S, I, Q) at sigma = 0, so
+    the kernel's (S, E, I, Q) run is checked against the three-state loop
+    too.
     """
     if step <= 0:
         raise ValueError("step must be positive")

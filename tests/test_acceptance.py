@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smooth_simplex_history
+from conftest import smooth_simplex_history, with_empty_e
 from siq.cli import critical_rows, i_peak
 from siq.equilibria import (endemic_point, predict_endemic_from_history,
                             q_critical)
@@ -143,7 +143,8 @@ def test_criterion_03_conservation_suite():
     with Budget(3, 120.0) as budget:
         for k in range(20):
             ps = _conservation_params(rng, seiq=False)
-            hist = smooth_simplex_history(ps.span, seed=1000 + k, dim=3)
+            hist = with_empty_e(smooth_simplex_history(ps.span,
+                                                       seed=1000 + k))
             traj = simulate(ps, hist, 100.0, STEP)
             mass = float(np.abs(traj.states.sum(axis=1) - 1.0).max())
             t0 = ps.kappa
@@ -263,14 +264,14 @@ def test_criterion_06_destabilization_scenario():
         return float(window.max() - window.min())
 
     def decay_ratio(kappa):
-        i_vals = outbreak_i(kappa, 1200.0).states[:, 1]
+        i_vals = outbreak_i(kappa, 1200.0).states[:, 2]
         return amplitude(i_vals, 800.0, 1200.0) / amplitude(i_vals, 400.0,
                                                            800.0)
 
     with Budget(6, 120.0) as budget:
         traj5 = outbreak_i(5.0, 400.0)
-        amp5 = amplitude(traj5.states[:, 1], 300.0, 400.0)
-        amp15 = amplitude(outbreak_i(15.0, 400.0).states[:, 1], 300.0, 400.0)
+        amp5 = amplitude(traj5.states[:, 2], 300.0, 400.0)
+        amp15 = amplitude(outbreak_i(15.0, 400.0).states[:, 2], 300.0, 400.0)
         converged_ok = amp5 < 1e-4
         sustained_ok = amp15 > 1e-3
         # the leaf the kappa=5 run reaches is q = 0, the flow-invariant
@@ -408,7 +409,7 @@ def test_criterion_09_network_oracle():
         avg = average_runs(runs)
         ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=5.0)
         traj = simulate(ps, outbreak_history(ps, n_init / net.n), 20.0, STEP)
-        i_dde = traj.evaluate(avg.t_days)[:, 1]
+        i_dde = traj.evaluate(avg.t_days)[:, 2]
         sup = float(np.max(np.abs(avg.i_frac - i_dde)))
         sup_ok = sup <= 0.05
     ok = death_ok and sup_ok

@@ -149,6 +149,37 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
     assert main(["simulate", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
                  "--kap", "2", *run]) == 1
     assert "unrecognized arguments: --kap 2" in capsys.readouterr().err
+    # a file cannot name another file: its --config was dropped silently,
+    # or reported as a missing key when the file named nothing else
+    nested = tmp_path / "nested.cfg"
+    for text, line in (("r = 2.5\nconfig = /absent.cfg\np = 0.5\n"
+                        "tau = 0.5\nkappa = 5\n", 2),
+                       (f"config = {cfg}\n", 1)):
+        nested.write_text(text)
+        assert main(["endemic", "--config", str(nested)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {nested}:{line}: a config file cannot name --config\n")
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["critical", "--p", "0.8", "--table", "{tmp}/absent.csv"],
+     "{tmp}/absent.csv"),
+    (["network", "--edge-list", "{tmp}/absent", "--beta", "0.1", "--gamma",
+      "1", "--p", "0.5", "--tau-days", "1", "--kappa-days", "1"],
+     "{tmp}/absent"),
+    (["simulate", "--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+      "--t-end", "1", "--step", "0.01", "--out", "{tmp}/no-dir/x.csv"],
+     "{tmp}/no-dir/x.csv"),
+    (["critical", "--p", "0.8", "--out", "{tmp}/no-dir/x.csv"],
+     "{tmp}/no-dir/x.csv")],
+    ids=["table", "edge-list", "simulate-out", "critical-out"])
+def test_cli_path_it_cannot_open_exit_code(tmp_path, capsys, argv, path):
+    # an OSError from a user-given path escaped main as a traceback
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path.format(tmp=tmp_path) in err
+    assert "Traceback" not in err
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -867,7 +898,7 @@ def test_i_peak_as_accurate_as_the_trajectory():
     hist = outbreak_history(ps, 0.01)
     ref = i_peak(simulate(ps, hist, 60.0, 5e-4))
     traj = simulate(ps, hist, 60.0, 0.01)
-    assert float(traj.states[:, 1].max()) < ref - 5e-9
+    assert float(traj.states[:, 2].max()) < ref - 5e-9
     assert i_peak(traj) == pytest.approx(ref, abs=1e-10)
 
 
@@ -911,7 +942,7 @@ def test_cli_ipeak_kappa_inf_keeps_e0(tmp_path):
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.0)
     traj = simulate(ps, outbreak_history(ps, 0.01, e0=0.05), 100.0, 0.01,
                     kappa_inf=True)
-    assert traj.dimension == 4
+    assert (traj.states[:, 1] == 0.05).all()     # E keeps e0 at sigma = 0
     assert peaks["inf"] == float(format(i_peak(traj), ".9g"))
     assert peaks["inf"] <= peaks["5"] <= peaks["1"]
 

@@ -279,9 +279,8 @@ def test_outbreak_data_sit_on_their_leaf(sigma, e0, q0):
     # exactly: the window quadrature reads the closed-form point there,
     # the row `siq endemic --q q0 --eta e0` writes
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=sigma)
-    want = endemic_point(ps, q0, e0 or None)
+    want = endemic_point(ps, q0, e0)
     got = predict_endemic_from_history(ps, outbreak_history(ps, 0.01, q0, e0))
     for name in ("q", "eta", "v_S", "v_E", "v_I", "v_Q"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert b is None if a is None else abs(a - b) <= 1e-15, name
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, name
     assert got.reachable and want.reachable

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import smooth_simplex_history
-from dde_reference import seiq_field, siq_field
+from conftest import smooth_simplex_history, with_empty_e, without_e
+from dde_reference import flux_integrate, seiq_field, siq_field
+from siq import dde_core
 from siq.dde_core import History, constant_history
 from siq.errors import (InvalidFractions, NotInSimplex, OutOfDomain,
                         OutOfRange, SpanTooShort)
@@ -85,14 +86,15 @@ def test_seiq_field_stationary_and_latency_flow():
 
 
 def test_seiq_sigma_zero_matches_siq_trajectory():
-    ps3 = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
-    ps4 = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=0.0)
-    h3 = outbreak_history(ps3, 0.01)
-    h4 = History(span=h3.span, jumps=(0.0,),
+    # the four-state model at sigma = 0 against the three-state (S, I, Q)
+    # loop of the reference
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5, sigma=0.0)
+    h4 = History(span=ps.span, jumps=(0.0,),
                  fn=lambda th: ((1.0 - 0.01, 0.0, 0.01, 0.0) if th >= 0.0
                                 else (1.0, 0.0, 0.0, 0.0)))
-    t3 = simulate(ps3, h3, 10.0, 1e-3)
-    t4 = simulate(ps4, h4, 10.0, 1e-3)
+    t3 = flux_integrate(without_e(h4), 10.0, 1e-3, r=ps.r, eps=ps.eps,
+                        tau=ps.tau, kappa=ps.kappa)
+    t4 = simulate(ps, h4, 10.0, 1e-3)
     for t in (1.0, 5.0, 10.0):
         s3 = t3.evaluate([t])[0]
         s4 = t4.evaluate([t])[0]
@@ -107,11 +109,11 @@ def test_seiq_sigma_zero_matches_siq_trajectory():
 def test_outbreak_history_values():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     h = outbreak_history(ps, 0.001)
-    assert h.evaluate([0.0, -0.3]).tolist() == [[0.999, 0.001, 0.0],
-                                                 [1.0, 0.0, 0.0]]
+    assert h.evaluate([0.0, -0.3]).tolist() == [[0.999, 0.0, 0.001, 0.0],
+                                                 [1.0, 0.0, 0.0, 0.0]]
     assert h.jumps == (0.0,)
     h2 = outbreak_history(ps, 0.01)
-    assert h2.evaluate([0.0]).tolist() == [[0.99, 0.01, 0.0]]
+    assert h2.evaluate([0.0]).tolist() == [[0.99, 0.0, 0.01, 0.0]]
 
 
 def test_outbreak_history_errors():
@@ -120,7 +122,8 @@ def test_outbreak_history_errors():
         outbreak_history(ps, 0.0)
     with pytest.raises(InvalidFractions):
         outbreak_history(ps, 0.6, 0.6)
-    # e0 > 0 selects the 4-state variant
+    # SIQ data are four-state, with or without e0
+    assert outbreak_history(ps, 0.01).dimension == 4
     assert outbreak_history(ps, 0.01, e0=0.01).dimension == 4
 
 
@@ -150,7 +153,8 @@ def test_outbreak_history_seiq_slot():
 
 def test_validate_disease_free_history():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
-    rep = validate_history(ps, constant_history([1.0, 0.0, 0.0], ps.span))
+    rep = validate_history(ps, constant_history([1.0, 0.0, 0.0, 0.0],
+                                                ps.span))
     assert rep.valid
     assert rep.i_bound == 0.0 and rep.q_bound == 0.0
 
@@ -163,12 +167,12 @@ def test_validate_outbreak_history():
 
 
 def test_validate_violating_history_quadrature_oracle():
-    # psi = (0.5, 0.5, 0) on [-1, 0) and (0.5, 0.3, 0.2) at 0; r=2.5, p=1,
-    # tau=1, kappa=0.  The I-bound integral has the closed form
+    # psi = (0.5, 0, 0.5, 0) on [-1, 0) and (0.5, 0, 0.3, 0.2) at 0; r=2.5,
+    # p=1, tau=1, kappa=0.  The I-bound integral has the closed form
     # 2.5 * 0.25 * (1 - e^{-1}) and an independent quadrature check.
     ps = ModelParams(r=2.5, p=1.0, tau=1.0, kappa=0.0)
-    pre = (0.5, 0.5, 0.0)
-    at0 = (0.5, 0.3, 0.2)
+    pre = (0.5, 0.0, 0.5, 0.0)
+    at0 = (0.5, 0.0, 0.3, 0.2)
     hist = History(span=1.0, fn=lambda th: at0 if th >= 0 else pre,
                    jumps=(0.0,))
     rep = validate_history(ps, hist)
@@ -183,7 +187,7 @@ def test_validate_violating_history_quadrature_oracle():
 
 def test_validate_rejects_off_simplex():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
-    bad = constant_history([0.8, 0.3, -0.1], ps.span)
+    bad = constant_history([0.8, 0.0, 0.3, -0.1], ps.span)
     with pytest.raises(NotInSimplex):
         validate_history(ps, bad)
 
@@ -195,7 +199,7 @@ def test_validate_rejects_off_simplex():
 def test_H_of_disease_free_constant_is_q():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.5)
     for q in (0.0, 0.2, 0.77):
-        hist = constant_history([1.0 - q, 0.0, q], ps.span)
+        hist = constant_history([1.0 - q, 0.0, 0.0, q], ps.span)
         assert conserved_H(ps, hist) == pytest.approx(q, abs=1e-14)
 
 
@@ -217,7 +221,7 @@ def test_H_of_endemic_constant_is_leaf_label():
 def test_H_requires_span():
     ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=3.0)
     with pytest.raises(SpanTooShort):
-        conserved_H(ps, constant_history([1.0, 0.0, 0.0], 1.0))
+        conserved_H(ps, constant_history([1.0, 0.0, 0.0, 0.0], 1.0))
 
 
 @pytest.mark.parametrize("step", [-1.0, 0.0, math.nan, math.inf])
@@ -264,34 +268,48 @@ def test_readers_reject_a_nan_span_or_time(call, error, message):
 
 
 def test_window_functionals_reject_wrong_dimension():
-    # H read E as I on a four-state window, and H* read Q as I on a
-    # three-state one; both returned numbers
+    # every model state is (S, E, I, Q): the integrator and the window
+    # functionals refuse data of any other size, which they would misread
+    # (Q as I, or I as E); H, the SIQ functional, refuses sigma > 0, where
+    # it would drop the E terms of H1*
     siq = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0)
     seiq = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0, sigma=0.5)
-    traj3 = simulate(siq, outbreak_history(siq, 0.01), 10.0, 0.01)
-    traj4 = simulate(seiq, outbreak_history(seiq, 0.01), 10.0, 0.01)
-    for call in (lambda: conserved_H(seiq, traj4),
-                 lambda: conserved_H(seiq, outbreak_history(seiq, 0.01)),
-                 lambda: conserved_H_star(siq, traj3, 5.0),
-                 lambda: conserved_H_star(siq, outbreak_history(siq, 0.01))):
-        with pytest.raises(ValueError, match="window has"):
+    hist3 = without_e(outbreak_history(siq, 0.01))
+    for call in (lambda: simulate(siq, hist3, 1.0, 0.01),
+                 lambda: dde_core.integrate(hist3, 1.0, 0.01, r=2.5,
+                                            eps=siq.eps, tau=0.5, kappa=2.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                "history has 3 states; the model state is (S, E, I, Q), "
+                "so write SIQ data as (S, 0, I, Q)")):
             call()
+    for hist in (hist3, constant_history([0.2] * 5, seiq.span)):
+        for call in (lambda: conserved_H(siq, hist),
+                     lambda: conserved_H_star(siq, hist),
+                     lambda: conserved_q(siq, hist),
+                     lambda: validate_history(siq, hist)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"window has {hist.dimension} states; the model state "
+                    f"is (S, E, I, Q)")):
+                call()
+    traj4 = simulate(seiq, outbreak_history(seiq, 0.01), 10.0, 0.01)
+    for phi in (traj4, outbreak_history(seiq, 0.01)):
+        with pytest.raises(ValueError, match=re.escape(
+                "H is the SIQ functional; at sigma = 0.5 > 0 use "
+                "conserved_H_star")):
+            conserved_H(seiq, phi)
 
 
 def test_H_star_reduces_to_H_at_sigma_zero():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.8, sigma=0.0)
     hist4 = smooth_simplex_history(ps.span, seed=3, dim=4)
-    # project the 4-state history onto (S, I, Q) with E folded away
+    # fold E into S: a history with E == 0, on which (H1*, H2*) = (H, 0)
     def fn3(theta):
         s, e, i, q = hist4.fn(theta)
         return (s + e, i, q)
-    hist3 = History(span=ps.span, fn=fn3, jumps=())
-    # build a 4-state history with E == 0 so the reduction is exact
-    def fn4(theta):
-        s, i, q = fn3(theta)
-        return (s, 0.0, i, q)
-    h1, _ = conserved_H_star(ps, History(span=ps.span, fn=fn4, jumps=()))
-    assert h1 == pytest.approx(conserved_H(ps, hist3), abs=1e-12)
+    hist = with_empty_e(History(span=ps.span, fn=fn3, jumps=()))
+    h1, h2 = conserved_H_star(ps, hist)
+    assert h1 == pytest.approx(conserved_H(ps, hist), abs=1e-12)
+    assert h2 == 0.0
 
 
 def test_H_star_of_constants():
@@ -314,7 +332,7 @@ def test_H2_star_closed_form_constant_SI():
 
 def test_H_conserved_along_trajectory_smooth_history():
     ps = ModelParams(r=2.5, p=0.5, tau=0.25, kappa=2.0)
-    hist = smooth_simplex_history(ps.span, seed=42)
+    hist = with_empty_e(smooth_simplex_history(ps.span, seed=42))
     traj = simulate(ps, hist, 40.0, 1e-3)
     ref = conserved_H(ps, traj, ps.kappa)
     for t in (2.0, 2.5, 5.0, 13.0, 26.5, 40.0):
@@ -340,7 +358,7 @@ def test_conserved_q_invariant_from_t_zero():
     # unlike H, the label q needs no flushed window: it is constant from
     # t = 0 on, and equals H once H's window has left the initial data
     ps = ModelParams(r=2.5, p=0.5, tau=0.25, kappa=2.0)
-    hist = smooth_simplex_history(ps.span, seed=42)
+    hist = with_empty_e(smooth_simplex_history(ps.span, seed=42))
     traj = simulate(ps, hist, 40.0, 1e-3)
     q0 = conserved_q(ps, hist)
     for t in (0.0, 0.3, 1.0, 2.0, 13.0, 40.0):
@@ -352,9 +370,9 @@ def test_window_quadrature_fourth_order_without_derivatives():
     # the window functionals read state values only; on a smooth history
     # given by its values alone the error still falls 16-fold per halving
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.8)
-    hist = smooth_simplex_history(ps.span, seed=7)
-    s0, i0, _ = hist.fn(0.0)
-    si, _ = quad(lambda th: hist.fn(th)[0] * hist.fn(th)[1], -1.3, -0.5,
+    hist = with_empty_e(smooth_simplex_history(ps.span, seed=7))
+    s0, _, i0, _ = hist.fn(0.0)
+    si, _ = quad(lambda th: hist.fn(th)[0] * hist.fn(th)[2], -1.3, -0.5,
                  epsabs=1e-15, epsrel=1e-15)
     exact = 1.0 - s0 - i0 - ps.r * ps.eps * si
     errs = [abs(conserved_q(ps, hist, step=h) - exact)
@@ -384,7 +402,7 @@ def test_mass_conservation_and_positivity():
 def test_sis_reduction_limit():
     ps = ModelParams(r=2.5, p=0.0, tau=0.0, kappa=0.0)
     traj = simulate(ps, outbreak_history(ps, 0.001), 100.0, 1e-3)
-    s, i, q = traj.evaluate([100.0])[0]
+    s, e, i, q = traj.evaluate([100.0])[0]
     assert abs(i - (1.0 - 1.0 / ps.r)) <= 1e-6
     assert abs(q) <= 1e-12
 
@@ -393,9 +411,9 @@ def test_kappa_inf_field_accumulates_Q():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.0)
     hist = outbreak_history(ps, 0.01)
     traj = simulate(ps, hist, 60.0, 1e-3, kappa_inf=True)
-    q = traj.states[:, 2]
+    q = traj.states[:, 3]
     assert np.all(np.diff(q) >= -1e-14)       # monotone, no release flow
-    s, i, qf = traj.evaluate([60.0])[0]
+    s, e, i, qf = traj.evaluate([60.0])[0]
     assert i <= 1e-3                          # infection dies out
 
 
