@@ -17,7 +17,7 @@ from .net_sim import (MeanFieldMap, Network, NetworkSeries, NetworkStats,
                       erdos_renyi_network, mean_field_params,
                       network_from_edge_list, simulate_network)
 from .siq_model import (DiseaseSpec, ModelParams, ValidationReport,
-                        conserved_H, conserved_H_star, conserved_q,
+                        conserved_H, conserved_H_star, leaf_labels,
                         load_disease_table, outbreak_history, simulate,
                         validate_history)
 from .spectral import (CharEq, HopfData, SpectralReport, StabilityMap,

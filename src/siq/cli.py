@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__
 from .dde_core import DEFAULT_STEP, Trajectory
 from .equilibria import (critical_identification_time, critical_probability,
-                         critical_time_days, endemic_point,
-                         predict_endemic_from_history, q_critical)
+                         critical_time_days, endemic_point, q_critical)
 from .errors import (ConfigError, FileParse, HorizonTooShort, NumericalError,
                      OutOfDomain, SiqError, count, finite_nonnegative,
                      fraction, fractions, nonnegative, positive,
@@ -34,8 +33,8 @@ from .errors import (ConfigError, FileParse, HorizonTooShort, NumericalError,
 from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
                       mean_field_params, network_from_edge_list,
                       simulate_network)
-from .siq_model import (ModelParams, conserved_H, conserved_H_star,
-                        load_disease_table, outbreak_history, simulate)
+from .siq_model import (ModelParams, leaf_labels, load_disease_table,
+                        outbreak_history, simulate)
 from .spectral import (count_unstable, disease_free_chareq, endemic_chareq,
                        hopf_crossings, stability_map)
 
@@ -251,19 +250,19 @@ def cmd_simulate(args) -> Artifact:
     traj = simulate(params, hist, args.t_end, args.step)
     # an SIQ run (E == 0 throughout) writes no E column or E labels
     seiq = params.sigma > 0 or args.e0 > 0
-    # header functionals of the initial data, on the run's own grid
-    pred = predict_endemic_from_history(params, traj, 0.0)
+    # leaf labels of the initial data, on the run's own grid
+    q, h1, h2 = leaf_labels(params, traj, 0.0)
+    pred = endemic_point(params, q, h2)
     meta = params_meta(params, step=traj.step, t_end=traj.t_end,
                        i0=args.i0, q0=args.q0, e0=args.e0,
                        predicted_v_S=pred.v_S, predicted_v_I=pred.v_I,
                        predicted_v_Q=pred.v_Q, leaf_q=pred.q,
                        reachable=pred.reachable)
     if seiq:
-        h1, h2 = conserved_H_star(params, traj, 0.0)
         meta.update(H1_star=h1, H2_star=h2, predicted_v_E=pred.v_E,
                     leaf_eta=pred.eta)
     else:
-        meta.update(H=conserved_H(params, traj, 0.0))
+        meta.update(H=h1 + h2)
     order = [0, 2, 3, 1] if seiq else [0, 2, 3]   # file order: S,I,Q[,E]
     # integrator counters over every node: the sum of the states is
     # conserved by the model, and no written component may go negative
@@ -624,6 +623,10 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + config_flags(args.config)
                                      + argv[at:])
+        # fail before the work; the file is still opened only after it
+        if args.out not in (None, "-") and not os.path.isdir(
+                os.path.dirname(os.path.abspath(args.out))):
+            raise FileNotFoundError(f"no directory for --out {args.out}")
         columns, rows, meta = args.func(args)
         write_csv(args.out, columns, rows,
                   {"tool": "siq", "version": __version__, **meta})

@@ -17,8 +17,7 @@ import numpy as np
 from .dde_core import History, Trajectory
 from .errors import (AlwaysStable, EpsNotBelowOne, SubcriticalP, positive,
                      probability)
-from .siq_model import (DiseaseSpec, ModelParams, conserved_H_star,
-                        conserved_q)
+from .siq_model import DiseaseSpec, ModelParams, leaf_labels
 
 
 @dataclass(frozen=True)
@@ -152,13 +151,13 @@ def predict_endemic_from_history(params: ModelParams,
                                  t: float | None = None) -> EndemicPoint:
     """Endemic point a trajectory from ``phi`` can tend to.
 
-    Reads the leaf label from the flow invariants: q = conserved_q(phi)
-    and eta = H2*(phi); then evaluates the endemic formulas on
-    that leaf.  A label at or beyond q_c yields v_I <= 0, i.e. an
-    unreachable leaf (check ``.reachable``).
+    Reads the leaf (q, eta = H2*) from one ``leaf_labels`` evaluation,
+    which needs ``phi`` to span [-(sigma+tau+kappa), 0], then evaluates
+    the endemic formulas on that leaf.  A label at or beyond q_c yields
+    v_I <= 0, i.e. an unreachable leaf (check ``.reachable``).
     """
-    eta = conserved_H_star(params, phi, t)[1]
-    return endemic_point(params, conserved_q(params, phi, t), eta)
+    q, _, eta = leaf_labels(params, phi, t)
+    return endemic_point(params, q, eta)
 
 
 __all__ = [

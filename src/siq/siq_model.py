@@ -152,46 +152,35 @@ def _window(phi: History | Trajectory, t: float | None, step: float | None,
     return anchor, grid if step is None else positive(step, "step")
 
 
-def conserved_H(params: ModelParams, phi: History | Trajectory,
-                t: float | None = None, step: float | None = None) -> float:
-    """Conserved functional H of the SIQ flow (sigma = 0; ValueError
-    otherwise).
+def leaf_labels(params: ModelParams, phi: History | Trajectory,
+                t: float | None = None,
+                step: float | None = None) -> tuple[float, float, float]:
+    """Leaf labels (q, H1*, H2*) of the flow through ``phi``.
 
-    H(phi) = 1 - phi_S(0) - phi_I(-kappa)
-             + integral_{-kappa}^{0} (1 - r*phi_S(s)) * phi_I(s) ds.
-
-    ``phi`` is either a History (evaluated at its right end) or a
-    Trajectory (evaluated at time ``t``, default t_end).  The quadrature
-    runs on the integrator grid; exact conservation along trajectories
-    presumes kappa commensurate with the step (integrate() snaps delays
-    and records them).
-    """
-    if params.sigma > 0:
-        raise ValueError(f"H is the SIQ functional; at sigma = "
-                         f"{params.sigma!r} > 0 use conserved_H_star")
-    k, r = params.kappa, params.r
-    anchor, h = _window(phi, t, step, k, "kappa")
-    s_now, s_back = phi.evaluate([anchor, anchor - k])
-    integral = _window_integral(phi, anchor - k, anchor, h,
-                                lambda ts, v: (1.0 - r * v[:, 0]) * v[:, 2])
-    return 1.0 - s_now[0] - s_back[2] + integral
-
-
-def conserved_H_star(params: ModelParams, phi: History | Trajectory,
-                     t: float | None = None,
-                     step: float | None = None) -> tuple[float, float]:
-    """Conserved pair (H1*, H2*) of the SEIQ flow.
-
+    q   = 1 - phi_S(0) - phi_E(0) - phi_I(0)
+          - r*eps * int_{-sigma-tau-kappa}^{-sigma-tau} phi_S phi_I ds
     H1* = 1 - phi_S(0) - phi_E(0) - phi_I(-kappa)
           + int_{-kappa}^{0} phi_I ds
           - r * int_{-sigma-kappa}^{-sigma} phi_S phi_I ds
     H2* = phi_E(0) - r * int_{-sigma}^{0} phi_S phi_I ds
 
-    Reduces to (H, phi_E(0)) at sigma = 0.
+    q is the isolated fraction less the isolations still due to return.
+    Unlike H1*, which becomes invariant only once its window has left the
+    initial data, q is invariant from t = 0 on: Q' is exactly the
+    difference of the integrand at the two window ends, and the flow
+    conserves S + E + I + Q.  On outbreak data q is q0, the jump i0 leaves
+    it alone.  At sigma = 0, H2* = phi_E(0) and H = H1* + H2*.
+
+    ``phi`` is a History (read at its right end) or a Trajectory (at time
+    ``t``, default t_end) spanning [-(sigma+tau+kappa), 0] back from there.
+    The quadrature runs on the integrator grid, so exact conservation
+    presumes delays commensurate with the step (integrate() snaps them).
     """
-    k, sg, r = params.kappa, params.sigma, params.r
-    anchor, h = _window(phi, t, step, sg + k, "(sigma+kappa)")
-    s_now, s_back = phi.evaluate([anchor, anchor - k])
+    r, eps, sg, k = params.r, params.eps, params.sigma, params.kappa
+    lag = sg + params.tau
+    anchor, h = _window(phi, t, step, lag + k, "(sigma+tau+kappa)")
+    (s, e, i, _), (_, _, i_back, _) = phi.evaluate(
+        [anchor, anchor - k]).tolist()
 
     def si_fn(ts, v):
         return v[:, 0] * v[:, 2]
@@ -199,31 +188,32 @@ def conserved_H_star(params: ModelParams, phi: History | Trajectory,
     int_i = _window_integral(phi, anchor - k, anchor, h, lambda ts, v: v[:, 2])
     int_si_back = _window_integral(phi, anchor - sg - k, anchor - sg, h, si_fn)
     int_si_now = _window_integral(phi, anchor - sg, anchor, h, si_fn)
-    h1 = 1.0 - s_now[0] - s_now[1] - s_back[2] + int_i - r * int_si_back
-    h2 = s_now[1] - r * int_si_now
-    return h1, h2
+    committed = _window_integral(phi, anchor - lag - k, anchor - lag, h, si_fn)
+    q = 1.0 - (s + e + i) - r * eps * committed
+    h1 = 1.0 - s - e - i_back + int_i - r * int_si_back
+    h2 = e - r * int_si_now
+    return q, h1, h2
 
 
-def conserved_q(params: ModelParams, phi: History | Trajectory,
+# the views below stay public by name: the benchmark tracer wraps both
+def conserved_H(params: ModelParams, phi: History | Trajectory,
                 t: float | None = None, step: float | None = None) -> float:
-    """Leaf label q of the flow through ``phi``.
+    """SIQ functional H = 1 - phi_S(0) - phi_I(-kappa) + int_{-kappa}^{0}
+    (1 - r*phi_S) phi_I ds, read as H1* + H2* of ``leaf_labels`` (whose
+    arguments and window it takes); ValueError at sigma > 0."""
+    if params.sigma > 0:
+        raise ValueError(f"H is the SIQ functional; at sigma = "
+                         f"{params.sigma!r} > 0 use conserved_H_star")
+    _, h1, h2 = leaf_labels(params, phi, t, step)
+    return h1 + h2
 
-    q = 1 - phi_S(0) - phi_E(0) - phi_I(0)
-        - r*eps * int_{-sigma-tau-kappa}^{-sigma-tau} phi_S phi_I ds:
 
-    the isolated fraction less the isolations still due to return.  Unlike
-    H and H1*, which become invariant only once their window has left the
-    initial data, q is invariant from t = 0 on: Q' is exactly the
-    difference of the integrand at the two window ends, and the flow
-    conserves S + E + I + Q.  On outbreak data it is q0, the jump i0
-    leaves it alone.
-    """
-    r, eps, lag, k = params.r, params.eps, params.sigma + params.tau, params.kappa
-    anchor, h = _window(phi, t, step, lag + k, "(sigma+tau+kappa)")
-    s, e, i, _ = phi.evaluate([anchor])[0].tolist()
-    committed = _window_integral(phi, anchor - lag - k, anchor - lag, h,
-                                 lambda ts, v: v[:, 0] * v[:, 2])
-    return 1.0 - (s + e + i) - r * eps * committed
+def conserved_H_star(params: ModelParams, phi: History | Trajectory,
+                     t: float | None = None,
+                     step: float | None = None) -> tuple[float, float]:
+    """Conserved pair (H1*, H2*) of the SEIQ flow, as in ``leaf_labels``;
+    at sigma = 0 it satisfies H1* + H2* = H with H2* = phi_E(0)."""
+    return leaf_labels(params, phi, t, step)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +337,6 @@ def load_disease_table(path: str | None = None) -> list[DiseaseSpec]:
 
 __all__ = [
     "ModelParams", "outbreak_history", "simulate",
-    "conserved_H", "conserved_H_star", "conserved_q", "validate_history",
+    "leaf_labels", "conserved_H", "conserved_H_star", "validate_history",
     "ValidationReport", "DiseaseSpec", "load_disease_table",
 ]

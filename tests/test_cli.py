@@ -171,10 +171,22 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
       "--t-end", "1", "--step", "0.01", "--out", "{tmp}/no-dir/x.csv"],
      "{tmp}/no-dir/x.csv"),
     (["critical", "--p", "0.8", "--out", "{tmp}/no-dir/x.csv"],
+     "{tmp}/no-dir/x.csv"),
+    (["ipeak", "--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+      "--t-end", "1", "--step", "0.01", "--kappas", "1,2", "--out",
+      "{tmp}/no-dir/x.csv"],
      "{tmp}/no-dir/x.csv")],
-    ids=["table", "edge-list", "simulate-out", "critical-out"])
-def test_cli_path_it_cannot_open_exit_code(tmp_path, capsys, argv, path):
-    # an OSError from a user-given path escaped main as a traceback
+    ids=["table", "edge-list", "simulate-out", "critical-out", "ipeak-out"])
+def test_cli_path_it_cannot_open_exit_code(tmp_path, capsys, monkeypatch,
+                                           argv, path):
+    # an OSError from a user-given path escaped main as a traceback; a
+    # missing --out directory is found before the integration, not after
+    import siq.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated before checking --out")
+
+    monkeypatch.setattr(cli, "simulate", no_run)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from siq.dde_core import History, constant_history
 from siq.errors import (InvalidFractions, NotInSimplex, OutOfDomain,
                         OutOfRange, SpanTooShort)
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
-                           conserved_q, load_disease_table, outbreak_history,
+                           leaf_labels, load_disease_table, outbreak_history,
                            simulate, validate_history)
 
 
@@ -222,6 +222,14 @@ def test_H_requires_span():
     ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=3.0)
     with pytest.raises(SpanTooShort):
         conserved_H(ps, constant_history([1.0, 0.0, 0.0, 0.0], 1.0))
+    # H and (H1*, H2*) are read with q, over [-(sigma+tau+kappa), 0]: a
+    # history that spans kappa alone is too short for either view
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=3.0)
+    hist = constant_history([1.0, 0.0, 0.0, 0.0], 3.2)
+    for view in (conserved_H, conserved_H_star):
+        with pytest.raises(SpanTooShort, match=re.escape(
+                "window must span [-(sigma+tau+kappa), 0]")):
+            view(ps, hist)
 
 
 @pytest.mark.parametrize("step", [-1.0, 0.0, math.nan, math.inf])
@@ -235,7 +243,7 @@ def test_window_functionals_reject_a_step_outside_its_domain(step):
     traj4 = simulate(seiq, outbreak_history(seiq, 0.01), 5.0, 0.01)
     for call in (lambda: conserved_H(siq, traj3, None, step),
                  lambda: conserved_H_star(seiq, traj4, None, step),
-                 lambda: conserved_q(siq, traj3, None, step),
+                 lambda: leaf_labels(siq, traj3, None, step)[0],
                  lambda: validate_history(siq, hist3, step)):
         with pytest.raises(OutOfDomain, match=re.escape(
                 f"step = {step!r} must be finite and > 0")):
@@ -256,13 +264,13 @@ def _siq_run():
      OutOfRange, "history evaluated at theta=nan"),
     (lambda: _siq_run().evaluate([1.0, math.nan]),
      OutOfRange, "trajectory evaluated at t=nan"),
-    (lambda: conserved_q(_SIQ, _siq_run(), t=math.nan),
+    (lambda: leaf_labels(_SIQ, _siq_run(), t=math.nan),
      OutOfRange, "trajectory evaluated at t=nan")],
     ids=["history-span", "history-time", "trajectory-time", "window-time"])
 def test_readers_reject_a_nan_span_or_time(call, error, message):
     # a NaN span was accepted, and at a NaN time the history returned its
     # pre-jump state, the trajectory a NaN row (with two cast warnings)
-    # and conserved_q a bare "cannot convert float NaN to integer"
+    # and the q functional a bare "cannot convert float NaN to integer"
     with pytest.raises(error, match=re.escape(message)):
         call()
 
@@ -285,7 +293,7 @@ def test_window_functionals_reject_wrong_dimension():
     for hist in (hist3, constant_history([0.2] * 5, seiq.span)):
         for call in (lambda: conserved_H(siq, hist),
                      lambda: conserved_H_star(siq, hist),
-                     lambda: conserved_q(siq, hist),
+                     lambda: leaf_labels(siq, hist),
                      lambda: validate_history(siq, hist)):
             with pytest.raises(ValueError, match=re.escape(
                     f"window has {hist.dimension} states; the model state "
@@ -300,16 +308,18 @@ def test_window_functionals_reject_wrong_dimension():
 
 
 def test_H_star_reduces_to_H_at_sigma_zero():
+    # at sigma = 0, H = H1* + H2* with H2* = E(0), whether or not E is 0;
+    # H is checked against its own formula by an adaptive quadrature
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.8, sigma=0.0)
-    hist4 = smooth_simplex_history(ps.span, seed=3, dim=4)
-    # fold E into S: a history with E == 0, on which (H1*, H2*) = (H, 0)
-    def fn3(theta):
-        s, e, i, q = hist4.fn(theta)
-        return (s + e, i, q)
-    hist = with_empty_e(History(span=ps.span, fn=fn3, jumps=()))
-    h1, h2 = conserved_H_star(ps, hist)
-    assert h1 == pytest.approx(conserved_H(ps, hist), abs=1e-12)
-    assert h2 == 0.0
+    hist = smooth_simplex_history(ps.span, seed=3, dim=4)
+    s0, e0, _, _ = hist.fn(0.0)
+    assert e0 > 0.0
+    integral, _ = quad(lambda th: (1.0 - ps.r * hist.fn(th)[0])
+                       * hist.fn(th)[2], -ps.kappa, 0.0,
+                       epsabs=1e-13, epsrel=1e-13)
+    exact = 1.0 - s0 - hist.fn(-ps.kappa)[2] + integral
+    assert abs(conserved_H(ps, hist) - exact) <= 1e-10
+    assert conserved_H_star(ps, hist)[1] == e0
 
 
 def test_H_star_of_constants():
@@ -360,9 +370,9 @@ def test_conserved_q_invariant_from_t_zero():
     ps = ModelParams(r=2.5, p=0.5, tau=0.25, kappa=2.0)
     hist = with_empty_e(smooth_simplex_history(ps.span, seed=42))
     traj = simulate(ps, hist, 40.0, 1e-3)
-    q0 = conserved_q(ps, hist)
+    q0 = leaf_labels(ps, hist)[0]
     for t in (0.0, 0.3, 1.0, 2.0, 13.0, 40.0):
-        assert abs(conserved_q(ps, traj, t) - q0) <= 1e-10
+        assert abs(leaf_labels(ps, traj, t)[0] - q0) <= 1e-10
     assert abs(conserved_H(ps, traj, 2.0) - q0) <= 1e-10
 
 
@@ -375,19 +385,28 @@ def test_window_quadrature_fourth_order_without_derivatives():
     si, _ = quad(lambda th: hist.fn(th)[0] * hist.fn(th)[2], -1.3, -0.5,
                  epsabs=1e-15, epsrel=1e-15)
     exact = 1.0 - s0 - i0 - ps.r * ps.eps * si
-    errs = [abs(conserved_q(ps, hist, step=h) - exact)
+    errs = [abs(leaf_labels(ps, hist, step=h)[0] - exact)
             for h in (0.04, 0.02, 0.01)]
     assert errs[0] / errs[1] >= 12.0
     assert errs[1] / errs[2] >= 12.0
 
 
 def test_conserved_q_of_outbreak_data_is_q0():
+    # closed-form labels (q, H1*, H2*) of outbreak data: the jump i0
+    # enters H1* through I(-kappa) = 0 only when kappa > 0, and H2* is e0
+    i0 = 0.01
+    for sigma, kappa, q0, e0 in ((0.0, 0.0, 0.0, 0.0), (0.0, 3.0, 0.05, 0.0),
+                                 (0.5, 3.0, 0.05, 0.03), (0.5, 0.0, 0.02, 0.03),
+                                 (0.0, 2.0, 0.0, 0.04)):
+        ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=kappa, sigma=sigma)
+        hist = outbreak_history(ps, i0, q0=q0, e0=e0)
+        expected = (q0, q0 + i0 if kappa > 0 else q0, e0)
+        assert leaf_labels(ps, hist) == pytest.approx(expected, abs=1e-14)
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.5, sigma=0.5)
-    hist = outbreak_history(ps, 0.01, q0=0.02, e0=0.03)
-    assert conserved_q(ps, hist) == pytest.approx(0.02, abs=1e-15)
-    traj = simulate(ps, hist, 20.0, 1e-3)
+    traj = simulate(ps, outbreak_history(ps, i0, q0=0.02, e0=0.03), 20.0,
+                    1e-3)
     for t in (0.25, 1.0, 2.5, 20.0):
-        assert conserved_q(ps, traj, t) == pytest.approx(0.02, abs=1e-10)
+        assert leaf_labels(ps, traj, t)[0] == pytest.approx(0.02, abs=1e-10)
 
 
 def test_mass_conservation_and_positivity():
