@@ -7,10 +7,8 @@ __version__ = "0.1.0"
 from .dde_core import (DEFAULT_STEP, History, Trajectory, constant_history,
                        integrate)
 from .equilibria import (EndemicPoint, Thresholds, critical_identification_time,
-                         critical_probability, critical_time_days,
-                         effective_R, endemic_point,
-                         predict_endemic_from_history, q_critical,
-                         tau_critical_at_q, thresholds)
+                         critical_probability, effective_R, endemic_point,
+                         predict_endemic_from_history, q_critical, thresholds)
 from .errors import SiqError
 from .net_sim import (MeanFieldMap, Network, NetworkSeries, NetworkStats,
                       SimConfig, average_runs, complete_network,

@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .dde_core import DEFAULT_STEP, Trajectory
 from .equilibria import (critical_identification_time, critical_probability,
-                         critical_time_days, endemic_point, q_critical)
+                         endemic_point, q_critical)
 from .errors import (ConfigError, FileParse, HorizonTooShort, NumericalError,
-                     OutOfDomain, SiqError, count, finite_nonnegative,
-                     fraction, fractions, nonnegative, positive,
-                     positive_fraction, probability)
+                     OutOfDomain, SiqError, SubcriticalP, count,
+                     finite_nonnegative, fraction, fractions, nonnegative,
+                     positive, positive_fraction, probability)
 from .net_sim import (SimConfig, average_runs, erdos_renyi_network,
                       mean_field_params, network_from_edge_list,
                       simulate_network)
@@ -63,18 +63,38 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _unbroken(text: str, what: str, breaks: str = ",\n\r") -> None:
+    """Refuse ``text`` holding a character of ``breaks``: a comma would
+    shift the cells after it, a line break would start a row."""
+    for c in breaks:
+        if c in text:
+            raise ValueError(f"{what}: {text!r} holds {c!r}")
+
+
 def write_csv(out: str | None, columns: Sequence[str],
               rows: Iterable[Sequence] | np.ndarray, meta: dict) -> None:
     """Write the header lines, the column row and ``rows``.  A 2-D float64
     array goes through one ``%.9g`` template per row, which gives ``fmt``'s
-    text for every float (nan, inf and -0 included)."""
-    lines = [f"# {k} = {fmt(v)}" for k, v in meta.items()]
+    text for every float (nan, inf and -0 included).  A text cell holding
+    a comma or a line break, or a header value holding a line break,
+    raises ValueError before any output."""
+    header = {k: fmt(v) for k, v in meta.items()}
+    for k, v in header.items():
+        _unbroken(v, f"header {k}", "\n\r")
+    lines = [f"# {k} = {v}" for k, v in header.items()]
     lines.append(",".join(columns))
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         template = ",".join(["%.9g"] * rows.shape[1])
         lines += [template % row for row in map(tuple, rows.tolist())]
     else:
-        lines += [",".join(fmt(v) for v in row) for row in rows]
+        for row in rows:
+            cells = [fmt(v) for v in row]
+            line = ",".join(cells)
+            # a cell holds a comma or a line break: find and name it
+            if line.count(",") >= len(cells) or "\n" in line or "\r" in line:
+                for name, cell in zip(columns, cells):
+                    _unbroken(cell, f"column {name}")
+            lines.append(line)
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -220,21 +240,19 @@ def critical_rows(table, p: float):
     rows = []
     for disease in table:
         pc = critical_probability(disease.r)
-        flags = []
-        if p <= pc:
-            tau_c = math.nan
-            t_c = math.nan
-            flags.append("uncontrollable")
-        else:
+        try:
             tau_c = critical_identification_time(disease.r, p)
-            t_c = critical_time_days(disease, p)
-            ref = REFERENCE_AT_P08.get(disease.name)
-            if ref is not None and abs(p - 0.8) < 1e-12:
-                t_ref = ref[1]
-                if (abs(t_c - t_ref) > TC_ABS_TOL_DAYS
-                        or abs(t_c - t_ref) > TC_REL_TOL * t_ref):
-                    flags.append("tc-mismatch")
-        rows.append((disease.name, pc, tau_c, t_c, "+".join(flags)))
+        except SubcriticalP:
+            rows.append((disease.name, pc, math.nan, math.nan,
+                         "uncontrollable"))
+            continue
+        t_c = tau_c * disease.infectious_period_days
+        ref = REFERENCE_AT_P08.get(disease.name)
+        mismatch = (ref is not None and abs(p - 0.8) < 1e-12
+                    and abs(t_c - ref[1]) > min(TC_ABS_TOL_DAYS,
+                                                TC_REL_TOL * ref[1]))
+        rows.append((disease.name, pc, tau_c, t_c,
+                     "tc-mismatch" if mismatch else ""))
     return rows
 
 
@@ -624,9 +642,11 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + config_flags(args.config)
                                      + argv[at:])
         # fail before the work; the file is still opened only after it
-        if args.out not in (None, "-") and not os.path.isdir(
-                os.path.dirname(os.path.abspath(args.out))):
-            raise FileNotFoundError(f"no directory for --out {args.out}")
+        if args.out not in (None, "-"):
+            if os.path.isdir(args.out):
+                raise IsADirectoryError(f"--out {args.out} is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+                raise FileNotFoundError(f"no directory for --out {args.out}")
         columns, rows, meta = args.func(args)
         write_csv(args.out, columns, rows,
                   {"tool": "siq", "version": __version__, **meta})

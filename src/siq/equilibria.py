@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dde_core import History, Trajectory
-from .errors import (AlwaysStable, EpsNotBelowOne, SubcriticalP, positive,
+from .errors import (EpsNotBelowOne, SubcriticalP, fraction, positive,
                      probability)
-from .siq_model import DiseaseSpec, ModelParams, leaf_labels
+from .siq_model import ModelParams, leaf_labels
 
 
 @dataclass(frozen=True)
@@ -55,31 +55,31 @@ class EndemicPoint:
         return np.array([self.v_S, self.v_E, self.v_I, self.v_Q])
 
 
-def critical_probability(r: float) -> float:
-    """Minimum identification probability p_c = 1 - 1/r."""
+def critical_probability(r: float, q: float = 0.0) -> float:
+    """Minimum identification probability p_c = 1 - 1/(r(1-q)): the p at
+    which R_eff(q) = 1 with instant identification.  At q = 1 nobody is
+    left to infect and p_c = -inf."""
     positive(r, "r")
-    return 1.0 - 1.0 / r
+    rq = r * (1.0 - fraction(q, "q"))
+    return 1.0 - 1.0 / rq if rq > 0.0 else -math.inf
 
 
-def critical_identification_time(r: float, p: float) -> float:
-    """Critical identification time ln(p / p_c); requires p > p_c.
+def critical_identification_time(r: float, p: float, q: float = 0.0) -> float:
+    """Critical identification time ln(p / p_c(q)), the tau at which
+    R_eff(q) = 1; requires p > p_c(q).
 
-    For r <= 1 the infection cannot spread at all and the critical time is
-    infinite.  Raises SubcriticalP when p <= p_c: no identification speed
-    can compensate for insufficient coverage.
+    It is infinite when p_c(q) <= 0 < p: at r(1-q) <= 1 the infection
+    cannot spread.  Raises SubcriticalP when p <= p_c(q): no
+    identification speed can compensate for insufficient coverage.
     """
     probability(p, "p")
-    pc = critical_probability(r)
+    pc = critical_probability(r, q)
     if p <= pc:
-        raise SubcriticalP(f"p = {p!r} <= p_c = {pc!r}: uncontrollable at any speed")
+        raise SubcriticalP(f"p = {p!r} <= p_c = {pc!r} at q = {q!r}: "
+                           f"uncontrollable at any speed")
     if pc <= 0.0:
         return math.inf
     return math.log(p / pc)
-
-
-def critical_time_days(disease: DiseaseSpec, p: float) -> float:
-    """Critical identification time in days, tau_c * (infectious period)."""
-    return critical_identification_time(disease.r, p) * disease.infectious_period_days
 
 
 def q_critical(r: float, p: float, tau: float) -> float:
@@ -90,36 +90,19 @@ def q_critical(r: float, p: float, tau: float) -> float:
     return 1.0 - (1.0 / r) / (1.0 - eps)
 
 
-def tau_critical_at_q(r: float, p: float, q: float) -> float:
-    """Largest stable identification time at isolation level q:
-    ln p - ln(1 - 1/(r(1-q))).
-
-    Raises AlwaysStable when r(1-q) <= 1 (every tau is stable) and
-    SubcriticalP when p <= 1 - 1/(r(1-q)).
-    """
-    positive(r, "r")
-    probability(p, "p")
-    rq = r * (1.0 - q)
-    if rq <= 1.0:
-        raise AlwaysStable(f"r(1-q) = {rq!r} <= 1: stable for every tau")
-    pc_q = 1.0 - 1.0 / rq
-    if p <= pc_q:
-        raise SubcriticalP(f"p = {p!r} <= critical value {pc_q!r} at q = {q!r}")
-    return math.log(p) - math.log(pc_q)
-
-
 def effective_R(r: float, p: float, tau: float, q: float = 0.0) -> float:
     """Effective reproductive number (1-q)(1-eps)r."""
     return (1.0 - q) * (1.0 - ModelParams(r, p, tau, 0.0).eps) * r
 
 
 def thresholds(r: float, p: float, tau: float, q: float = 0.0) -> Thresholds:
-    """Bundle of the threshold quantities; tau_c is None when p is subcritical."""
+    """Bundle of the threshold quantities at isolation level q; tau_c is
+    None when p is subcritical."""
     try:
-        tc = critical_identification_time(r, p)
+        tc = critical_identification_time(r, p, q)
     except SubcriticalP:
         tc = None
-    return Thresholds(p_c=critical_probability(r), tau_c=tc,
+    return Thresholds(p_c=critical_probability(r, q), tau_c=tc,
                       q_c=q_critical(r, p, tau),
                       r_eff=effective_R(r, p, tau, q))
 
@@ -162,7 +145,6 @@ def predict_endemic_from_history(params: ModelParams,
 
 __all__ = [
     "Thresholds", "EndemicPoint", "critical_probability",
-    "critical_identification_time", "critical_time_days", "q_critical",
-    "tau_critical_at_q", "effective_R", "thresholds", "endemic_point",
-    "predict_endemic_from_history",
+    "critical_identification_time", "q_critical", "effective_R",
+    "thresholds", "endemic_point", "predict_endemic_from_history",
 ]

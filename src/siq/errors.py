@@ -66,10 +66,6 @@ class SubcriticalP(ConfigError):
     """Identification probability at or below its critical value."""
 
 
-class AlwaysStable(ConfigError):
-    """No critical identification time exists: stable for every delay."""
-
-
 class EpsNotBelowOne(ConfigError):
     """Identification effectiveness must be < 1 for this formula."""
 

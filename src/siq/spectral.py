@@ -90,9 +90,12 @@ def endemic_chareq(params: ModelParams, q: float, eta: float = 0.0) -> CharEq:
     """Linearization at the endemic point with E-component eta and
     Q-component q: (1 - q_c, eta, q_c - q - eta, q), the SIQ point
     (1 - q_c, q_c - q, q) at sigma = 0 and eta = 0.  It needs q, eta >= 0
-    and q + eta < q_c (w_I > 0)."""
+    and q + eta < q_c (w_I > 0), hence q_c > 0, i.e. R_eff(0) > 1."""
     fractions(eta=eta, q=q)
     qc = q_critical(params.r, params.p, params.tau)
+    if not qc > 0.0:
+        raise InvalidFractions(f"no endemic equilibrium: q_c = {qc!r} <= 0, "
+                               f"the response curbs every outbreak")
     if not q + eta < qc:
         raise InvalidFractions(f"endemic leaf q = {q!r}, eta = {eta!r} must "
                                f"sum below q_c = {qc!r}: w_I <= 0")

@@ -56,6 +56,23 @@ def test_critical_rows_uncontrollable_flag():
     assert math.isnan(by_name["Pertussis"][3])
 
 
+def test_cli_refuses_text_cell_holding_a_separator(tmp_path, capsys):
+    # a name holding a comma was written as two cells, six under five
+    # columns, and read back split; a line break would start a new row
+    table = tmp_path / "flu.csv"
+    table.write_text('name,r,infectious_period_days,source\n'
+                     '"Flu, seasonal",1.3,4,x\n')
+    out = tmp_path / "crit.csv"
+    assert main(["critical", "--p", "0.8", "--table", str(table), "--out",
+                 str(out)]) == 1
+    assert "column name: 'Flu, seasonal'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="column name"):
+        write_csv(None, ["name", "x"], [("a\nb", 1.0)], {})
+    with pytest.raises(ValueError, match="header table"):
+        write_csv(None, ["x"], [(1.0,)], {"table": "a\rb"})
+
+
 def test_cli_critical_roundtrip(tmp_path, capsys):
     out = tmp_path / "crit.csv"
     assert main(["critical", "--p", "0.8", "--out", str(out)]) == 0
@@ -175,12 +192,19 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
     (["ipeak", "--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
       "--t-end", "1", "--step", "0.01", "--kappas", "1,2", "--out",
       "{tmp}/no-dir/x.csv"],
-     "{tmp}/no-dir/x.csv")],
-    ids=["table", "edge-list", "simulate-out", "critical-out", "ipeak-out"])
+     "{tmp}/no-dir/x.csv"),
+    (["simulate", "--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+      "--t-end", "1", "--step", "0.01", "--out", "{tmp}"], "{tmp}"),
+    (["ipeak", "--r", "2.5", "--p", "0.5", "--tau", "0.5", "--kappa", "1",
+      "--t-end", "1", "--step", "0.01", "--kappas", "1,2", "--out",
+      "{tmp}"], "{tmp}")],
+    ids=["table", "edge-list", "simulate-out", "critical-out", "ipeak-out",
+         "simulate-out-dir", "ipeak-out-dir"])
 def test_cli_path_it_cannot_open_exit_code(tmp_path, capsys, monkeypatch,
                                            argv, path):
     # an OSError from a user-given path escaped main as a traceback; a
-    # missing --out directory is found before the integration, not after
+    # missing --out directory, or an --out that is a directory, is found
+    # before the integration, not after
     import siq.cli as cli
 
     def no_run(*args, **kwargs):
@@ -543,6 +567,18 @@ def test_cli_spectrum_rejects_eta_without_latent_point(tmp_path, capsys):
                              str(out)]) == 0
     meta, _, _ = read_csv(str(out))
     assert (meta["q"], meta["eta"]) == ("0.1", "0.05")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability-map", "--r", "1.2", "--p", "0.9", "--tau", "0"],
+    ["hopf", "--r", "1.2", "--p", "0.9"]], ids=["stability-map", "hopf"])
+def test_cli_reports_no_endemic_equilibrium(capsys, argv):
+    # R_eff(0) = 0.12 < 1, so q_c < 0: the cause is the response, not a
+    # leaf, and the user gave none
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no endemic equilibrium: q_c = -7.33")
+    assert "the response curbs every outbreak" in err
 
 
 def test_cli_stability_map_small(tmp_path):

@@ -7,11 +7,10 @@ import pytest
 
 from siq.dde_core import constant_history
 from siq.equilibria import (critical_identification_time,
-                            critical_probability, critical_time_days,
-                            effective_R, endemic_point,
+                            critical_probability, effective_R, endemic_point,
                             predict_endemic_from_history, q_critical,
-                            tau_critical_at_q, thresholds)
-from siq.errors import AlwaysStable, EpsNotBelowOne, OutOfDomain, SubcriticalP
+                            thresholds)
+from siq.errors import EpsNotBelowOne, OutOfDomain, SubcriticalP
 from siq.siq_model import (DiseaseSpec, ModelParams, outbreak_history,
                            simulate)
 
@@ -50,9 +49,15 @@ def test_critical_identification_time_errors():
     (critical_identification_time, (2.5, 2.0), "p = 2.0 must be in [0, 1]"),
     (q_critical, (2.5, math.nan, 0.5), "p = nan must be in [0, 1]"),
     (thresholds, (2.5, -1, 0.5), "p = -1.0 must be in [0, 1]"),
-    (tau_critical_at_q, (2.5, 1.5, 0.1), "p = 1.5 must be in [0, 1]"),
+    (critical_identification_time, (2.5, 1.5, 0.1),
+     "p = 1.5 must be in [0, 1]"),
     (effective_R, (2.5, 0.5, -1.0), "tau = -1.0 must be finite and >= 0"),
-    (critical_probability, (math.inf,), "r = inf must be finite and > 0")])
+    (critical_probability, (math.inf,), "r = inf must be finite and > 0"),
+    # q is a leaf label wherever p_c and tau_c read it
+    (critical_identification_time, (2.5, 0.5, 1.5),
+     "q = 1.5 must be in [0, 1]"),
+    (thresholds, (2.5, 0.5, 0.0, math.nan), "q = nan must be in [0, 1]"),
+    (critical_probability, (2.5, -0.1), "q = -0.1 must be in [0, 1]")])
 def test_threshold_functions_reject_inputs_outside_domain(call, args,
                                                           message):
     with pytest.raises(OutOfDomain) as err:
@@ -64,9 +69,11 @@ def test_critical_time_days_table_values():
     ebola = DiseaseSpec("Ebola 2014 [Sierra Leone]", 2.5, 12.0)
     spanish = DiseaseSpec("Spanish Flu 1917", 2.0, 7.0)
     pertussis = DiseaseSpec("Pertussis", 4.75, 68.5)
-    assert critical_time_days(ebola, 0.8) == pytest.approx(3.4522, abs=1e-3)
-    assert critical_time_days(spanish, 0.8) == pytest.approx(3.2900, abs=1e-3)
-    assert critical_time_days(pertussis, 0.8) == pytest.approx(0.9073, abs=1e-3)
+    for disease, days in ((ebola, 3.4522), (spanish, 3.2900),
+                          (pertussis, 0.9073)):
+        t_c = (critical_identification_time(disease.r, 0.8)
+               * disease.infectious_period_days)
+        assert t_c == pytest.approx(days, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +88,22 @@ def test_q_critical_values():
         q_critical(2.5, 1.0, 0.0)
 
 
-def test_tau_critical_at_q():
+def test_critical_identification_time_at_q():
     # q = 0 reduces to the plain critical identification time
-    assert tau_critical_at_q(2.5, 0.8, 0.0) == pytest.approx(
+    assert critical_identification_time(2.5, 0.8, 0.0) == pytest.approx(
         critical_identification_time(2.5, 0.8), abs=1e-15)
-    assert tau_critical_at_q(2.5, 0.8, 0.2) == pytest.approx(
+    assert critical_identification_time(2.5, 0.8, 0.2) == pytest.approx(
         math.log(1.6), abs=1e-12)
+    with pytest.raises(SubcriticalP, match=r"at q = 0\.2"):
+        critical_identification_time(2.5, 0.4, 0.2)
+    # r(1-q) = 0.75 <= 1: every tau curbs the outbreak
+    assert critical_identification_time(2.5, 0.9, 0.7) == math.inf
+    # q = 1: nobody is left to infect
+    assert critical_probability(2.5, 1.0) == -math.inf
+    assert critical_identification_time(2.5, 0.0, 1.0) == math.inf
+    # r(1-q) = 1 with p = 0: R_eff = 1 is not < 1
     with pytest.raises(SubcriticalP):
-        tau_critical_at_q(2.5, 0.4, 0.2)
-    with pytest.raises(AlwaysStable):
-        tau_critical_at_q(2.5, 0.9, 0.7)     # r(1-q) = 0.75 <= 1
+        critical_identification_time(2.0, 0.0, 0.5)
 
 
 def test_effective_R():
@@ -128,6 +141,35 @@ def test_thresholds_bundle():
     assert th.tau_c == pytest.approx(math.log(0.8 / 0.6), abs=1e-15)
     th_sub = thresholds(2.5, 0.5, 0.1)
     assert th_sub.tau_c is None
+    # p_c and tau_c are read at the bundle's own q, like r_eff
+    th_q = thresholds(2.5, 0.5, 0.0, 0.5)
+    assert th_q.p_c == pytest.approx(0.2, abs=1e-15)
+    assert th_q.tau_c == pytest.approx(math.log(2.5), abs=1e-15)
+    assert th_q.r_eff == pytest.approx(0.625, abs=1e-15)
+    th_one = thresholds(2.5, 0.5, 0.3, 1.0)
+    assert (th_one.p_c, th_one.tau_c, th_one.r_eff) == (-math.inf, math.inf,
+                                                         0.0)
+
+
+def test_thresholds_obey_one_response_law():
+    # p_c, tau_c and r_eff state one law, R_eff(q) = r(1-q)(1-p e^-tau) = 1,
+    # at the caller's q: tau < tau_c exactly when R_eff < 1, and tau_c
+    # exists exactly when p > p_c(q)
+    rng = np.random.default_rng(28)
+    checked = 0
+    for _ in range(2000):
+        r = rng.uniform(0.5, 6.0)
+        p = rng.uniform(0.0, 1.0)
+        tau = rng.uniform(0.0, 3.0)
+        q = rng.uniform(0.0, 1.0)
+        r_eff = effective_R(r, p, tau, q)
+        if abs(r_eff - 1.0) < 1e-9 or p * math.exp(-tau) >= 1.0:
+            continue
+        th = thresholds(r, p, tau, q)
+        assert (th.tau_c is not None and tau < th.tau_c) == (r_eff < 1.0)
+        assert (p > th.p_c) == (th.tau_c is not None)
+        checked += 1
+    assert checked > 1900
 
 
 def test_tau_c_independent_of_kappa_api_level():
