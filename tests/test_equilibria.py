@@ -49,8 +49,10 @@ def test_critical_identification_time_errors():
     (critical_identification_time, (2.5, 2.0), "p = 2.0 must be in [0, 1]"),
     (q_critical, (2.5, math.nan, 0.5), "p = nan must be in [0, 1]"),
     (thresholds, (2.5, -1, 0.5), "p = -1.0 must be in [0, 1]"),
-    (critical_identification_time, (2.5, 1.5, 0.1),
-     "p = 1.5 must be in [0, 1]"),
+    # tau_c at a leaf label q: p is checked before q
+    pytest.param(critical_identification_time, (2.5, 1.5, 0.1),
+                 "p = 1.5 must be in [0, 1]",
+                 id="tau_c_at_q-args3-p = 1.5 must be in [0, 1]"),
     (effective_R, (2.5, 0.5, -1.0), "tau = -1.0 must be finite and >= 0"),
     (critical_probability, (math.inf,), "r = inf must be finite and > 0"),
     # q is a leaf label wherever p_c and tau_c read it
