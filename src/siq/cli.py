@@ -270,15 +270,19 @@ def cmd_simulate(args) -> Artifact:
     seiq = params.sigma > 0 or args.e0 > 0
     # leaf labels of the initial data, on the run's own grid
     q, h1, h2 = leaf_labels(params, traj, 0.0)
-    pred = endemic_point(params, q, h2)
     meta = params_meta(params, step=traj.step, t_end=traj.t_end,
-                       i0=args.i0, q0=args.q0, e0=args.e0,
-                       predicted_v_S=pred.v_S, predicted_v_I=pred.v_I,
-                       predicted_v_Q=pred.v_Q, leaf_q=pred.q,
-                       reachable=pred.reachable)
+                       i0=args.i0, q0=args.q0, e0=args.e0)
+    # at eps = 1 (q_c = -inf) no endemic point exists to predict
+    pred = endemic_point(params, q, h2) if params.eps < 1.0 else None
+    if pred is not None:
+        meta.update(predicted_v_S=pred.v_S, predicted_v_I=pred.v_I,
+                    predicted_v_Q=pred.v_Q)
+    meta.update(leaf_q=q, reachable=pred is not None and pred.reachable)
     if seiq:
-        meta.update(H1_star=h1, H2_star=h2, predicted_v_E=pred.v_E,
-                    leaf_eta=pred.eta)
+        meta.update(H1_star=h1, H2_star=h2)
+        if pred is not None:
+            meta.update(predicted_v_E=pred.v_E)
+        meta.update(leaf_eta=h2)
     else:
         meta.update(H=h1 + h2)
     order = [0, 2, 3, 1] if seiq else [0, 2, 3]   # file order: S,I,Q[,E]
@@ -303,11 +307,10 @@ def cmd_simulate(args) -> Artifact:
 def cmd_endemic(args) -> Artifact:
     params = scenario_params(args)
     # endemic_point trusts labels read off a flow; check the given ones
-    eta = args.eta or 0.0
-    fractions(q=args.q, eta=eta)
-    pt = endemic_point(params, args.q, eta)
+    fractions(q=args.q, eta=args.eta)
+    pt = endemic_point(params, args.q, args.eta)
     # an SIQ leaf leaves the E cells blank
-    seiq = params.sigma > 0 or args.eta is not None
+    seiq = params.sigma > 0 or args.eta > 0
     cols = ["leaf_q", "leaf_eta", "v_S", "v_E", "v_I", "v_Q", "reachable"]
     row = [pt.q, pt.eta if seiq else "", pt.v_S, pt.v_E if seiq else "",
            pt.v_I, pt.v_Q, int(pt.reachable)]
@@ -331,7 +334,8 @@ def cmd_spectrum(args) -> Artifact:
 
 def cmd_stability_map(args) -> Artifact:
     qc = q_critical(args.r, args.p, args.tau)
-    q_hi = args.q_max if args.q_max is not None else qc * 0.98
+    # at q_c <= 0 the default grid is all 0, which endemic_chareq refuses
+    q_hi = args.q_max if args.q_max is not None else 0.98 * max(qc, 0.0)
     qs = np.linspace(args.q_min, q_hi, args.q_steps)
     ks = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     result = stability_map(args.r, args.p, args.tau, qs, ks)
@@ -562,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(sp, outbreak=False)
     sp.add_argument("--q", type=Flag(fraction), default=0.0,
                     help="leaf label")
-    sp.add_argument("--eta", type=Flag(fraction), default=None,
+    sp.add_argument("--eta", type=Flag(fraction), default=0.0,
                     help="leaf label of E")
     sp.set_defaults(func=cmd_endemic)
 

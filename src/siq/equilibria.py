@@ -15,9 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dde_core import History, Trajectory
-from .errors import (EpsNotBelowOne, SubcriticalP, fraction, positive,
+from .errors import (InvalidFractions, SubcriticalP, fraction, positive,
                      probability)
 from .siq_model import ModelParams, leaf_labels
+
+#: The refusal where q_c <= 0, so that no leaf holds an endemic point.
+_NO_ENDEMIC = ("no endemic equilibrium: q_c = {!r} <= 0, the response curbs "
+               "every outbreak")
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,10 @@ def critical_identification_time(r: float, p: float, q: float = 0.0) -> float:
 
 
 def q_critical(r: float, p: float, tau: float) -> float:
-    """Stability boundary q_c = 1 - (1/r) / (1 - eps), eps = p*exp(-tau)."""
+    """Stability boundary q_c = 1 - (1/r) / (1 - eps), eps = p*exp(-tau),
+    where R_eff(q) = 1; at eps = 1 every outbreak is curbed: q_c = -inf."""
     eps = ModelParams(r, p, tau, 0.0).eps
-    if eps >= 1.0:
-        raise EpsNotBelowOne(f"eps = {eps!r} must be < 1")
-    return 1.0 - (1.0 / r) / (1.0 - eps)
+    return 1.0 - (1.0 / r) / (1.0 - eps) if eps < 1.0 else -math.inf
 
 
 def effective_R(r: float, p: float, tau: float, q: float = 0.0) -> float:
@@ -117,10 +120,14 @@ def endemic_point(params: ModelParams, q: float,
         v_E = sigma*m/D + eta,  v_I = (1-eps)*m/D,  v_Q = eps*kappa*m/D + q.
     The leaf offsets (+eta, +q) keep the components summing to 1, so H on
     the constant point returns q.  The labels are not checked: labels read
-    off a flow may lie a rounding error below 0.
+    off a flow may lie a rounding error below 0.  At eps = 1 (q_c = -inf)
+    v_S has no value and InvalidFractions is raised.
     """
     eps = params.eps
-    m = q_critical(params.r, params.p, params.tau) - q - eta
+    qc = q_critical(params.r, params.p, params.tau)
+    if qc == -math.inf:
+        raise InvalidFractions(_NO_ENDEMIC.format(qc))
+    m = qc - q - eta
     denom = 1.0 - eps + params.sigma + eps * params.kappa
     v_s = 1.0 / (params.r * (1.0 - eps))
     v_i = (1.0 - eps) * m / denom

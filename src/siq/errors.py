@@ -66,10 +66,6 @@ class SubcriticalP(ConfigError):
     """Identification probability at or below its critical value."""
 
 
-class EpsNotBelowOne(ConfigError):
-    """Identification effectiveness must be < 1 for this formula."""
-
-
 # -- network simulation ------------------------------------------------------
 
 class BadDegree(ConfigError):

@@ -19,7 +19,6 @@ Wolfrum & Yanchuk 2011).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import (InvalidFractions, NumericalError, finite_nonnegative,
                      fractions)
-from .equilibria import endemic_point, q_critical
+from .equilibria import _NO_ENDEMIC, endemic_point, q_critical
 from .siq_model import ModelParams
 
 TWO_PI = 2.0 * math.pi
@@ -94,8 +93,7 @@ def endemic_chareq(params: ModelParams, q: float, eta: float = 0.0) -> CharEq:
     fractions(eta=eta, q=q)
     qc = q_critical(params.r, params.p, params.tau)
     if not qc > 0.0:
-        raise InvalidFractions(f"no endemic equilibrium: q_c = {qc!r} <= 0, "
-                               f"the response curbs every outbreak")
+        raise InvalidFractions(_NO_ENDEMIC.format(qc))
     if not q + eta < qc:
         raise InvalidFractions(f"endemic leaf q = {q!r}, eta = {eta!r} must "
                                f"sum below q_c = {qc!r}: w_I <= 0")
@@ -493,14 +491,17 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
     kappa_max is finite and >= 0.
     """
     finite_nonnegative(kappa_max, "kappa_max")
-    solve = functools.lru_cache(maxsize=None)(_axis_branches)
+    checked = endemic_chareq(ModelParams(r, p, tau, 0.0), q)  # checked once
+    # the kappa leg is free of kappa: a fixed equilibrium solves it once
+    fixed = None if track_leaf else _axis_branches(_legs(checked)[0])
 
     def at_kappa(kappa: float) -> _Sample:
-        params = ModelParams(r=r, p=p, tau=tau, kappa=float(kappa))
-        chi = endemic_chareq(params, q)
+        chi = replace(checked, kappa=float(kappa))
         if track_leaf:
-            chi = replace(chi, w_i=endemic_point(params, q).v_I)
-        return _Sample(float(kappa), chi, *solve(_legs(chi)[0]))
+            chi = replace(chi, w_i=endemic_point(
+                ModelParams(r, p, tau, chi.kappa), q).v_I)
+        return _Sample(chi.kappa, chi,
+                       *(fixed or _axis_branches(_legs(chi)[0])))
 
     steps = max(1, math.ceil(kappa_max / 0.25)) if track_leaf else 1
     samples = [at_kappa(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
@@ -516,7 +517,7 @@ def hopf_crossings(r: float, p: float, tau: float, q: float,
     unstable count) with kappa <= kappa_max, at the fixed equilibrium of
     leaf q or, with ``track_leaf``, at the point re-read from leaf q at
     each kappa (the outbreak-scenario destabilization).  A leaf outside
-    0 <= q < q_c raises InvalidFractions at the first kappa sampled."""
+    0 <= q < q_c raises InvalidFractions before any kappa is sampled."""
     return [c for c in axis_crossings(r, p, tau, q, kappa_max,
                                       track_leaf=track_leaf)
             if c.direction > 0][:max_crossings]

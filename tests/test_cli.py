@@ -19,7 +19,8 @@ import pytest
 from siq import __version__
 from siq.cli import (_fan_out, build_parser, config_flags, critical_rows, fmt,
                      i_peak, main, read_csv, write_csv)
-from siq.errors import ConfigError, HorizonTooShort, NumericalError
+from siq.errors import (ConfigError, FileParse, HorizonTooShort,
+                        NumericalError)
 from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
                            simulate)
 
@@ -456,6 +457,19 @@ def test_cli_simulate_metadata_predicts_endemic(tmp_path):
         assert key in meta
 
 
+def test_cli_endemic_eta_zero_is_an_siq_leaf(tmp_path):
+    # the E cells are written when sigma > 0 or the E label is > 0, as in
+    # simulate; "--eta 0" wrote them as 0 while no --eta left them blank
+    base = ["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0", "--kappa",
+            "1", "--q", "0"]
+    lines = []
+    for extra in ([], ["--eta", "0"]):
+        out = tmp_path / f"endemic{len(extra)}.csv"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        lines.append(out.read_text().splitlines()[-1])
+    assert lines == ["0,,0.8,,0.1,0.1,1"] * 2
+
+
 def test_cli_endemic_value(tmp_path):
     out = tmp_path / "endemic.csv"
     code = main(["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0",
@@ -475,6 +489,18 @@ def test_cli_spectrum_controllable_case(tmp_path):
     # eps = 0.724 > p_c = 0.6: controllable, count 0 even at q = 0
     assert meta["unstable_count"] == "0"
     assert rows == []
+
+
+def test_cli_spectrum_without_delays(tmp_path):
+    # tau = kappa = 0: the root r(1 - q - eta)(1 - eps) - 1 = 0.25 comes from
+    # the eigenvalues of the summed matrix, with no collocation
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--r", "2.5", "--p", "0.5", "--tau", "0",
+                 "--kappa", "0", "--q", "0", "--out", str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert (meta["unstable_count"], meta["collocation_n"]) == ("1", "0")
+    assert float(rows[0][0]) == pytest.approx(0.25, abs=1e-9)
+    assert float(rows[0][1]) == 0.0
 
 
 def test_cli_spectrum_reports_counters(tmp_path):
@@ -579,6 +605,42 @@ def test_cli_reports_no_endemic_equilibrium(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: no endemic equilibrium: q_c = -7.33")
     assert "the response curbs every outbreak" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["endemic", "--r", "2.5", "--p", "1", "--tau", "0", "--kappa", "1"],
+    ["spectrum", "--r", "2.5", "--p", "1", "--tau", "0", "--kappa", "1",
+     "--equilibrium", "endemic"],
+    ["hopf", "--r", "2.5", "--p", "1"],
+    ["stability-map", "--r", "2.5", "--p", "1"]],
+    ids=["endemic", "spectrum", "hopf", "stability-map"])
+def test_cli_strongest_response_has_no_endemic_equilibrium(capsys, argv):
+    # eps = 1 gives q_c = -inf; these exited 1 with "eps = 1.0 must be < 1",
+    # and the map's default grid, 0.98 q_c, would start at nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: no endemic equilibrium: q_c = -inf <= 0, the response "
+        "curbs every outbreak\n")
+
+
+@pytest.mark.parametrize("kappa", ["0", "1"])
+def test_cli_simulate_at_the_strongest_response(tmp_path, kappa):
+    # eps = 1 isolates every infection at once: I(t) = i0 e^{-t}, and no
+    # endemic point exists to predict
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--r", "2.5", "--p", "1", "--tau", "0",
+                 "--kappa", kappa, "--i0", "0.01", "--t-end", "20",
+                 "--step", "0.01", "--out", str(out)]) == 0
+    meta, cols, rows = read_csv(str(out))
+    assert (meta["reachable"], meta["leaf_q"]) == ("False", "0")
+    assert "H" in meta
+    assert not [k for k in meta if k.startswith("predicted_")]
+    t, i = (np.array([float(row[cols.index(c)]) for row in rows])
+            for c in ("t", "I"))
+    assert len(rows) == 2001
+    np.testing.assert_allclose(i, 0.01 * np.exp(-t), rtol=1e-8, atol=0)
 
 
 def test_cli_stability_map_small(tmp_path):
@@ -917,6 +979,34 @@ def test_cli_simulate_every_one_writes_every_node(tmp_path):
                  str(out)]) == 0
     meta, _, rows = read_csv(str(out))
     assert meta["output_stride"] == "1" and len(rows) == 501
+
+
+def test_cli_simulate_every_keeps_the_last_node(tmp_path):
+    # 501 nodes at stride 7: nodes 0, 7, ..., 497, then the last, 500
+    out = tmp_path / "every.csv"
+    assert main(["simulate", *SCENARIO, "--every", "7", "--out",
+                 str(out)]) == 0
+    meta, _, rows = read_csv(str(out))
+    assert meta["output_stride"] == "7" and len(rows) == 73
+    assert [row[0] for row in rows[-2:]] == ["4.97", "5"]
+
+
+def test_cli_writes_the_artifact_to_stdout_without_out(tmp_path, capsys):
+    out = tmp_path / "endemic.csv"
+    argv = ["endemic", "--r", "2.5", "--p", "0.5", "--tau", "0", "--kappa",
+            "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    for extra in ([], ["--out", "-"]):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+
+def test_read_csv_refuses_a_file_without_a_column_row(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text("# tool = siq\n\n# r = 2.5\n")
+    with pytest.raises(FileParse) as err:
+        read_csv(str(path))
+    assert str(err.value) == f"{path}: no header row"
 
 
 def test_write_csv_float_array_matches_generic_rows(tmp_path):

@@ -10,9 +10,10 @@ from siq.equilibria import (critical_identification_time,
                             critical_probability, effective_R, endemic_point,
                             predict_endemic_from_history, q_critical,
                             thresholds)
-from siq.errors import EpsNotBelowOne, OutOfDomain, SubcriticalP
+from siq.errors import InvalidFractions, OutOfDomain, SubcriticalP
 from siq.siq_model import (DiseaseSpec, ModelParams, outbreak_history,
                            simulate)
+from siq.spectral import endemic_chareq
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,8 @@ def test_q_critical_values():
     assert q_critical(2.5, 0.5, 0.0) == pytest.approx(0.2, abs=1e-15)
     assert q_critical(2.5, 0.0, 1.3) == pytest.approx(1 - 1 / 2.5, abs=1e-15)
     assert q_critical(2.5, 0.5, 0.5) == pytest.approx(0.425894, abs=1e-6)
-    with pytest.raises(EpsNotBelowOne):
-        q_critical(2.5, 1.0, 0.0)
+    # eps = 1, instant and certain identification: the limit q_c = -inf
+    assert q_critical(2.5, 1.0, 0.0) == -math.inf
 
 
 def test_critical_identification_time_at_q():
@@ -151,6 +152,15 @@ def test_thresholds_bundle():
     th_one = thresholds(2.5, 0.5, 0.3, 1.0)
     assert (th_one.p_c, th_one.tau_c, th_one.r_eff) == (-math.inf, math.inf,
                                                          0.0)
+
+
+def test_thresholds_at_the_strongest_response():
+    # p = 1 at tau = 0 (eps = 1): every threshold is defined, q_c is -inf
+    # (it raised "eps = 1.0 must be < 1")
+    th = thresholds(2.5, 1.0, 0.0)
+    assert th.p_c == 0.6
+    assert th.tau_c == pytest.approx(math.log(1 / 0.6), abs=1e-15)
+    assert (th.q_c, th.r_eff) == (-math.inf, 0.0)
 
 
 def test_thresholds_obey_one_response_law():
@@ -241,6 +251,24 @@ def test_seiq_endemic_point_reduces_and_conserves_mass():
         eta = rng.uniform(0, 0.3)
         v = endemic_point(ps, rng.uniform(0, 0.3), eta)
         assert v.v_S + v.v_E + v.v_I + v.v_Q == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_endemic_point_refuses_the_strongest_response(sigma):
+    # at eps = 1, v_S = 1/(r(1 - eps)) has no value; the refusal is the one
+    # endemic_chareq gives wherever q_c <= 0
+    ps = ModelParams(r=2.5, p=1.0, tau=0.0, kappa=1.0, sigma=sigma)
+    message = ("no endemic equilibrium: q_c = -inf <= 0, the response "
+               "curbs every outbreak")
+    with pytest.raises(InvalidFractions) as err:
+        endemic_point(ps, 0.0)
+    assert str(err.value) == message
+    with pytest.raises(InvalidFractions) as err:
+        endemic_chareq(ps, 0.0)
+    assert str(err.value) == message
+    # below eps = 1 a point with q_c <= 0 is still the algebraic one
+    low = endemic_point(ModelParams(r=1.2, p=0.9, tau=0.0, kappa=1.0), 0.0)
+    assert low.v_I < 0.0 and not low.reachable
 
 
 def test_seiq_endemic_point_value():

@@ -9,8 +9,8 @@ import pytest
 
 import net_reference
 from siq.errors import BadDegree, FileParse
-from siq.net_sim import (SimConfig, Network, NetworkStats, average_runs,
-                         complete_network, erdos_renyi_network,
+from siq.net_sim import (SimConfig, Network, NetworkSeries, NetworkStats,
+                         average_runs, complete_network, erdos_renyi_network,
                          mean_field_params, network_from_edge_list,
                          simulate_network)
 
@@ -109,6 +109,39 @@ def test_edge_list_parsing(tmp_path):
     junk.write_text("0 1 2\n")
     with pytest.raises(FileParse):
         network_from_edge_list(str(junk))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 x\n", "{path}:2: invalid literal for int() with base 10: 'x'"),
+    ("0 1\n-1 2\n", "{path}:2: negative node id"),
+    ("# comments only\n\n", "{path}: no edges")],
+    ids=["token", "negative", "no-edges"])
+def test_edge_list_rejects_bad_files(tmp_path, text, message):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    with pytest.raises(FileParse) as err:
+        network_from_edge_list(str(path))
+    assert str(err.value) == message.format(path=path)
+
+
+def test_network_rejects_an_endpoint_outside_its_nodes():
+    for edges in ([[0, 3]], [[-1, 1]]):
+        with pytest.raises(FileParse, match="^edge endpoint out of node "
+                           "range$"):
+            Network(n=3, edges=edges)
+
+
+def test_average_runs_rejects_no_runs_and_mixed_grids():
+    def series(t_end):
+        t = np.linspace(0.0, t_end, 5)
+        return NetworkSeries(t, np.ones(5), np.zeros(5), np.zeros(5))
+
+    with pytest.raises(ValueError, match="^no runs to average$"):
+        average_runs([])
+    for other in (series(2.0), NetworkSeries(np.zeros(3), *[np.zeros(3)] * 3)):
+        with pytest.raises(ValueError, match="^runs use different output "
+                           "grids$"):
+            average_runs([series(1.0), other])
 
 
 # ---------------------------------------------------------------------------

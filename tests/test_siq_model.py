@@ -13,8 +13,8 @@ from conftest import smooth_simplex_history, with_empty_e, without_e
 from dde_reference import flux_integrate, seiq_field, siq_field
 from siq import dde_core
 from siq.dde_core import History, constant_history
-from siq.errors import (InvalidFractions, NotInSimplex, OutOfDomain,
-                        OutOfRange, SpanTooShort)
+from siq.errors import (FileParse, InvalidFractions, NotInSimplex,
+                        OutOfDomain, OutOfRange, SpanTooShort)
 from siq.siq_model import (ModelParams, conserved_H, conserved_H_star,
                            leaf_labels, load_disease_table, outbreak_history,
                            simulate, validate_history)
@@ -426,6 +426,16 @@ def test_sis_reduction_limit():
     assert abs(q) <= 1e-12
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_strongest_response_isolates_every_infection(kappa):
+    # eps = 1: every infection is isolated at once, so I' = -I exactly and
+    # I(t) = i0 e^{-t}; RK4's error on this run is 3.1e-13
+    ps = ModelParams(r=2.5, p=1.0, tau=0.0, kappa=kappa)
+    traj = simulate(ps, outbreak_history(ps, 0.01), 20.0, 0.01)
+    t = np.arange(traj.n_nodes) * traj.step
+    assert np.abs(traj.states[:, 2] - 0.01 * np.exp(-t)).max() <= 1e-12
+
+
 def test_kappa_inf_field_accumulates_Q():
     ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=0.0)
     hist = outbreak_history(ps, 0.01)
@@ -447,3 +457,29 @@ def test_bundled_disease_table():
     ebola = by_name["Ebola 2014 [Sierra Leone]"]
     assert ebola.r == 2.5 and ebola.infectious_period_days == 12.0
     assert by_name["Pertussis"].r == 4.75
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name,r,days,source\nFlu,1.3,4,x\n",
+     "disease table header must be name,r,infectious_period_days,source, "
+     "got ['name', 'r', 'days', 'source']"),
+    ("name,r,infectious_period_days,source\nFlu,abc,4,x\n",
+     "bad disease row {'name': 'Flu', 'r': 'abc', "
+     "'infectious_period_days': '4', 'source': 'x'}: could not convert "
+     "string to float: 'abc'"),
+    ("name,r,infectious_period_days,source\n# no rows\n",
+     "disease table has no data rows")],
+    ids=["header", "row", "no-rows"])
+def test_disease_table_rejects_bad_files(tmp_path, text, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(FileParse) as err:
+        load_disease_table(str(path))
+    assert str(err.value) == message
+
+
+def test_leaf_labels_take_a_time_on_trajectories_only():
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
+    with pytest.raises(ValueError, match="^evaluation time applies to "
+                       "trajectories only$"):
+        leaf_labels(ps, outbreak_history(ps, 0.01), t=0.0)

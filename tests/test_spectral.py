@@ -14,6 +14,7 @@ import pytest
 from dde_reference import seiq_field, siq_field
 from siq.equilibria import endemic_point, q_critical
 from siq.errors import InvalidFractions, NumericalError
+from siq import spectral
 from siq.dde_core import History
 from siq.siq_model import ModelParams, simulate
 from siq.spectral import (CharEq, axis_crossings, count_unstable,
@@ -253,6 +254,27 @@ def test_default_box_extent():
                 for chi in chis:
                     assert default_box(chi) == Box(1e-8, max(10.0, r),
                                                    -im, im)
+
+
+@pytest.mark.parametrize("r, p, q, eta", [(2.5, 0.5, 0.0, 0.0),
+                                          (3.0, 0.2, 0.1, 0.1),
+                                          (4.0, 0.5, 0.2, 0.0)])
+def test_zero_delay_disease_free_root_is_closed_form(r, p, q, eta):
+    # tau = kappa = sigma = 0: chi/lam = lam + 1 - r(1 - q - eta)(1 - eps),
+    # located from the eigenvalues of the summed matrix, no collocation
+    ps = ModelParams(r=r, p=p, tau=0.0, kappa=0.0)
+    rep = count_unstable(disease_free_chareq(ps, q, eta))
+    assert (rep.unstable_count, rep.collocation_n) == (1, 0)
+    [root] = rep.roots
+    assert root == pytest.approx(r * (1 - q - eta) * (1 - p) - 1, abs=1e-14)
+    assert rep.max_residual <= 1e-14
+
+
+def test_zero_delay_endemic_point_is_stable():
+    # chi/lam = lam + r w_I (1 - eps) at the endemic point, w_I = q_c - q
+    ps = ModelParams(r=2.5, p=0.5, tau=0.0, kappa=0.0)
+    rep = count_unstable(endemic_chareq(ps, 0.1))
+    assert (rep.unstable_count, rep.roots, rep.collocation_n) == (0, (), 0)
 
 
 def test_endemic_stable_at_kappa0_tau0():
@@ -625,6 +647,24 @@ def test_hopf_residual_at_cascade_members():
 def test_hopf_absent_when_scan_range_is_stable():
     # q = 0.18 destabilizes only past kappa ~ 19 for these parameters
     assert hopf_crossings(2.5, 0.5, 0.0, 0.18, 12.0) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: axis_crossings(5.0, 0.85, 0.2, 0.0, 20.0),
+    lambda: hopf_crossings(2.5, 0.5, 0.5, 0.0, 16.0, track_leaf=True)],
+    ids=["fixed", "tracked"])
+def test_hopf_scan_checks_its_leaf_once(monkeypatch, call):
+    # every kappa sample rebuilt and re-checked the endemic point: 7 checks
+    # on the fixed scan, 65 or more on the tracked one
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return endemic_chareq(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "endemic_chareq", counted)
+    assert call()                       # the scan finds its crossings
+    assert len(calls) == 1
 
 
 def test_hopf_rejects_leaf_beyond_qc():
