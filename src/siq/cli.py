@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -71,22 +72,26 @@ def _unbroken(text: str, what: str, breaks: str = ",\n\r") -> None:
             raise ValueError(f"{what}: {text!r} holds {c!r}")
 
 
+#: Rows of a float64 artifact formatted per write: what the rows' text
+#: holds in memory stays a few hundred kB however long the run.
+CSV_BLOCK = 1024
+
+
 def write_csv(out: str | None, columns: Sequence[str],
               rows: Iterable[Sequence] | np.ndarray, meta: dict) -> None:
     """Write the header lines, the column row and ``rows``.  A 2-D float64
     array goes through one ``%.9g`` template per row, which gives ``fmt``'s
-    text for every float (nan, inf and -0 included).  A text cell holding
-    a comma or a line break, or a header value holding a line break,
-    raises ValueError before any output."""
+    text for every float (nan, inf and -0 included), written CSV_BLOCK
+    rows at a time.  A text cell holding a comma or a line break, or a
+    header value holding a line break, raises ValueError before any
+    output."""
     header = {k: fmt(v) for k, v in meta.items()}
     for k, v in header.items():
         _unbroken(v, f"header {k}", "\n\r")
     lines = [f"# {k} = {v}" for k, v in header.items()]
     lines.append(",".join(columns))
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        template = ",".join(["%.9g"] * rows.shape[1])
-        lines += [template % row for row in map(tuple, rows.tolist())]
-    else:
+    floats = isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    if not floats:
         for row in rows:
             cells = [fmt(v) for v in row]
             line = ",".join(cells)
@@ -95,12 +100,14 @@ def write_csv(out: str | None, columns: Sequence[str],
                 for name, cell in zip(columns, cells):
                     _unbroken(cell, f"column {name}")
             lines.append(line)
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if out is None or out == "-"
+          else open(out, "w", encoding="utf-8")) as fh:
+        fh.write("\n".join(lines) + "\n")
+        if floats:
+            template = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+            for a in range(0, rows.shape[0], CSV_BLOCK):
+                fh.write("".join(template % row for row in
+                                 map(tuple, rows[a:a + CSV_BLOCK].tolist())))
 
 
 #: What a subcommand hands to ``main``: columns, rows and header metadata;

@@ -11,12 +11,16 @@ infection flux Phi = r*S*I at a lag:
 so the kernel buffers only Phi, on the half-step grid: node values and
 cell midpoints, the history part sampled once in front of the solution
 part.  E and Q feed no right-hand side, so the step loop carries only
-(S, I) in float locals; after it, numpy rebuilds E, Q and the node
-derivatives block by block with the loop's own float operations in its
-order, which gives exactly the trajectory of a loop over all four states.
-SIQ is the same loop at sigma = 0, where the zero lag reads the stage
-flux and E' = Phi - Phi(t - 0) = 0 keeps E at its initial value;
-kappa = inf drops the return term.
+(S, I) in float locals; after it, numpy rebuilds E and Q block by block
+with the loop's own float operations in its order, which gives exactly
+the trajectory of a loop over all four states.  A run keeps its states
+and the flux at the history nodes, nothing more per node: the node
+derivatives are rates of the node flux r*S*I (the loop's own product)
+and of the lagged fluxes, so a trajectory computes them, with the same
+operations, at the nodes a Hermite cell reads.  SIQ is the same loop at
+sigma = 0, where the zero lag reads the stage flux and
+E' = Phi - Phi(t - 0) = 0 keeps E at its initial value; kappa = inf
+drops the return term.
 
 The loop does little interpreted work per step.  The flux buffer and the
 states are allocated in full before it, and it walks the node's slot in
@@ -32,7 +36,7 @@ nodes and exact cell midpoints.  A history jump at theta makes the solution
 derivative jump at the kink nodes theta + lag (Bellen & Zennaro 2003,
 sections 3-4).  There the k4 stage of the cell ending at the kink reads the
 left limit Phi(theta-), and so does the dense output over that cell, while
-the node derivative (the next cell's k1 and the stored ``derivs``) keeps
+the node derivative (the next cell's k1 and ``Trajectory.derivs``) keeps
 the right limit.  With these one-sided values the method keeps fourth
 order on outbreak data.
 
@@ -44,6 +48,7 @@ only, one row per time; the window functionals integrate those values.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -51,10 +56,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (DelayTooSmall, JumpOffGrid, NonFiniteState, OutOfRange,
-                     positive)
+                     RunTooLarge, positive)
 
 #: Default integration step, in model time units.  CLI-overridable.
 DEFAULT_STEP = 1e-3
+
+#: Traced peak bytes of ``integrate`` per grid node (states, the flux
+#: buffer and the rebuild's blocks: 52-59 B measured) and per history node
+#: (its flux, and the samples of the history's ``fn``: 160-400 B).
+_BYTES_PER_NODE = 60
+_BYTES_PER_HISTORY_NODE = 400
 
 
 @dataclass(frozen=True)
@@ -106,24 +117,24 @@ class Trajectory:
 
     Piecewise cubic Hermite segments over a uniform grid, with the initial
     history prepended so delayed arguments and window functionals can be
-    evaluated anywhere in [-span, t_end].  ``derivs`` holds the right
-    derivative at every node; ``kink_nodes`` lists the nodes where the
-    derivative jumps and ``kink_derivs`` their left derivatives, which the
-    cell ending there uses.  Immutable after construction and safe to read
-    concurrently.
+    evaluated anywhere in [-span, t_end].  ``states`` holds the node
+    values; ``derivs_at(nodes)`` returns the right derivative at an integer
+    array of nodes, computed when a cell is read, and ``derivs`` those of
+    every node.  ``kink_nodes`` lists the nodes where the derivative jumps
+    and ``kink_derivs`` their left derivatives, which the cell ending there
+    uses.  Immutable after construction and safe to read concurrently.
     """
 
-    __slots__ = ("t_end", "step", "states", "derivs", "history",
+    __slots__ = ("t_end", "step", "states", "derivs_at", "history",
                  "snapped_delays", "requested_delays", "kink_nodes",
                  "kink_derivs")
 
-    def __init__(self, step, states, derivs, history, snapped_delays,
+    def __init__(self, step, states, derivs_at, history, snapped_delays,
                  requested_delays, kinks=None):
         self.step = float(step)
         self.states = states          # (n+1, 4): S, E, I, Q; read-only
-        self.derivs = derivs          # (n+1, 4)
         self.states.setflags(write=False)
-        self.derivs.setflags(write=False)
+        self.derivs_at = derivs_at
         self.history = history
         self.snapped_delays = tuple(snapped_delays)
         self.requested_delays = tuple(requested_delays)
@@ -132,6 +143,14 @@ class Trajectory:
         self.kink_nodes = np.array(sorted(kinks), dtype=np.int64)
         self.kink_derivs = np.array([kinks[k] for k in sorted(kinks)],
                                     dtype=float).reshape(-1, states.shape[1])
+
+    @property
+    def derivs(self) -> np.ndarray:
+        """Right derivatives at every node, (n+1, 4), read-only; computed
+        on each access."""
+        derivs = self.derivs_at(np.arange(self.n_nodes))
+        derivs.setflags(write=False)
+        return derivs
 
     @property
     def n_nodes(self) -> int:
@@ -169,17 +188,21 @@ class Trajectory:
         return vals
 
     def _hermite(self, ts: np.ndarray) -> np.ndarray:
-        h = self.step
+        h, states = self.step, self.states
         u = ts / h
         node = np.rint(u).astype(np.int64)
-        on_node = np.abs(u - node) <= 1e-9
+        vals = np.take(states, node, axis=0)
+        # only a time inside a cell reads the cubic, and its derivatives
+        off = np.flatnonzero(np.abs(u - node) > 1e-9)
+        if not off.size:
+            return vals
+        u = u[off]
         i = np.clip(u.astype(np.int64), 0, self.n_nodes - 2)
         th = u - i
-        states, derivs = self.states, self.derivs
         y0 = np.take(states, i, axis=0)
         dy = np.take(states, i + 1, axis=0) - y0
-        f0 = np.take(derivs, i, axis=0)
-        f1 = np.take(derivs, i + 1, axis=0)
+        f = self.derivs_at(np.concatenate((i, i + 1)))
+        f0, f1 = f[:i.size], f[i.size:]
         if self.kink_nodes.size:
             k = np.searchsorted(self.kink_nodes, i + 1)
             hit = self.kink_nodes[np.minimum(k, self.kink_nodes.size - 1)] == i + 1
@@ -190,11 +213,18 @@ class Trajectory:
         def col(w):
             return w.reshape(-1, 1)
 
-        vals = (y0 + col(3 * t2 - 2 * t3) * dy + col((t3 - 2 * t2 + th) * h) * f0
-                + col((t3 - t2) * h) * f1)
-        if on_node.any():
-            vals[on_node] = states[node[on_node]]
+        vals[off] = (y0 + col(3 * t2 - 2 * t3) * dy
+                     + col((t3 - 2 * t2 + th) * h) * f0
+                     + col((t3 - t2) * h) * f1)
         return vals
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _snap(delay: float, step: float) -> int:
@@ -220,8 +250,10 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
     Raises ValueError for a history that is not four-state, DelayTooSmall
     for lags in (0, step), JumpOffGrid for a history jump off the step
     grid, OutOfRange for a history shorter than the longest lag,
-    NonFiniteState if the state stops being finite, and OutOfDomain (a
-    ValueError) for a step or t_end that is not finite and positive.
+    RunTooLarge, before anything is allocated, when the run's estimated
+    bytes exceed the machine's physical memory, NonFiniteState if the
+    state stops being finite, and OutOfDomain (a ValueError) for a step
+    or t_end that is not finite and positive.
     """
     h = positive(step, "step")
     positive(t_end, "t_end")
@@ -240,6 +272,12 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         raise OutOfRange(
             f"max snapped delay {max(snapped)!r} exceeds history span {history.span!r}")
     n = max(1, int(math.ceil(t_end / h - 1e-9)))
+    need = _BYTES_PER_NODE * (n + 1) + _BYTES_PER_HISTORY_NODE * max(lags)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise RunTooLarge(f"a run of {n} steps of {h!r} with snapped delays "
+                          f"{snapped!r} needs about {need} bytes; the machine "
+                          f"has {have}")
     e = float(eps)
     ek = 0.0 if permanent else e      # weight of the return flow
     ls, lt = lags[0], lags[1]
@@ -350,10 +388,59 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         phi[p] = f
 
     states = np.frombuffer(states).reshape(-1, 4)
-    derivs, kinks = _rebuild(states, np.frombuffer(phi), m=m,
-                             lags=(ls, lt, lk), r=r, e=e, ek=ek, h=h,
-                             kink_jumps=kink_jumps)
-    return Trajectory(h, states, derivs, history, snapped, requested, kinks)
+    phi = np.frombuffer(phi)
+    lags = (ls, lt, lk)
+    _rebuild(states, phi, m=m, lags=lags, r=r, e=e, ek=ek, h=h,
+             kink_jumps=kink_jumps)
+    # the history nodes' flux is copied out, so phi is freed on return
+    derivs_at = _node_reader(states, phi[:2 * m:2].copy(), lags=lags, r=r,
+                             e=e, ek=ek)
+    nodes = sorted(kink_jumps)
+    rows = derivs_at(np.array(nodes, dtype=np.int64)).tolist()
+    kinks = {k: tuple(d + dj for d, dj in zip(row, kink_jumps[k]))
+             for k, row in zip(nodes, rows)}
+    return Trajectory(h, states, derivs_at, history, snapped, requested, kinks)
+
+
+def _rates(f, i, gs, gt, gk, zeros, e, ek):
+    """(S', E', I', Q') at flux f and infectives i, with gs, gt, gk the
+    fluxes at the lags sigma, sigma+tau and sigma+tau+kappa; a zero lag
+    (``zeros``) reads f in place of its argument."""
+    zs, zt, zk = zeros
+    gs = f if zs else gs
+    egt = e * f if zt else e * gt
+    ekgk = ek * f if zk else ek * gk
+    return i - f + ekgk, f - gs, (gs - i) - egt, egt - ekgk
+
+
+def _node_reader(states, past, *, lags, r, e, ek):
+    """``derivs_at(nodes)``: the right derivatives at an integer array of
+    nodes, shape (len(nodes), 4).
+
+    A node's flux is r*S*I, the loop's own product, and a lag L reads the
+    flux of node j - L, from ``past`` (the flux at the m history nodes
+    before 0) when j < L; so every value is the rebuild's, bit for bit.
+    """
+    m = past.size
+    zeros = tuple(L == 0 for L in lags)
+    # row 0 reads the node, one row per nonzero lag its lagged node
+    shifts = np.array([0] + [L for L in lags if L], dtype=np.int64)[:, None]
+    flat = states.reshape(-1)         # node j: S at 4*j, I at 4*j + 2
+
+    def derivs_at(nodes):
+        at = nodes - shifts
+        s_at = 4 * np.maximum(at, 0)
+        i = flat.take(s_at + 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flux = r * flat.take(s_at) * i
+            before = at < 0
+            if before.any():
+                flux[before] = past[at[before] + m]
+            lagged = iter(flux[1:])
+            reads = [None if z else next(lagged) for z in zeros]
+            return np.array(_rates(flux[0], i[0], *reads, zeros, e, ek)).T
+
+    return derivs_at
 
 
 #: ``_rebuild`` works on blocks of at least this many cells, and on at
@@ -365,8 +452,7 @@ _BLOCKS = 40
 
 def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
     """Fill the E and Q columns of ``states`` (nodes 1..n) from its S and I
-    columns and the flux buffer ``phi``; return the node derivatives and
-    the left derivatives at the kink nodes.
+    columns and the flux buffer ``phi``.
 
     E and Q feed no right-hand side, so the loop of ``integrate`` leaves
     them out.  Every RK4 stage is a function of the node (S, I), its
@@ -378,12 +464,10 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
     raise, so a loop that blows up runs on to t_end, and the nodes before
     the first bad one are those of a loop that stopped there.
     """
-    zeros = [L == 0 for L in lags]
-    zs, zt, zk = zeros
+    zeros = tuple(L == 0 for L in lags)
     offsets = [2 * (max(L, 1) - m) for L in lags]
     h2, h6 = 0.5 * h, h / 6.0
     n = states.shape[0] - 1
-    derivs = np.empty_like(states)
 
     def lagged(a, b, half):
         """Lagged fluxes of nodes a..b-1 (half = 0), of the midpoints
@@ -392,31 +476,19 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
         return [None if z else phi[2 * a + half - o:2 * b + half - o:2]
                 for z, o in zip(zeros, offsets)]
 
-    def rates(f, i, gs, gt, gk):
-        """(S', E', I', Q') at flux f and infectives i."""
-        gs = f if zs else gs
-        egt = e * f if zt else e * gt
-        ekgk = ek * f if zk else ek * gk
-        return i - f + ekgk, f - gs, (gs - i) - egt, egt - ekgk
-
-    def node_rates(a, b):
-        return rates(phi[2 * (a + m):2 * (b + m):2], states[a:b, 2],
-                     *lagged(a, b, 0))
-
     def stage(s, i, d, w, reads):
         s_ = s + w * d[0]
         i_ = i + w * d[2]
-        return rates(r * s_ * i_, i_, *reads)
+        return _rates(r * s_ * i_, i_, *reads, zeros, e, ek)
 
     kink_nodes = sorted(kink_jumps)
     with np.errstate(over="ignore", invalid="ignore"):
         block = max(_MIN_BLOCK, -(-n // _BLOCKS))
         for a in range(0, n, block):
             b = min(a + block, n)
-            d1 = node_rates(a, b)
-            for c in range(4):
-                derivs[a:b, c] = d1[c]
             s, i = states[a:b, 0], states[a:b, 2]
+            d1 = _rates(phi[2 * (a + m):2 * (b + m):2], i, *lagged(a, b, 0),
+                        zeros, e, ek)
             mids = lagged(a, b, 1)
             d2 = stage(s, i, d1, h2, mids)
             d3 = stage(s, i, d2, h2, mids)
@@ -439,10 +511,6 @@ def _rebuild(states, phi, *, m, lags, r, e, ek, h, kink_jumps):
                 raise NonFiniteState(f"non-finite state at t={j * h!r}: "
                                      f"S={s_j!r}, E={e_j!r}, I={i_j!r}, "
                                      f"Q={q_j!r}")
-        derivs[n] = [d[0] for d in node_rates(n, n + 1)]
-    kinks = {k: tuple(d + dj for d, dj in zip(derivs[k].tolist(), jump))
-             for k, jump in kink_jumps.items()}
-    return derivs, kinks
 
 
 __all__ = ["DEFAULT_STEP", "History", "Trajectory", "constant_history",

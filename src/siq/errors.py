@@ -46,6 +46,10 @@ class OutOfRange(ConfigError):
     """A sample time lies outside the trajectory/history domain."""
 
 
+class RunTooLarge(ConfigError):
+    """A run would need more memory than the machine has."""
+
+
 # -- model data --------------------------------------------------------------
 
 class NotInSimplex(ConfigError):

@@ -492,18 +492,27 @@ def axis_crossings(r: float, p: float, tau: float, q: float,
     """
     finite_nonnegative(kappa_max, "kappa_max")
     checked = endemic_chareq(ModelParams(r, p, tau, 0.0), q)  # checked once
+    return _crossings(checked, kappa_max,
+                      (r, p, tau, q) if track_leaf else None)
+
+
+def _crossings(checked: CharEq, kappa_max: float,
+               leaf: tuple[float, float, float, float] | None) -> list[HopfData]:
+    """``axis_crossings`` of the checked endemic chi ``checked``: at its
+    fixed point, or re-read at each kappa from ``leaf`` = (r, p, tau, q)."""
     # the kappa leg is free of kappa: a fixed equilibrium solves it once
-    fixed = None if track_leaf else _axis_branches(_legs(checked)[0])
+    fixed = None if leaf else _axis_branches(_legs(checked)[0])
 
     def at_kappa(kappa: float) -> _Sample:
         chi = replace(checked, kappa=float(kappa))
-        if track_leaf:
+        if leaf:
+            r, p, tau, q = leaf
             chi = replace(chi, w_i=endemic_point(
                 ModelParams(r, p, tau, chi.kappa), q).v_I)
         return _Sample(chi.kappa, chi,
                        *(fixed or _axis_branches(_legs(chi)[0])))
 
-    steps = max(1, math.ceil(kappa_max / 0.25)) if track_leaf else 1
+    steps = max(1, math.ceil(kappa_max / 0.25)) if leaf else 1
     samples = [at_kappa(k) for k in np.linspace(0.0, kappa_max, steps + 1)]
     return sorted((c for s0, s1 in zip(samples, samples[1:])
                    for c in _interval_crossings(at_kappa, s0, s1)),
@@ -553,13 +562,14 @@ def stability_map(r: float, p: float, tau: float,
     params = ModelParams(r=r, p=p, tau=tau, kappa=0.0)
     qs = [float(v) for v in q_grid]
     ks = [finite_nonnegative(v, "kappa") for v in kappa_grid]
-    # every leaf is checked before any row is counted
-    bases = [_base_count(endemic_chareq(params, q)) for q in qs]
+    # every leaf is checked once, before any row is counted
+    checked = [endemic_chareq(params, q) for q in qs]
+    bases = [_base_count(chi) for chi in checked]
     counts = np.full((len(qs), len(ks)), -1, dtype=int)
     errors: list[tuple[int, str]] = []
-    for i, (q, base) in enumerate(zip(qs, bases)):
+    for i, (q, chi, base) in enumerate(zip(qs, checked, bases)):
         try:
-            cross = axis_crossings(r, p, tau, q, max(ks, default=0.0))
+            cross = _crossings(chi, max(ks, default=0.0), None)
             row = [base + 2 * sum(c.direction for c in cross if c.kappa_0 < k)
                    for k in ks]
             if min(row, default=0) < 0:

@@ -185,7 +185,8 @@ def integrate(field: FieldFn, delays: DelaySpec, history: History,
         node_ders.append(fnew)
         k1 = fnew
 
-    return Trajectory(h, states, derivs, history, snapped, delays.delays)
+    return Trajectory(h, states, derivs.__getitem__, history, snapped,
+                      delays.delays)
 
 
 class VectorField(NamedTuple):
@@ -467,5 +468,5 @@ def flux_integrate(history: History, t_end: float,
     if not seiq:
         kinks = {k: (v[0], v[2], v[3]) for k, v in kinks.items()}
     return Trajectory(h, np.frombuffer(states).reshape(-1, dim),
-                      np.frombuffer(derivs).reshape(-1, dim), history,
-                      snapped, requested, kinks)
+                      np.frombuffer(derivs).reshape(-1, dim).__getitem__,
+                      history, snapped, requested, kinks)

@@ -11,6 +11,7 @@ import random
 import re
 import shlex
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,6 +178,17 @@ def test_cli_unknown_key_exit_code(tmp_path, capsys):
         assert main(["endemic", "--config", str(nested)]) == 1
         assert capsys.readouterr().err == (
             f"error: {nested}:{line}: a config file cannot name --config\n")
+
+
+def test_cli_simulate_refuses_a_run_larger_than_memory(monkeypatch, capsys):
+    monkeypatch.setattr("siq.dde_core._physical_memory", lambda: 1000)
+    assert main(["simulate", "--r", "2.5", "--p", "0.5", "--tau", "0.5",
+                 "--kappa", "1", "--t-end", "1", "--step", "0.01"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a run of 100 steps of 0.01 with snapped "
+                          "delays (0.0, 0.5, 1.5) needs about ")
+    assert err.endswith(" bytes; the machine has 1000\n")
 
 
 @pytest.mark.parametrize("argv, path", [
@@ -676,14 +688,14 @@ def test_cli_stability_map_rejects_invalid_model_parameters(tmp_path,
 def test_cli_stability_map_reports_failed_rows(tmp_path, monkeypatch):
     import siq.spectral as spectral
     from siq.errors import NumericalError
-    real = spectral.axis_crossings
+    real = spectral._crossings
 
-    def failing(r, p, tau, q, kappa_max, **kw):
-        if q > 0.0:
+    def failing(checked, kappa_max, leaf):
+        if checked.w_i < 0.15:          # the row q = 0.1: w_I = q_c - q
             raise NumericalError("forced\nfailure")
-        return real(r, p, tau, q, kappa_max, **kw)
+        return real(checked, kappa_max, leaf)
 
-    monkeypatch.setattr(spectral, "axis_crossings", failing)
+    monkeypatch.setattr(spectral, "_crossings", failing)
     out = tmp_path / "map.csv"
     assert main(["stability-map", "--r", "2.5", "--p", "0.5", "--q-steps",
                  "2", "--q-max", "0.1", "--kappa-steps", "3",
@@ -1023,6 +1035,30 @@ def test_write_csv_float_array_matches_generic_rows(tmp_path):
     assert text.splitlines()[-3:] == [
         "nan,inf,-inf,-0", "0,4.94065646e-324,1e+22,0.3",
         "0.333333333,-2.5,1e-300,123456790"]
+
+
+def test_write_csv_streams_float_rows(tmp_path, monkeypatch):
+    # the rows of a float array are written a block at a time: the text is
+    # the same across block edges, and the 12 001 rows of the kappa = 14.5
+    # run never sit in memory as lines and text
+    rows = np.random.default_rng(3).random((12_001, 5))
+    meta = {"x": 1}
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    write_csv(str(whole), list("abcde"), rows, meta)
+    monkeypatch.setattr("siq.cli.CSV_BLOCK", 7)
+    write_csv(str(blocks), list("abcde"), rows, meta)
+    assert blocks.read_text() == whole.read_text() == (
+        "# x = 1\na,b,c,d,e\n"
+        + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows))
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        write_csv(str(whole), list("abcde"), rows, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.36 MB measured against 4.1 MB when the text was built whole
+    assert peak < whole.stat().st_size
 
 
 # ---------------------------------------------------------------------------

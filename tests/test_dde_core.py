@@ -27,7 +27,7 @@ from dde_reference import (DelaySpec, flux_integrate, integrate,
 from siq import dde_core
 from siq.dde_core import History, constant_history
 from siq.errors import (DelayTooSmall, JumpOffGrid, NonFiniteState,
-                        OutOfRange)
+                        OutOfRange, RunTooLarge)
 from siq.siq_model import ModelParams, outbreak_history, simulate
 
 
@@ -290,7 +290,63 @@ def test_kernel_memory_per_node(sigma):
     finally:
         tracemalloc.stop()
     assert traj.n_nodes == 10_001
-    assert peak / traj.n_nodes < 100.0
+    # states 32 B and the flux buffer 16 B per node, plus the rebuild's
+    # blocks: 58.9 and 59.4 B measured
+    assert peak / traj.n_nodes < 62.0
+
+
+def _owned_bytes(a):
+    """Bytes of the buffer that the ndarray ``a`` keeps alive."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes if a.base is None else memoryview(a.base).nbytes
+
+
+def test_trajectory_keeps_no_per_node_array_but_its_states():
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=5.0)
+    traj = simulate(ps, outbreak_history(ps, 0.01), 400.0, 0.01)
+    m, kinks = 550, traj.kink_nodes.size        # longest lag 5.5 / 0.01
+    held = [getattr(traj, name) for name in type(traj).__slots__]
+    held += [c.cell_contents for c in traj.derivs_at.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert _owned_bytes(traj.states) == traj.states.nbytes == 32 * 40_001
+    # the history nodes' flux, the kinks and a few lags: O(m + kinks)
+    rest = [a for a in arrays if not np.shares_memory(a, traj.states)]
+    assert 0 < sum(_owned_bytes(a) for a in rest) <= 8 * (m + 5 * kinks) + 64
+
+
+def test_run_larger_than_memory_refused_before_allocating(monkeypatch):
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=5.0)
+    data = outbreak_history(ps, 0.01)
+    read = []
+
+    def fn(theta):
+        read.append(theta)
+        return data.fn(theta)
+
+    hist = History(span=data.span, fn=fn, jumps=data.jumps)
+    need = (dde_core._BYTES_PER_NODE * 10_001
+            + dde_core._BYTES_PER_HISTORY_NODE * 550)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(dde_core, "_rebuild", no_rebuild)
+    monkeypatch.setattr(dde_core, "_physical_memory", lambda: need - 1)
+    read.clear()
+    with pytest.raises(RunTooLarge) as err:
+        simulate(ps, hist, 100.0, 0.01)
+    assert re.fullmatch(rf"a run of 10000 steps of 0.01 with snapped delays "
+                        rf"\(0.0, 0.5, 5.5\d*\) needs about {need} bytes; "
+                        rf"the machine has {need - 1}", str(err.value))
+    # only the state at 0 was read: the history was never sampled for the
+    # flux buffer, which comes before the loop
+    assert read == [0.0]
+    # at exactly the estimate, and where the system does not say, it runs
+    for have in (need, None):
+        monkeypatch.setattr(dde_core, "_physical_memory", lambda: have)
+        with pytest.raises(AssertionError, match="the run started"):
+            simulate(ps, hist, 100.0, 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -721,16 +721,32 @@ def test_stability_map_matches_cell_counts():
     assert res.counts.max() >= 8
 
 
+def test_stability_map_checks_each_leaf_once(monkeypatch):
+    # each row's leaf was checked in the up-front pass and again by the
+    # row's crossing solve: 20 checks for 10 rows
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return endemic_chareq(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "endemic_chareq", counted)
+    qs = np.linspace(0.0, 0.18, 10)
+    res = stability_map(2.5, 0.5, 0.0, qs, [1.0, 12.0])
+    assert not res.errors and res.counts.max() > 0
+    assert len(calls) == 10
+
+
 def test_stability_map_reports_failed_rows(monkeypatch):
     import siq.spectral as spectral
-    real = spectral.axis_crossings
+    real = spectral._crossings
 
-    def failing(r, p, tau, q, kappa_max, **kw):
-        if q == 0.1:
+    def failing(checked, kappa_max, leaf):
+        if checked.w_i < 0.15:          # the row q = 0.1: w_I = q_c - q
             raise NumericalError("forced")
-        return real(r, p, tau, q, kappa_max, **kw)
+        return real(checked, kappa_max, leaf)
 
-    monkeypatch.setattr(spectral, "axis_crossings", failing)
+    monkeypatch.setattr(spectral, "_crossings", failing)
     res = stability_map(2.5, 0.5, 0.0, [0.0, 0.1], [1.0, 12.0])
     assert res.counts.tolist() == [[0, 2], [-1, -1]]
     assert res.errors == ((1, "NumericalError: forced"),)
