@@ -223,11 +223,13 @@ def i_peak(traj: Trajectory, settle: float = 50.0) -> float:
     vals = traj.states[:, 2]
     top = int(np.argmax(vals))
     peak = float(vals[top])
-    for cell in range(max(top - 1, 0), min(top + 1, traj.n_nodes - 1)):
-        for u in _cubic_critical_points(traj.evaluate(
-                (cell + np.arange(4) / 3.0) * traj.step)[:, 2]):
-            peak = max(peak, float(traj.evaluate(
-                [(cell + u / 3.0) * traj.step])[0, 2]))
+    cells = range(max(top - 1, 0), min(top + 1, traj.n_nodes - 1))
+    # one read for both cells' four samples, one for every critical point
+    samples = traj.evaluate((np.array(cells)[:, None] + np.arange(4) / 3.0)
+                            * traj.step)[:, 2].reshape(-1, 4)
+    ts = [(cell + u / 3.0) * traj.step for cell, y in zip(cells, samples)
+          for u in _cubic_critical_points(y)]
+    peak = max([peak] + traj.evaluate(ts)[:, 2].tolist())
     running = np.maximum.accumulate(vals)
     moved = np.diff(running) > PEAK_MOVE_TOL * running[1:]
     last_move = int(np.nonzero(moved)[0][-1]) + 1 if moved.any() else 0

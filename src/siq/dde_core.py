@@ -36,8 +36,8 @@ nodes and exact cell midpoints.  A history jump at theta makes the solution
 derivative jump at the kink nodes theta + lag (Bellen & Zennaro 2003,
 sections 3-4).  There the k4 stage of the cell ending at the kink reads the
 left limit Phi(theta-), and so does the dense output over that cell, while
-the node derivative (the next cell's k1 and ``Trajectory.derivs``) keeps
-the right limit.  With these one-sided values the method keeps fourth
+the node derivative (the next cell's k1 and ``Trajectory.derivs_at``)
+keeps the right limit.  With these one-sided values the method keeps fourth
 order on outbreak data.
 
 Initial data and solutions are read the same way: a ``History`` and a
@@ -63,9 +63,9 @@ DEFAULT_STEP = 1e-3
 
 #: Traced peak bytes of ``integrate`` per grid node (states, the flux
 #: buffer and the rebuild's blocks: 52-59 B measured) and per history node
-#: (its flux, and the samples of the history's ``fn``: 160-400 B).
+#: (the sample times and the history's values there: 146-147 B measured).
 _BYTES_PER_NODE = 60
-_BYTES_PER_HISTORY_NODE = 400
+_BYTES_PER_HISTORY_NODE = 150
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ class History:
     ``fn`` maps theta in [-span, 0] to a state tuple; at each of its
     ``jumps`` (and at theta = 0) it must return the right limit.
     Elsewhere it is assumed piecewise smooth.  ``dimension``, the number
-    of states, is read from ``fn(0.0)``.
+    of states, is read from ``fn(0.0)``; ``evaluate`` is the one reader of
+    ``fn`` after that.
     """
 
     span: float
@@ -94,16 +95,24 @@ class History:
 
     def evaluate(self, ts) -> np.ndarray:
         """Values at times ``ts``, shape (len(ts), dimension); a time
-        outside [-span, 0], NaN included, raises OutOfRange."""
+        outside [-span, 0], NaN included, raises OutOfRange, and a row of
+        ``fn`` whose length is not ``dimension`` raises ValueError."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         out = ~((ts >= -self.span - 1e-12) & (ts <= 1e-12))
         if out.any():
             theta = float(ts[out][0])
             raise OutOfRange(f"history evaluated at theta={theta!r}, "
                              f"span={self.span!r}")
-        fn = self.fn
-        return np.array([fn(t) for t in np.clip(ts, -self.span, 0.0).tolist()],
-                        dtype=float).reshape(-1, self.dimension)
+        fn, dim = self.fn, self.dimension
+
+        def row(theta):               # fromiter broadcasts a 1-value row
+            if len(y := fn(theta)) != dim:
+                raise ValueError(f"history of {dim} states returned "
+                                 f"{len(y)} values at theta={theta!r}")
+            return y
+
+        return np.fromiter(map(row, np.clip(ts, -self.span, 0.0).tolist()),
+                           dtype=(float, dim), count=ts.size)
 
 
 def constant_history(value: Sequence[float], span: float) -> History:
@@ -118,11 +127,11 @@ class Trajectory:
     Piecewise cubic Hermite segments over a uniform grid, with the initial
     history prepended so delayed arguments and window functionals can be
     evaluated anywhere in [-span, t_end].  ``states`` holds the node
-    values; ``derivs_at(nodes)`` returns the right derivative at an integer
-    array of nodes, computed when a cell is read, and ``derivs`` those of
-    every node.  ``kink_nodes`` lists the nodes where the derivative jumps
-    and ``kink_derivs`` their left derivatives, which the cell ending there
-    uses.  Immutable after construction and safe to read concurrently.
+    values; ``derivs_at(nodes)`` returns the right derivatives at an
+    integer array of nodes, computed when a cell is read.  ``kink_nodes``
+    lists the nodes where the derivative jumps and ``kink_derivs`` their
+    left derivatives, which the cell ending there uses.  Immutable after
+    construction and safe to read concurrently.
     """
 
     __slots__ = ("t_end", "step", "states", "derivs_at", "history",
@@ -143,14 +152,6 @@ class Trajectory:
         self.kink_nodes = np.array(sorted(kinks), dtype=np.int64)
         self.kink_derivs = np.array([kinks[k] for k in sorted(kinks)],
                                     dtype=float).reshape(-1, states.shape[1])
-
-    @property
-    def derivs(self) -> np.ndarray:
-        """Right derivatives at every node, (n+1, 4), read-only; computed
-        on each access."""
-        derivs = self.derivs_at(np.arange(self.n_nodes))
-        derivs.setflags(write=False)
-        return derivs
 
     @property
     def n_nodes(self) -> int:
@@ -198,7 +199,7 @@ class Trajectory:
             return vals
         u = u[off]
         i = np.clip(u.astype(np.int64), 0, self.n_nodes - 2)
-        th = u - i
+        th = (u - i)[:, None]
         y0 = np.take(states, i, axis=0)
         dy = np.take(states, i + 1, axis=0) - y0
         f = self.derivs_at(np.concatenate((i, i + 1)))
@@ -209,13 +210,9 @@ class Trajectory:
             f1[hit] = self.kink_derivs[k[hit]]
         t2 = th * th
         t3 = t2 * th
-
-        def col(w):
-            return w.reshape(-1, 1)
-
-        vals[off] = (y0 + col(3 * t2 - 2 * t3) * dy
-                     + col((t3 - 2 * t2 + th) * h) * f0
-                     + col((t3 - t2) * h) * f1)
+        vals[off] = (y0 + (3 * t2 - 2 * t3) * dy
+                     + ((t3 - 2 * t2 + th) * h) * f0
+                     + ((t3 - t2) * h) * f1)
         return vals
 
 
@@ -261,7 +258,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
         raise ValueError(f"history has {history.dimension} states; the model "
                          f"state is (S, E, I, Q), so write SIQ data as "
                          f"(S, 0, I, Q)")
-    # Python floats: numpy scalars would slow every operation of the loop
+    # Python floats (also at the jumps): numpy scalars would slow the loop
     y0 = history.evaluate([0.0])[0].tolist()
     permanent = math.isinf(kappa)
     requested = (sigma, sigma + tau) + (() if permanent else
@@ -307,7 +304,7 @@ def integrate(history: History, t_end: float, step: float = DEFAULT_STEP, *,
                               f"multiple of the step {h!r}")
         if j < -m:
             continue
-        left = history.fn(math.nextafter(theta, -math.inf))
+        left = history.evaluate(np.nextafter(theta, -np.inf))[0].tolist()
         delta = r * left[0] * left[2] - phi[2 * (j + m)]
         for lag, weights in ((ls, (0.0, -1.0, 1.0, 0.0)),
                              (lt, (0.0, 0.0, -e, e)),

@@ -252,8 +252,10 @@ def test_criterion_06_destabilization_scenario():
     [400, 800]) while a run at kappa_0 + 1 must sustain it (at least 0.9
     of it).  The scan gives kappa_0 = 13.538, inside the (13, 14) crossing
     that the collocation oracle in test_spectral.py finds independently;
-    the ratios are 0.15 and 0.98.  The fixed-equilibrium scan (12.14)
-    fails the check: at 13.14 the ratio is 0.45.
+    the ratios are 0.15 and 0.98.  The fixed equilibrium (1 - q_c, q_c, 0)
+    gives no kappa_0 to check: its characteristic equation has no
+    imaginary-axis crossing up to kappa = 40 (``axis_crossings(2.5, 0.5,
+    0.5, 0.0, 40.0)`` is empty, as test_spectral.py asserts).
     """
     def outbreak_i(kappa, t_end):
         ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=kappa)

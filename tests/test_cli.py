@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from siq import __version__
-from siq.cli import (_fan_out, build_parser, config_flags, critical_rows, fmt,
-                     i_peak, main, read_csv, write_csv)
+from siq.cli import (_cubic_critical_points, _fan_out, build_parser,
+                     config_flags, critical_rows, fmt, i_peak, main, read_csv,
+                     write_csv)
+from siq.dde_core import Trajectory
 from siq.errors import (ConfigError, FileParse, HorizonTooShort,
                         NumericalError)
 from siq.siq_model import (ModelParams, load_disease_table, outbreak_history,
@@ -1074,6 +1076,31 @@ def test_i_peak_as_accurate_as_the_trajectory():
     traj = simulate(ps, hist, 60.0, 0.01)
     assert float(traj.states[:, 2].max()) < ref - 5e-9
     assert i_peak(traj) == pytest.approx(ref, abs=1e-10)
+
+
+def test_i_peak_reads_the_dense_output_twice(monkeypatch):
+    # one reader call for both cells' samples, one for every critical
+    # point; the value is that of reading each point on its own
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=2.0)
+    traj = simulate(ps, outbreak_history(ps, 0.01), 300.0, 0.01)
+    top = int(np.argmax(traj.states[:, 2]))
+    want = float(traj.states[top, 2])
+    for cell in (top - 1, top):
+        y = traj.evaluate((cell + np.arange(4) / 3.0) * traj.step)[:, 2]
+        for u in _cubic_critical_points(y):
+            want = max(want, float(traj.evaluate(
+                [(cell + u / 3.0) * traj.step])[0, 2]))
+    calls = []
+    read = Trajectory.evaluate
+
+    def counted(self, ts):
+        calls.append(np.size(ts))
+        return read(self, ts)
+
+    monkeypatch.setattr(Trajectory, "evaluate", counted)
+    assert i_peak(traj) == want
+    # the eight samples, then the four critical points
+    assert calls == [8, 4]
 
 
 def test_i_peak_subcritical_equals_i0():

@@ -110,7 +110,8 @@ def test_determinism_bitwise():
     a = simulate(ps, outbreak_history(ps, 0.01), 3.0, 1e-3)
     b = simulate(ps, outbreak_history(ps, 0.01), 3.0, 1e-3)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.derivs, b.derivs)
+    nodes = np.arange(a.n_nodes)
+    assert np.array_equal(a.derivs_at(nodes), b.derivs_at(nodes))
 
 
 def test_delay_snapping_recorded():
@@ -181,6 +182,25 @@ def test_history_validation():
         simulate(ps, constant_history([1.0, 0.0, 0.0, 0.0], 1.0), 1.0, 1e-3)
 
 
+def _ragged_history(before):
+    """Four states at 0 and ``before`` values at every time before it."""
+    pre = (1.0, 0.0, 0.0, 0.0, 0.0)[:before]
+    return History(span=2.0, jumps=(0.0,),
+                   fn=lambda th: (0.99, 0.0, 0.01, 0.0) if th >= 0.0 else pre)
+
+
+@pytest.mark.parametrize("before", [1, 3, 5])
+def test_history_rows_of_another_length_refused(before):
+    hist = _ragged_history(before)
+    assert hist.dimension == 4
+    message = f"history of 4 states returned {before} values at theta="
+    with pytest.raises(ValueError, match=message):
+        hist.evaluate([-1.5, -1.0, -0.5, -0.25])
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1.0)
+    with pytest.raises(ValueError, match=message):
+        simulate(ps, hist, 1.0, 1e-2)
+
+
 def test_delay_spec_sorted_and_validated():
     spec = DelaySpec((2.0, 1.0, 1.0), 3)
     assert spec.delays == (1.0, 1.0, 2.0)
@@ -196,8 +216,6 @@ def test_trajectory_immutable():
     traj = simulate(ps, outbreak_history(ps, 0.01), 1.0, 1e-3)
     with pytest.raises(ValueError):
         traj.states[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        traj.derivs[0, 0] = 99.0
 
 
 def test_upward_snapped_delay_clamps_history_reads():
@@ -238,7 +256,9 @@ def test_kernel_matches_reference_on_jump_free_histories(ps, kappa_inf):
         want = reference_simulate(ps, data, 20.0, step, kappa_inf=kappa_inf)
         assert got.kink_nodes.size == 0
         assert np.abs(got.states[:, cols] - want.states).max() <= tol
-        assert np.abs(got.derivs[:, cols] - want.derivs).max() <= tol
+        nodes = np.arange(got.n_nodes)
+        assert np.abs(got.derivs_at(nodes)[:, cols]
+                      - want.derivs_at(nodes)).max() <= tol
 
 
 def test_isolation_starts_from_zero_on_outbreak_data():
@@ -251,7 +271,7 @@ def test_isolation_starts_from_zero_on_outbreak_data():
     assert traj.kink_nodes.tolist() == [500]
     # the cell ending at the kink uses the left derivative, Q' = 0
     assert traj.kink_derivs[0, 3] == 0.0
-    assert traj.derivs[500, 3] > 0.0
+    assert traj.derivs_at(np.arange(traj.n_nodes))[500, 3] > 0.0
     # so Q stays 0 across that cell's Hermite; the right derivative would
     # bend it to about -6e-7 at 0.5 - 1e-4
     vals = traj.evaluate([0.5 - 1e-4, 0.5])
@@ -293,6 +313,26 @@ def test_kernel_memory_per_node(sigma):
     # states 32 B and the flux buffer 16 B per node, plus the rebuild's
     # blocks: 58.9 and 59.4 B measured
     assert peak / traj.n_nodes < 62.0
+
+
+def test_kernel_memory_per_history_node():
+    # the history part is read once, row by row into one array: no list of
+    # fn's rows, so a fn that builds new floats per call costs no more
+    ps = ModelParams(r=2.5, p=0.5, tau=0.5, kappa=1000.0)
+    data = outbreak_history(ps, 0.01)
+    hist = History(span=data.span, jumps=data.jumps,
+                   fn=lambda th: tuple(v + 0.0 * th for v in data.fn(th)))
+    m = 100_050                                 # longest lag 1000.5 / 0.01
+    tracemalloc.start()
+    try:
+        traj = simulate(ps, hist, 10.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 147.4 B measured; a list of fn's rows cost 498 B
+    assert peak / m < 150.0
+    assert peak <= (dde_core._BYTES_PER_NODE * traj.n_nodes
+                    + dde_core._BYTES_PER_HISTORY_NODE * m)
 
 
 def _owned_bytes(a):
@@ -403,8 +443,11 @@ def _random_kernel_point(k):
 
 def _assert_same_run(got, want, cols=(0, 1, 2, 3)):
     """``got`` and the columns ``cols`` of ``want`` are bit for bit equal."""
-    for name in ("states", "derivs", "kink_nodes", "kink_derivs"):
+    nodes = np.arange(got.n_nodes)
+    for name in ("states", "derivs_at", "kink_nodes", "kink_derivs"):
         a, b = getattr(got, name), getattr(want, name)
+        if callable(a):
+            a, b = a(nodes), b(nodes)
         if a.ndim == 2:
             a = a[:, list(cols)]
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -418,7 +461,8 @@ def _assert_matches_loops(got, hist, t_end, step, kw):
         _assert_same_run(got, flux_integrate(without_e(hist), t_end, step,
                                              **kw), cols=(0, 2, 3))
         assert (got.states[:, 1] == hist.fn(0.0)[1]).all()
-        assert not got.derivs[:, 1].any() and not got.kink_derivs[:, 1].any()
+        derivs = got.derivs_at(np.arange(got.n_nodes))
+        assert not derivs[:, 1].any() and not got.kink_derivs[:, 1].any()
 
 
 @pytest.mark.parametrize("k", range(64))
